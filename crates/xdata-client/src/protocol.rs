@@ -74,7 +74,9 @@ impl RequestBody {
 
 /// Generation knobs shared by every pipeline-running method, mirroring the
 /// CLI flags (PROTOCOL.md documents each field's accepted values and
-/// default).
+/// default). Decoding ignores keys it does not know, so frames from older
+/// clients that still send `search_core` or `join_strategy` get the
+/// default behaviour.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireOptions {
     /// Worker threads inside the request (`0` = one per core). Output is
@@ -82,8 +84,6 @@ pub struct WireOptions {
     pub jobs: usize,
     /// `"unfold"` (default) or `"lazy"`.
     pub mode: String,
-    /// `"session"` (default), `"cdcl"`, or `"dpll"`.
-    pub search_core: String,
     /// Solver decision budget per target.
     pub decision_limit: Option<u64>,
     /// Wall-clock budget per solve target, independent of the request
@@ -94,8 +94,6 @@ pub struct WireOptions {
     pub use_input_db: bool,
     /// Evaluate only: include FULL OUTER JOIN mutations (default true).
     pub include_full: bool,
-    /// Grade only: `"hash"` (default) or `"nested-loop"`.
-    pub join_strategy: String,
     /// Deterministic fault injection (the chaos harness): targets whose
     /// label contains a listed substring panic / exit Unknown / expire.
     pub fault_panic: Vec<String>,
@@ -108,12 +106,10 @@ impl Default for WireOptions {
         WireOptions {
             jobs: 1,
             mode: "unfold".to_string(),
-            search_core: "session".to_string(),
             decision_limit: None,
             target_deadline_ms: None,
             use_input_db: false,
             include_full: true,
-            join_strategy: "hash".to_string(),
             fault_panic: Vec::new(),
             fault_unknown: Vec::new(),
             fault_expire: Vec::new(),
@@ -267,7 +263,6 @@ impl WireOptions {
         let mut fields = vec![
             ("jobs".to_string(), num(self.jobs as u64)),
             ("mode".to_string(), Json::Str(self.mode.clone())),
-            ("search_core".to_string(), Json::Str(self.search_core.clone())),
         ];
         if let Some(l) = self.decision_limit {
             fields.push(("decision_limit".to_string(), num(l)));
@@ -277,7 +272,6 @@ impl WireOptions {
         }
         fields.push(("use_input_db".to_string(), Json::Bool(self.use_input_db)));
         fields.push(("include_full".to_string(), Json::Bool(self.include_full)));
-        fields.push(("join_strategy".to_string(), Json::Str(self.join_strategy.clone())));
         if !self.fault_panic.is_empty() {
             fields.push(("fault_panic".to_string(), str_arr(&self.fault_panic)));
         }
@@ -299,9 +293,6 @@ impl WireOptions {
         if let Some(v) = get("mode") {
             o.mode = v.as_str().ok_or("options.mode must be a string")?.to_string();
         }
-        if let Some(v) = get("search_core") {
-            o.search_core = v.as_str().ok_or("options.search_core must be a string")?.to_string();
-        }
         if let Some(v) = get("decision_limit") {
             o.decision_limit = Some(v.as_u64().ok_or("options.decision_limit must be a number")?);
         }
@@ -314,10 +305,6 @@ impl WireOptions {
         }
         if let Some(v) = get("include_full") {
             o.include_full = as_bool(v).ok_or("options.include_full must be a boolean")?;
-        }
-        if let Some(v) = get("join_strategy") {
-            o.join_strategy =
-                v.as_str().ok_or("options.join_strategy must be a string")?.to_string();
         }
         for (key, dst) in [
             ("fault_panic", &mut o.fault_panic),

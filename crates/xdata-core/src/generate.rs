@@ -89,7 +89,29 @@ pub fn generate_cancellable(
 ) -> Result<TestSuite, GenError> {
     // A batch run owns its memo: warm state begins and ends with the call.
     let memo = SolveMemo::default();
-    generate_impl(query, schema, domains, opts, cancel, &memo, None)
+    generate_impl(query, schema, domains, opts, cancel, &memo, None, None)
+}
+
+/// A reference solver standing in for the production search on every
+/// target of a [`generate_with_oracle`] run: problem, decision budget,
+/// token in; verdict and stats out.
+pub type Oracle = dyn Fn(&Problem, u64, &CancelToken) -> (SolveOutcome, SolverStats) + Sync;
+
+/// [`generate`] with incremental sessions turned off and every target
+/// solved by `oracle`. The parity tests hold the production suite against
+/// the fresh-CDCL and DPLL oracles through this entry; nothing else calls
+/// it.
+#[doc(hidden)]
+pub fn generate_with_oracle(
+    query: &NormQuery,
+    schema: &Schema,
+    domains: &DomainCatalog,
+    opts: &GenOptions,
+    oracle: &Oracle,
+) -> Result<TestSuite, GenError> {
+    let cancel = CancelToken::for_deadline_ms(opts.deadline_ms);
+    let memo = SolveMemo::default();
+    generate_impl(query, schema, domains, opts, &cancel, &memo, None, Some(oracle))
 }
 
 /// [`generate_cancellable`] against a process-long [`WarmCache`]: solve
@@ -110,9 +132,10 @@ pub fn generate_warm(
     namespace: &str,
 ) -> Result<TestSuite, GenError> {
     let salt = context_salt(namespace, query, opts);
-    generate_impl(query, schema, domains, opts, cancel, &warm.memo, Some((warm, salt)))
+    generate_impl(query, schema, domains, opts, cancel, &warm.memo, Some((warm, salt)), None)
 }
 
+#[allow(clippy::too_many_arguments)]
 fn generate_impl(
     query: &NormQuery,
     schema: &Schema,
@@ -121,6 +144,7 @@ fn generate_impl(
     cancel: &CancelToken,
     memo: &SolveMemo,
     warm: Option<(&WarmCache, u64)>,
+    oracle: Option<&Oracle>,
 ) -> Result<TestSuite, GenError> {
     // Two warm runs sharing a context salt would race their turn gates on
     // the shared incremental sessions; serialize whole runs per salt (other
@@ -145,6 +169,7 @@ fn generate_impl(
         gate: TurnGate::default(),
         memo,
         warm,
+        oracle,
     };
     let plan = {
         let _plan_span = xdata_obs::span("generate/plan");
@@ -466,6 +491,9 @@ struct Gen<'a> {
     /// hashed into every memo key, so batch and warm keys never mix even
     /// in a shared memo.
     warm: Option<(&'a WarmCache, u64)>,
+    /// Present on [`generate_with_oracle`] runs: solves every target in
+    /// place of sessions and fresh CDCL.
+    oracle: Option<&'a Oracle>,
 }
 
 /// Serializes session-eligible targets of one skeleton class (`copies`
@@ -1209,9 +1237,10 @@ impl<'a> Gen<'a> {
     }
 
     /// Whether this run routes eligible solves through incremental
-    /// sessions (see [`crate::warm::sessions_enabled`]).
+    /// sessions (see [`crate::warm::sessions_enabled`]); an oracle run
+    /// never does.
     fn sessions_enabled(&self) -> bool {
-        crate::warm::sessions_enabled(self.opts)
+        self.oracle.is_none() && crate::warm::sessions_enabled(self.opts)
     }
 
     /// The shared incremental session for a `(copies, repair_cap)` skeleton
@@ -1324,12 +1353,13 @@ impl<'a> Gen<'a> {
         // From here until the entry is resolved, this thread owns the
         // Pending claim; the guard releases it on every exit path.
         let guard = PendingGuard { memo: self.memo, key };
-        let (out, stats) = match session {
+        let (out, stats) = match (session, self.oracle) {
             // The incremental road: only this target's delta constraints
             // are lowered; the engine arrives warm with everything learned
             // from the shape's earlier targets.
-            Some(s) => s.solve_delta(problem, limit, cancel),
-            None => problem.solve_cancel(self.opts.mode, limit, self.opts.core, cancel),
+            (Some(s), _) => s.solve_delta(problem, limit, cancel),
+            (None, Some(oracle)) => oracle(problem, limit, cancel),
+            (None, None) => problem.solve_cancel(self.opts.mode, limit, cancel),
         };
         if matches!(out, SolveOutcome::Cancelled) {
             // Not a verdict: drop the claim (guard wakes the waiters; the

@@ -45,7 +45,7 @@ pub mod suite;
 pub mod warm;
 
 pub use error::GenError;
-pub use generate::{generate, generate_cancellable, generate_warm};
+pub use generate::{generate, generate_cancellable, generate_warm, generate_with_oracle, Oracle};
 pub use grade::{
     grade_batch, grade_batch_cancellable, grade_batch_warm, BatchGradeReport, CandidateOutcome,
     CandidateVerdict, GradeError,

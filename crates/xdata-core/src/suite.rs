@@ -3,13 +3,19 @@
 use std::fmt;
 
 use xdata_catalog::Dataset;
-use xdata_solver::{Mode, SearchCore, SolverStats};
+use xdata_solver::{Mode, SolverStats};
 
 /// Options controlling generation.
 #[derive(Debug, Clone)]
 pub struct GenOptions {
     /// Quantifier handling (§VI-B): `Unfold` is the paper's fast
-    /// configuration, `Lazy` the "without unfolding" one.
+    /// configuration, `Lazy` the "without unfolding" one. Under `Unfold`
+    /// without an [`GenOptions::input_db`], targets are solved through one
+    /// incremental CDCL session per constraint-skeleton shape (the
+    /// skeleton is lowered once, each target runs under per-target
+    /// assumptions, and learned clauses, branching activities and saved
+    /// phases carry over between targets); every other configuration
+    /// solves each target with a fresh CDCL search.
     pub mode: Mode,
     /// Force generated tuples to be drawn from this input database (§VI-A).
     /// On inconsistency the generator retries without the restriction, as
@@ -28,18 +34,6 @@ pub struct GenOptions {
     /// silently dropped. The default is high enough that the paper's
     /// workloads never hit it.
     pub decision_limit: u64,
-    /// Ground search core: conflict-driven (the default) or the original
-    /// chronological DPLL, kept as a baseline for `solver_sweep`.
-    pub core: SearchCore,
-    /// Solve targets through one incremental CDCL session per constraint
-    /// skeleton shape (the default): the skeleton is lowered once, each
-    /// target runs under per-target assumptions, and learned clauses,
-    /// branching activities and saved phases carry over between targets.
-    /// Only effective with [`SearchCore::Cdcl`] in [`Mode::Unfold`] and no
-    /// [`GenOptions::input_db`]; other configurations solve each target
-    /// from scratch. Set `false` to force fresh solves (the
-    /// `--search-core cdcl` baseline).
-    pub incremental: bool,
     /// Wall-clock budget in milliseconds for the whole generation run.
     /// When it expires the suite completes *partially*: targets not yet
     /// finished are reported as [`SkipReason::Timeout`], never silently
@@ -63,8 +57,6 @@ impl Default for GenOptions {
             compare_attr_pairs: true,
             jobs: 1,
             decision_limit: xdata_solver::DEFAULT_DECISION_LIMIT,
-            core: SearchCore::default(),
-            incremental: true,
             deadline_ms: None,
             per_target_deadline_ms: None,
             faults: FaultPlan::default(),

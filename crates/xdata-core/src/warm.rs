@@ -8,8 +8,8 @@
 //! process exit. [`WarmCache`] is the same state with a process-long
 //! lifetime:
 //!
-//! * the **solve memo** maps a 128-bit structural problem hash (the PR 4
-//!   key: mode, core, budget, array specs, ordered constraints) to its
+//! * the **solve memo** maps a 128-bit structural problem hash (mode,
+//!   budget, array specs, ordered constraints) to its
 //!   verdict, model values and solver stats. Entries are owned data, so
 //!   they outlive the query/schema/domain borrows of the request that
 //!   produced them;
@@ -54,7 +54,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use xdata_relalg::fingerprint::structural_hash;
 use xdata_relalg::NormQuery;
-use xdata_solver::{Mode, Model, Problem, SearchCore, SolveOutcome, SolveSession, SolverStats};
+use xdata_solver::{Mode, Model, Problem, SolveOutcome, SolveSession, SolverStats};
 
 use crate::suite::GenOptions;
 
@@ -141,7 +141,7 @@ impl Drop for PendingGuard<'_> {
 }
 
 /// Structural 128-bit key of a solve call: two independently seeded 64-bit
-/// hashes over (context salt, mode, core, budget, array specs, ordered
+/// hashes over (context salt, mode, budget, array specs, ordered
 /// constraints). The constraint *order* is hashed deliberately — assertion
 /// order steers the search, so only byte-identical problems may share an
 /// outcome. `salt` is `0` for a batch run and [`context_salt`] for a warm
@@ -154,7 +154,6 @@ pub(crate) fn memo_key(problem: &Problem, opts: &GenOptions, limit: u64, salt: u
     for h in [&mut h1, &mut h2] {
         salt.hash(h);
         opts.mode.hash(h);
-        opts.core.hash(h);
         limit.hash(h);
         problem.specs().hash(h);
         problem.constraints().hash(h);
@@ -163,15 +162,11 @@ pub(crate) fn memo_key(problem: &Problem, opts: &GenOptions, limit: u64, salt: u
 }
 
 /// Whether `opts` routes eligible solves through incremental sessions.
-/// Sessions need the CDCL core (assumption solving is a CDCL mechanism),
-/// unfold mode (the skeleton must be ground to lower once), and no input
-/// database (input constraints precede the skeleton, so no shared prefix
-/// exists).
+/// Sessions need unfold mode (the skeleton must be ground to lower once)
+/// and no input database (input constraints precede the skeleton, so no
+/// shared prefix exists).
 pub(crate) fn sessions_enabled(opts: &GenOptions) -> bool {
-    opts.incremental
-        && opts.core == SearchCore::Cdcl
-        && opts.mode == Mode::Unfold
-        && opts.input_db.is_none()
+    opts.mode == Mode::Unfold && opts.input_db.is_none()
 }
 
 /// The warm-state context salt for one `(namespace, query, options)`
@@ -341,7 +336,7 @@ mod tests {
             context_salt("tenant-a", &q, &budget),
             "a different budget is a different session history"
         );
-        let fresh = GenOptions { incremental: false, ..GenOptions::default() };
+        let fresh = GenOptions { mode: Mode::Lazy, ..GenOptions::default() };
         let fa = context_salt("tenant-a", &q, &fresh);
         let ast2 = xdata_sql::parse_query(
             "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 1",

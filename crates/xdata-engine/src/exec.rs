@@ -22,9 +22,10 @@ use crate::result::ResultSet;
 /// Both strategies produce byte-identical [`ResultSet`]s — the hash path
 /// replays the nested-loop emission order exactly, which matters because
 /// float aggregation downstream is accumulation-order sensitive. The
-/// nested-loop path is kept as the differential baseline (the same
-/// CDCL-vs-DPLL pattern the solver uses): `tests/join_parity.rs` runs the
-/// whole tier-1 corpus through both and asserts identical results.
+/// nested-loop path is kept only as the test oracle (as DPLL is for the
+/// solver): the CLI and `serve` always hash, and `tests/join_parity.rs`
+/// runs the whole tier-1 corpus through both and asserts identical
+/// results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Build a hash index on the smaller input of each equality join node

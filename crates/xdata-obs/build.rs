@@ -5,6 +5,7 @@
 //! compile from a source tarball with no `.git` and under a toolchain
 //! that hides `rustc` from the environment.
 
+use std::path::Path;
 use std::process::Command;
 
 fn capture(cmd: &str, args: &[&str]) -> Option<String> {
@@ -38,7 +39,25 @@ fn main() {
         capture(&rustc, &["--version"]).unwrap_or_else(|| "unknown".to_string());
     println!("cargo:rustc-env=XDATA_RUSTC_VERSION={version}");
 
-    // Re-capture when the checked-out commit moves; a stale sha on pure
-    // source edits is acceptable (the -dirty marker covers those).
-    println!("cargo:rerun-if-changed=../../.git/HEAD");
+    // Re-capture when the checked-out commit moves: HEAD itself (a branch
+    // switch), the ref HEAD names (a commit on the branch) and packed-refs
+    // (where that ref may live instead). git resolves each path, so linked
+    // worktrees and relocated git dirs work too. Only existing paths are
+    // watched, since Cargo reruns the script on every build for a missing
+    // one; with none (no git) the script watches itself and runs once. A
+    // stale sha on pure source edits is acceptable (the -dirty marker
+    // covers those).
+    let head_ref = capture("git", &["symbolic-ref", "-q", "HEAD"]);
+    let mut watched: Vec<String> = ["HEAD".to_string(), "packed-refs".to_string()]
+        .into_iter()
+        .chain(head_ref)
+        .filter_map(|name| capture("git", &["rev-parse", "--git-path", &name]))
+        .filter(|path| Path::new(path).exists())
+        .collect();
+    if watched.is_empty() {
+        watched.push("build.rs".to_string());
+    }
+    for path in watched {
+        println!("cargo:rerun-if-changed={path}");
+    }
 }

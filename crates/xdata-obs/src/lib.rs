@@ -635,6 +635,20 @@ mod tests {
         assert_eq!(Json::Num("7".into()).as_ts_ns(), Some(7_000));
     }
 
+    #[test]
+    fn json_long_string_round_trips() {
+        // Multi-byte scalars of every width beside every character the
+        // renderer escapes, in a 900 KB string: a parser quadratic in the
+        // string length takes seconds here, a linear one milliseconds.
+        let unit = "aé€𝄞\"\\/\n\r\t\u{8}\u{c}\u{1}\u{1f}";
+        let long = unit.repeat(20_000);
+        let rendered = Json::Arr(vec![Json::Str(long.clone())]).render();
+        assert_eq!(parse_json(&rendered), Ok(Json::Arr(vec![Json::Str(long)])));
+        // The escapes the renderer never writes decode too.
+        let text = r#""\/\b\f\u00e9""#;
+        assert_eq!(parse_json(text), Ok(Json::Str("/\u{8}\u{c}é".into())));
+    }
+
     fn ev(tid: u32, ts_ns: u64, kind: TraceEventKind) -> TraceEvent {
         TraceEvent { tid, ts_ns, kind }
     }

@@ -22,7 +22,7 @@ use xdata_core::kill::KillReport;
 use xdata_core::{
     generate_warm, grade_batch_warm, FaultPlan, GenOptions, GradeError, TestSuite,
 };
-use xdata_solver::{Mode, SearchCore};
+use xdata_solver::Mode;
 use xdata_engine::JoinStrategy;
 use xdata_par::CancelToken;
 use xdata_relalg::mutation::{mutation_space, MutationOptions};
@@ -88,14 +88,6 @@ fn build_opts(
         "lazy" => Mode::Lazy,
         other => return Err(wire(ErrorCode::BadRequest, format!("unknown mode `{other}`"))),
     };
-    (opts.core, opts.incremental) = match w.search_core.as_str() {
-        "session" => (SearchCore::Cdcl, true),
-        "cdcl" => (SearchCore::Cdcl, false),
-        "dpll" => (SearchCore::Dpll, false),
-        other => {
-            return Err(wire(ErrorCode::BadRequest, format!("unknown search core `{other}`")))
-        }
-    };
     if let Some(limit) = w.decision_limit {
         opts.decision_limit = limit;
     }
@@ -122,14 +114,6 @@ fn build_opts(
         DomainCatalog::defaults(&script.schema)
     };
     Ok((opts, domains))
-}
-
-fn parse_join(s: &str) -> Result<JoinStrategy, WireError> {
-    match s {
-        "hash" => Ok(JoinStrategy::Hash),
-        "nested-loop" => Ok(JoinStrategy::NestedLoop),
-        other => Err(wire(ErrorCode::BadRequest, format!("unknown join strategy `{other}`"))),
-    }
 }
 
 /// Render the `evaluate` listing — the exact lines the CLI `evaluate`
@@ -264,7 +248,6 @@ fn run_method(shared: &Shared, req: &Request, cancel: &CancelToken) -> Result<St
         RequestBody::GradeBatch(p) => {
             let script = parsed_script(shared, &p.schema)?;
             let (opts, domains) = build_opts(&p.options, &script)?;
-            let strategy = parse_join(&p.options.join_strategy)?;
             let ns = namespace(&req.tenant, &p.schema);
             let report = grade_batch_warm(
                 &p.query,
@@ -272,7 +255,7 @@ fn run_method(shared: &Shared, req: &Request, cancel: &CancelToken) -> Result<St
                 &script.schema,
                 &domains,
                 &opts,
-                strategy,
+                JoinStrategy::Hash,
                 cancel,
                 &shared.warm,
                 &ns,

@@ -31,19 +31,6 @@
 //!   formula with an integer-difference-logic theory (negative-cycle
 //!   detection) decides satisfiability. This is the paper's "with
 //!   unfolding" configuration.
-//!
-//! ## Ground search cores
-//!
-//! Two interchangeable engines decide the ground formula (selected by
-//! [`SearchCore`], default [`SearchCore::Cdcl`]):
-//!
-//! * **CDCL-lite** (`cdcl` module) — conflict-driven clause learning with
-//!   1-UIP learned clauses, non-chronological backjumping, theory conflicts
-//!   explained by the difference-logic negative cycle, VSIDS-style activity
-//!   ordering (deterministically tie-broken) and Luby restarts that keep
-//!   learned clauses.
-//! * **DPLL** ([`search`] module) — the original chronological
-//!   backtracking core, kept as a baseline and differential-testing oracle.
 //! * [`Mode::Lazy`] — quantifiers stay symbolic; the solver finds a model of
 //!   the ground part, checks the quantified constraints against it, and on
 //!   violation instantiates just the violated instance and re-solves
@@ -55,6 +42,17 @@
 //! Both modes are sound and complete for this language, so `Unsat` really
 //! means "no such dataset exists" — the completeness guarantee of §V-G
 //! rests on this.
+//!
+//! ## Ground search
+//!
+//! One engine decides the ground formula in production: **CDCL-lite**
+//! (`cdcl` module) — conflict-driven clause learning with 1-UIP learned
+//! clauses, non-chronological backjumping, theory conflicts explained by
+//! the difference-logic negative cycle, VSIDS-style activity ordering
+//! (deterministically tie-broken) and Luby restarts that keep learned
+//! clauses. The original chronological-backtracking **DPLL** ([`search`]
+//! module) survives only as a differential-testing oracle,
+//! [`solve_dpll`], which no production path calls.
 //!
 //! ## Incremental sessions
 //!
@@ -69,8 +67,8 @@
 //! ## Cancellation
 //!
 //! Every solve entry point has a `_cancel` variant threading an
-//! [`xdata_par::CancelToken`] into the hot loops: both cores check the
-//! token every [`search::CANCEL_CHECK_INTERVAL`] steps and exit with
+//! [`xdata_par::CancelToken`] into the hot loops: the search checks the
+//! token every [`search::CANCEL_CHECK_INTERVAL`] steps and exits with
 //! `Cancelled` once it trips (wall-clock deadline or explicit request).
 //! `Cancelled` is *not* a verdict — it says the caller withdrew its time
 //! budget, so it must never be cached or treated as `Unsat`.
@@ -91,8 +89,8 @@ pub mod unfold;
 pub use atom::{Atom, RelOp, Term};
 pub use formula::Formula;
 pub use ids::{ArrayId, ArraySpec, QVarId, VarId, VarTable};
-pub use problem::{Mode, Model, Problem, SolveOutcome, SolverStats};
-pub use search::{SearchCore, CANCEL_CHECK_INTERVAL, DEFAULT_DECISION_LIMIT};
+pub use problem::{solve_dpll, Mode, Model, Problem, SolveOutcome, SolverStats};
+pub use search::{CANCEL_CHECK_INTERVAL, DEFAULT_DECISION_LIMIT};
 pub use session::SolveSession;
 pub use strings::{membership_formula, LikePattern};
 pub use xdata_par::CancelToken;

@@ -14,7 +14,7 @@ use crate::eval::{eval, forall_violation};
 use crate::formula::Formula;
 use crate::ids::{ArrayId, ArraySpec, QVarId, VarTable};
 use crate::nnf::to_nnf;
-use crate::search::{solve_ground_cancel, GroundResult, SearchCore};
+use crate::search::{dpll_ground, solve_ground_cancel, GroundResult, GroundSolver};
 use crate::unfold::unfold;
 
 /// Quantifier-handling strategy.
@@ -190,36 +190,24 @@ impl Problem {
     /// [`Problem::solve`] with an explicit decision budget; exceeding it
     /// yields [`SolveOutcome::Unknown`] instead of running on.
     pub fn solve_with_limit(&self, mode: Mode, limit: u64) -> (SolveOutcome, SolverStats) {
-        self.solve_with(mode, limit, SearchCore::default())
+        self.solve_cancel(mode, limit, &CancelToken::new())
     }
 
-    /// Fully explicit solve: quantifier mode, decision budget, and ground
-    /// search core ([`SearchCore::Cdcl`] or the baseline
-    /// [`SearchCore::Dpll`]).
-    pub fn solve_with(
-        &self,
-        mode: Mode,
-        limit: u64,
-        core: SearchCore,
-    ) -> (SolveOutcome, SolverStats) {
-        self.solve_cancel(mode, limit, core, &CancelToken::new())
-    }
-
-    /// [`Problem::solve_with`] under a [`CancelToken`]: both quantifier
-    /// modes run their ground solves with cooperative cancellation, and the
-    /// lazy instantiation loop additionally checks the token between
-    /// rounds. A tripped token yields [`SolveOutcome::Cancelled`].
+    /// [`Problem::solve_with_limit`] under a [`CancelToken`]: both
+    /// quantifier modes run their ground solves with cooperative
+    /// cancellation, and the lazy instantiation loop additionally checks
+    /// the token between rounds. A tripped token yields
+    /// [`SolveOutcome::Cancelled`].
     pub fn solve_cancel(
         &self,
         mode: Mode,
         limit: u64,
-        core: SearchCore,
         cancel: &CancelToken,
     ) -> (SolveOutcome, SolverStats) {
         let vars = self.var_table();
         match mode {
-            Mode::Unfold => self.solve_unfold(&vars, limit, core, cancel),
-            Mode::Lazy => self.solve_lazy(&vars, limit, core, cancel),
+            Mode::Unfold => self.solve_unfold(&vars, limit, cancel, solve_ground_cancel),
+            Mode::Lazy => self.solve_lazy(&vars, limit, cancel),
         }
     }
 
@@ -240,16 +228,15 @@ impl Problem {
         &self,
         vars: &VarTable,
         limit: u64,
-        core: SearchCore,
         cancel: &CancelToken,
+        ground_solver: GroundSolver,
     ) -> (SolveOutcome, SolverStats) {
         let nf = Formula::and(self.constraints.iter().map(to_nnf));
         let ground = unfold(&nf, vars);
         let mut stats = SolverStats { ground_solves: 1, ground_atoms: ground.atom_count(), ..SolverStats::default() };
         xdata_obs::counter("solver.ground_solves", 1);
         xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
-        let (res, s) =
-            solve_ground_cancel(&ground, vars, limit.saturating_sub(stats.decisions), core, cancel);
+        let (res, s) = ground_solver(&ground, vars, limit, cancel);
         stats.decisions = s.decisions;
         stats.conflicts = s.conflicts;
         stats.theory_relaxations = s.theory_relaxations;
@@ -265,7 +252,6 @@ impl Problem {
         &self,
         vars: &VarTable,
         limit: u64,
-        core: SearchCore,
         cancel: &CancelToken,
     ) -> (SolveOutcome, SolverStats) {
         let mut stats = SolverStats::default();
@@ -297,7 +283,7 @@ impl Problem {
             xdata_obs::counter("solver.ground_solves", 1);
             xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
             let (res, s) =
-                solve_ground_cancel(&ground, vars, limit.saturating_sub(stats.decisions), core, cancel);
+                solve_ground_cancel(&ground, vars, limit.saturating_sub(stats.decisions), cancel);
             stats.decisions += s.decisions;
             stats.conflicts += s.conflicts;
             stats.theory_relaxations += s.theory_relaxations;
@@ -372,6 +358,17 @@ impl Problem {
             }));
         }
     }
+}
+
+/// Decide `problem` in [`Mode::Unfold`] with the chronological DPLL core
+/// instead of CDCL. This is the reference oracle the parity tests compare
+/// the production paths against; no production path calls it.
+pub fn solve_dpll(
+    problem: &Problem,
+    limit: u64,
+    cancel: &CancelToken,
+) -> (SolveOutcome, SolverStats) {
+    problem.solve_unfold(&problem.var_table(), limit, cancel, dpll_ground)
 }
 
 #[cfg(test)]

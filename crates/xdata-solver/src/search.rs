@@ -1,19 +1,20 @@
 //! Ground search over quantifier-free formulas with the difference-logic
-//! theory, in two interchangeable cores.
+//! theory.
 //!
-//! * [`SearchCore::Cdcl`] (the default, implemented in the `cdcl` module) —
-//!   conflict-driven clause learning "lite": theory conflicts are explained
-//!   by the difference-logic negative cycle, conflicts are analyzed to a
-//!   1-UIP learned clause, the search backjumps non-chronologically,
-//!   decisions follow an activity-bumped (VSIDS-style, deterministically
-//!   tie-broken) heuristic, and Luby-sequence restarts keep learned clauses.
-//! * [`SearchCore::Dpll`] — the original chronological-backtracking DPLL
-//!   kept as a reference implementation: it walks the formula under the
-//!   current partial assignment, prefers *unit* picks, branches on the
-//!   chosen atom and asserts the matching difference bounds into the
-//!   theory, and on conflict rewinds one decision. `xdata-bench`'s
-//!   `solver_sweep` measures one core against the other, and differential
-//!   tests cross-check their verdicts.
+//! * The production core is conflict-driven clause learning "lite"
+//!   (implemented in the `cdcl` module, entered through
+//!   [`solve_ground_cancel`]): theory conflicts are explained by the
+//!   difference-logic negative cycle, conflicts are analyzed to a 1-UIP
+//!   learned clause, the search backjumps non-chronologically, decisions
+//!   follow an activity-bumped (VSIDS-style, deterministically
+//!   tie-broken) heuristic, and Luby-sequence restarts keep learned
+//!   clauses.
+//! * The original chronological-backtracking DPLL stays as a reference
+//!   oracle only ([`crate::solve_dpll`]; no production path calls it): it
+//!   walks the formula under the current partial assignment, prefers
+//!   *unit* picks, branches on the chosen atom and asserts the matching
+//!   difference bounds into the theory, and on conflict rewinds one
+//!   decision. Differential tests cross-check its verdicts against CDCL.
 //!
 //! Both cores share the canonical atom form defined here: strict operators
 //! are absorbed into constants (`x < k ⇔ x ≤ k−1`) and two-variable atoms
@@ -173,21 +174,7 @@ impl Key {
     }
 }
 
-/// Which ground search engine to run. [`SearchCore::Cdcl`] is the default;
-/// [`SearchCore::Dpll`] is the chronological reference kept for
-/// benchmarking (`solver_sweep`) and differential testing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum SearchCore {
-    /// Conflict-driven clause learning with theory explanations, 1-UIP
-    /// learning, non-chronological backjumping, activity-guided decisions
-    /// and Luby restarts.
-    #[default]
-    Cdcl,
-    /// Chronological-backtracking DPLL (the pre-CDCL engine).
-    Dpll,
-}
-
-/// Search statistics for one `solve_ground` call.
+/// Search statistics for one ground solve.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchStats {
     pub decisions: u64,
@@ -235,6 +222,10 @@ pub enum GroundResult {
     /// of decisions.
     Cancelled,
 }
+
+/// A ground search core: formula, variables, decision budget, token.
+pub(crate) type GroundSolver =
+    fn(&Formula, &VarTable, u64, &CancelToken) -> (GroundResult, SearchStats);
 
 /// Search steps between cooperative [`CancelToken`] checks. Small enough
 /// that a 1 ms per-target deadline is honoured promptly (one step is a
@@ -393,35 +384,11 @@ impl<'a> Searcher<'a> {
 pub const DEFAULT_DECISION_LIMIT: u64 = 50_000_000;
 
 /// Decide a ground NNF formula (no quantifiers, no `Ne` atoms) with the
-/// default CDCL core. Returns the model as a flat `VarId`-indexed vector
-/// when satisfiable.
-pub fn solve_ground(f: &Formula, vars: &VarTable) -> (GroundResult, SearchStats) {
-    solve_ground_with_limit(f, vars, DEFAULT_DECISION_LIMIT)
-}
-
-/// [`solve_ground`] with an explicit decision budget; exceeding it returns
-/// [`GroundResult::Unknown`].
-pub fn solve_ground_with_limit(
-    f: &Formula,
-    vars: &VarTable,
-    decision_limit: u64,
-) -> (GroundResult, SearchStats) {
-    solve_ground_with(f, vars, decision_limit, SearchCore::default())
-}
-
-/// [`solve_ground_with_limit`] with an explicit [`SearchCore`] selection.
-pub fn solve_ground_with(
-    f: &Formula,
-    vars: &VarTable,
-    decision_limit: u64,
-    core: SearchCore,
-) -> (GroundResult, SearchStats) {
-    solve_ground_cancel(f, vars, decision_limit, core, &CancelToken::new())
-}
-
-/// [`solve_ground_with`] under a [`CancelToken`]: the hot loop of either
-/// core checks the token every [`CANCEL_CHECK_INTERVAL`] steps and exits
-/// with [`GroundResult::Cancelled`] once it trips. When the token carries a
+/// CDCL core under a [`CancelToken`]. Returns the model as a flat
+/// `VarId`-indexed vector when satisfiable, and [`GroundResult::Unknown`]
+/// once `decision_limit` is spent. The hot loop checks the token every
+/// [`CANCEL_CHECK_INTERVAL`] steps and exits with
+/// [`GroundResult::Cancelled`] once it trips. When the token carries a
 /// real wall-clock deadline, the overshoot (gap between expiry and the
 /// check noticing) lands in the `solver.cancel_latency` histogram;
 /// synthetic cancellation records nothing, keeping chaos-test metrics
@@ -430,16 +397,9 @@ pub fn solve_ground_cancel(
     f: &Formula,
     vars: &VarTable,
     decision_limit: u64,
-    core: SearchCore,
     cancel: &CancelToken,
 ) -> (GroundResult, SearchStats) {
-    let (result, stats, backjumps, lbds) = match core {
-        SearchCore::Cdcl => crate::cdcl::solve(f, vars, decision_limit, cancel),
-        SearchCore::Dpll => {
-            let (r, s) = solve_dpll(f, vars, decision_limit, cancel);
-            (r, s, Vec::new(), Vec::new())
-        }
-    };
+    let (result, stats, backjumps, lbds) = crate::cdcl::solve(f, vars, decision_limit, cancel);
     record_search_obs(&result, &stats, &backjumps, &lbds, cancel);
     (result, stats)
 }
@@ -447,8 +407,8 @@ pub fn solve_ground_cancel(
 /// Wire one ground solve's stats into the global recorder (a no-op unless a
 /// metrics sink is installed). Recorded once per ground solve, not per
 /// decision, so the instrumented hot path stays hot. Shared between the
-/// fresh-solve entry points here and the incremental session, which
-/// bypasses [`solve_ground_cancel`].
+/// ground solvers here and the incremental session, which bypasses
+/// [`solve_ground_cancel`].
 pub(crate) fn record_search_obs(
     result: &GroundResult,
     stats: &SearchStats,
@@ -494,7 +454,10 @@ pub(crate) fn record_search_obs(
     });
 }
 
-fn solve_dpll(
+/// Decide a ground NNF formula with the chronological DPLL core — the
+/// reference oracle behind [`crate::solve_dpll`]. Same contract as
+/// [`solve_ground_cancel`].
+pub(crate) fn dpll_ground(
     f: &Formula,
     vars: &VarTable,
     decision_limit: u64,
@@ -517,6 +480,7 @@ fn solve_dpll(
     if matches!(result, GroundResult::Unknown) {
         s.stats.unknown_exits = 1;
     }
+    record_search_obs(&result, &s.stats, &[], &[], cancel);
     (result, s.stats)
 }
 
@@ -528,7 +492,17 @@ mod tests {
     use crate::ids::{ArrayId, ArraySpec};
     use crate::nnf::to_nnf;
 
-    const CORES: [SearchCore; 2] = [SearchCore::Cdcl, SearchCore::Dpll];
+    /// The production CDCL core and the DPLL oracle, CDCL first.
+    const CORES: [(&str, GroundSolver); 2] = [("cdcl", solve_ground_cancel), ("dpll", dpll_ground)];
+
+    fn solve(
+        core: GroundSolver,
+        f: &Formula,
+        vt: &VarTable,
+        limit: u64,
+    ) -> (GroundResult, SearchStats) {
+        core(f, vt, limit, &CancelToken::new())
+    }
 
     fn vars(len: u32) -> VarTable {
         VarTable::new(&[ArraySpec { name: "r".into(), len, fields: 2 }])
@@ -542,14 +516,14 @@ mod tests {
     fn check_sat(f: &Formula, vt: &VarTable) -> Vec<i64> {
         let nf = to_nnf(f);
         let mut model = None;
-        for core in CORES {
-            match solve_ground_with(&nf, vt, DEFAULT_DECISION_LIMIT, core).0 {
+        for (core, solver) in CORES {
+            match solve(solver, &nf, vt, DEFAULT_DECISION_LIMIT).0 {
                 GroundResult::Sat(m) => {
                     assert!(
                         eval(f, &m, vt),
                         "{core:?} model does not satisfy formula: {f} / {m:?}"
                     );
-                    if core == SearchCore::Cdcl {
+                    if core == "cdcl" {
                         model = Some(m);
                     }
                 }
@@ -563,10 +537,10 @@ mod tests {
 
     fn check_unsat(f: &Formula, vt: &VarTable) {
         let nf = to_nnf(f);
-        for core in CORES {
+        for (core, solver) in CORES {
             assert!(
                 matches!(
-                    solve_ground_with(&nf, vt, DEFAULT_DECISION_LIMIT, core).0,
+                    solve(solver, &nf, vt, DEFAULT_DECISION_LIMIT).0,
                     GroundResult::Unsat
                 ),
                 "{core:?}: expected unsat: {f}"
@@ -702,14 +676,14 @@ mod tests {
                 Formula::atom(fld(0, 1), RelOp::Eq, Term::Const(9)),
             ]),
         ]);
-        for core in CORES {
-            let (res, stats) = solve_ground_with(&to_nnf(&f), &vt, 1, core);
+        for (core, solver) in CORES {
+            let (res, stats) = solve(solver, &to_nnf(&f), &vt, 1);
             assert!(matches!(res, GroundResult::Unknown), "{core:?}: budget of 1 must exhaust");
             assert_eq!(stats.unknown_exits, 1, "{core:?}: {stats:?}");
             assert!(stats.decisions <= 1, "{core:?}: {stats:?}");
             // With a real budget the same formula solves, and the counter
             // stays at zero.
-            let (res, stats) = solve_ground_with(&to_nnf(&f), &vt, 1_000, core);
+            let (res, stats) = solve(solver, &to_nnf(&f), &vt, 1_000);
             assert!(matches!(res, GroundResult::Sat(_)), "{core:?}");
             assert_eq!(stats.unknown_exits, 0, "{core:?}: {stats:?}");
         }
@@ -723,19 +697,18 @@ mod tests {
             Formula::atom(fld(0, 0), RelOp::Ge, Term::Const(3)),
             Formula::atom(fld(0, 1), RelOp::Eq, fld(0, 0).plus(1)),
         ]);
-        for core in CORES {
-            let (res, stats) = solve_ground_with(&to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT, core);
+        for (core, solver) in CORES {
+            let (res, stats) = solve(solver, &to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT);
             assert!(matches!(res, GroundResult::Sat(_)), "{core:?}");
             assert!(stats.propagations >= 2, "{core:?}: {stats:?}");
-            match core {
+            if core == "dpll" {
                 // Chronological DPLL counts a unit pick as both a
                 // propagation and a decision.
-                SearchCore::Dpll => {
-                    assert!(stats.propagations <= stats.decisions, "{stats:?}")
-                }
+                assert!(stats.propagations <= stats.decisions, "{stats:?}")
+            } else {
                 // CDCL propagates units for free: a pure conjunction needs
                 // no decisions at all.
-                SearchCore::Cdcl => assert_eq!(stats.decisions, 0, "{stats:?}"),
+                assert_eq!(stats.decisions, 0, "{stats:?}")
             }
         }
     }
@@ -750,11 +723,10 @@ mod tests {
             ]),
             Formula::atom(fld(0, 0), RelOp::Gt, Term::Const(3)),
         ]);
-        for core in CORES {
+        for (core, solver) in CORES {
             let token = CancelToken::new();
             token.cancel();
-            let (res, stats) =
-                solve_ground_cancel(&to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT, core, &token);
+            let (res, stats) = solver(&to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT, &token);
             assert!(matches!(res, GroundResult::Cancelled), "{core:?}");
             assert_eq!(stats.decisions, 0, "{core:?}: cancelled before any decision");
             assert!(stats.cancel_checks >= 1, "{core:?}: the step-0 check must run");
@@ -765,10 +737,9 @@ mod tests {
     fn live_token_changes_nothing() {
         let vt = vars(1);
         let f = Formula::atom(fld(0, 0), RelOp::Ge, Term::Const(3));
-        for core in CORES {
+        for (core, solver) in CORES {
             let token = CancelToken::new();
-            let (res, stats) =
-                solve_ground_cancel(&to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT, core, &token);
+            let (res, stats) = solver(&to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT, &token);
             assert!(matches!(res, GroundResult::Sat(_)), "{core:?}");
             assert!(stats.cancel_checks >= 1, "{core:?}: checks still counted");
         }
@@ -782,8 +753,8 @@ mod tests {
         let b = Formula::atom(fld(1, 0).plus(3), RelOp::Ge, fld(0, 0));
         // They are mutually consistent and collapse into one decision.
         let f = Formula::and([a, b]);
-        for core in CORES {
-            let (_, stats) = solve_ground_with(&to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT, core);
+        for (core, solver) in CORES {
+            let (_, stats) = solve(solver, &to_nnf(&f), &vt, DEFAULT_DECISION_LIMIT);
             assert!(
                 stats.decisions <= 2,
                 "{core:?}: shared key should mean ≤2 decisions, got {stats:?}"

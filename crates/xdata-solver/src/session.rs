@@ -339,8 +339,7 @@ mod tests {
         let mut p = skel.clone();
         p.assert(Formula::atom(fld(0, 0), RelOp::Gt, Term::Const(3)));
         let (out, stats) = session.solve_delta(&p, 0, &token);
-        let (fresh_out, fresh_stats) =
-            p.solve_with(crate::Mode::Unfold, 0, crate::SearchCore::Cdcl);
+        let (fresh_out, fresh_stats) = p.solve_with_limit(crate::Mode::Unfold, 0);
         assert_eq!(
             matches!(out, SolveOutcome::Unknown),
             matches!(fresh_out, SolveOutcome::Unknown),

@@ -13,7 +13,9 @@
 //!   --schema FILE     SQL script: CREATE TABLE (+ optional INSERT INTO
 //!                     statements forming the input database of §VI-A)
 //!   --query SQL       the query under test (or --query-file FILE)
-//!   --mode MODE       unfold (default) | lazy     (§VI-B)
+//!   --mode MODE       unfold (default): one incremental CDCL session per
+//!                     skeleton shape solves the targets under assumptions;
+//!                     lazy: fresh CDCL solves without unfolding (§VI-B)
 //!   --jobs N          worker threads for generation and kill checking
 //!                     (default 1; 0 = one per core; output is identical
 //!                     for every value)
@@ -26,19 +28,12 @@
 //!   --decision-limit N
 //!                     solver decision budget per target (exhaustion is a
 //!                     budget skip, not an error)
-//!   --search-core C   session (default): incremental CDCL, one warm engine
-//!                     per skeleton shape solving targets under assumptions;
-//!                     cdcl: a fresh CDCL solve per target; dpll: the
-//!                     chronological baseline core
 //!   --candidates FILE batch grading: one candidate query per line (blank
 //!                     lines and # comments skipped); the reference suite
 //!                     is generated once, structurally equivalent
 //!                     submissions execute once, and each candidate gets a
 //!                     PASS/FAIL/INVALID verdict with a partial-credit
 //!                     score and killed-by-dataset vector
-//!   --join-strategy S hash (default): build a hash index on the smaller
-//!                     side of each equality join; nested-loop: the
-//!                     quadratic differential baseline (identical results)
 //!   --use-input-db    restrict generated tuples to the script's INSERTs
 //!   --minimize        prune datasets that add no kills (greedy set cover)
 //!   --no-full-outer   exclude mutations to FULL OUTER JOIN (paper's eval)
@@ -62,9 +57,8 @@ use std::process::ExitCode;
 
 use xdata::catalog::DomainCatalog;
 use xdata::core::minimize_suite;
-use xdata::engine::JoinStrategy;
 use xdata::relalg::mutation::MutationOptions;
-use xdata::solver::{Mode, SearchCore};
+use xdata::solver::Mode;
 use xdata::XData;
 
 /// The `--help` text. `scripts/ci.sh` diffs this output against the
@@ -92,10 +86,8 @@ options:
   --timeout-ms N         wall-clock budget for the whole run
   --target-timeout-ms N  wall-clock budget per solve target
   --decision-limit N     solver decision budget per target
-  --search-core C        session (default) | cdcl | dpll
   --candidate SQL        single-candidate grading
   --candidates FILE      batch grading, one candidate query per line
-  --join-strategy S      hash (default) | nested-loop
   --use-input-db         restrict generated tuples to the script's INSERTs
   --minimize             prune datasets that add no kills (generate only)
   --no-full-outer        exclude mutations to FULL OUTER JOIN
@@ -122,14 +114,11 @@ struct Args {
     query: Option<String>,
     candidate: Option<String>,
     candidates_file: Option<String>,
-    join_strategy: JoinStrategy,
     mode: Mode,
     jobs: usize,
     timeout_ms: Option<u64>,
     target_timeout_ms: Option<u64>,
     decision_limit: Option<u64>,
-    search_core: SearchCore,
-    incremental: bool,
     use_input_db: bool,
     minimize: bool,
     include_full: bool,
@@ -155,14 +144,11 @@ fn parse_args() -> Result<Args, String> {
         query: None,
         candidate: None,
         candidates_file: None,
-        join_strategy: JoinStrategy::default(),
         mode: Mode::Unfold,
         jobs: 1,
         timeout_ms: None,
         target_timeout_ms: None,
         decision_limit: None,
-        search_core: SearchCore::Cdcl,
-        incremental: true,
         use_input_db: false,
         minimize: false,
         include_full: true,
@@ -218,24 +204,9 @@ fn parse_args() -> Result<Args, String> {
                 args.decision_limit =
                     Some(n.parse().map_err(|_| format!("--decision-limit: invalid count `{n}`"))?);
             }
-            "--search-core" => {
-                (args.search_core, args.incremental) = match it.next().as_deref() {
-                    Some("session") => (SearchCore::Cdcl, true),
-                    Some("cdcl") => (SearchCore::Cdcl, false),
-                    Some("dpll") => (SearchCore::Dpll, false),
-                    other => return Err(format!("unknown search core {other:?}")),
-                }
-            }
             "--candidate" => args.candidate = Some(it.next().ok_or("--candidate needs SQL")?),
             "--candidates" => {
                 args.candidates_file = Some(it.next().ok_or("--candidates needs a file")?)
-            }
-            "--join-strategy" => {
-                args.join_strategy = match it.next().as_deref() {
-                    Some("hash") => JoinStrategy::Hash,
-                    Some("nested-loop") => JoinStrategy::NestedLoop,
-                    other => return Err(format!("unknown join strategy {other:?}")),
-                }
             }
             "--use-input-db" => args.use_input_db = true,
             "--minimize" => args.minimize = true,
@@ -451,12 +422,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
         xdata::sql::parse_script(&script).map_err(|e| e.render(&script))?;
     let sql = args.query.as_deref().ok_or("--query is required")?;
 
-    let mut xd = XData::new(schema.clone())
-        .with_mode(args.mode)
-        .with_jobs(args.jobs)
-        .with_search_core(args.search_core)
-        .with_incremental(args.incremental)
-        .with_join_strategy(args.join_strategy);
+    let mut xd = XData::new(schema.clone()).with_mode(args.mode).with_jobs(args.jobs);
     if let Some(ms) = args.timeout_ms {
         xd = xd.with_deadline_ms(ms);
     }

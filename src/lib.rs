@@ -57,11 +57,11 @@
 //!
 //! ```
 //! use xdata::core::GenOptions;
-//! use xdata::solver::{Mode, SearchCore};
+//! use xdata::solver::Mode;
 //!
 //! let opts = GenOptions { jobs: 4, ..GenOptions::default() };
-//! assert_eq!(opts.mode, Mode::Unfold);       // §VI-B fast configuration
-//! assert_eq!(opts.core, SearchCore::Cdcl);   // conflict-driven ground core
+//! assert_eq!(opts.mode, Mode::Unfold);       // §VI-B fast configuration: incremental sessions
+//! assert!(opts.input_db.is_none());          // no §VI-A input database
 //! assert!(opts.decision_limit > 1_000_000);  // budget exhaustion ⇒ skip-with-reason
 //! ```
 //!
@@ -175,14 +175,13 @@ pub struct XData {
     schema: Schema,
     domains: DomainCatalog,
     options: GenOptions,
-    strategy: JoinStrategy,
 }
 
 impl XData {
     /// Create a generator for `schema` with default domains and options.
     pub fn new(schema: Schema) -> Self {
         let domains = DomainCatalog::defaults(&schema);
-        XData { schema, domains, options: GenOptions::default(), strategy: JoinStrategy::default() }
+        XData { schema, domains, options: GenOptions::default() }
     }
 
     /// Parse a schema from `CREATE TABLE` statements.
@@ -242,35 +241,9 @@ impl XData {
         self
     }
 
-    /// Select the ground search core ([`solver::SearchCore::Cdcl`] is the
-    /// default; [`solver::SearchCore::Dpll`] is the chronological
-    /// baseline).
-    pub fn with_search_core(mut self, core: xdata_solver::SearchCore) -> Self {
-        self.options.core = core;
-        self
-    }
-
-    /// Toggle incremental solving sessions (on by default): eligible
-    /// targets share one warm CDCL engine per constraint-skeleton shape,
-    /// solving under per-target assumptions instead of from scratch. See
-    /// [`core::GenOptions::incremental`] for the eligibility rules.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.options.incremental = incremental;
-        self
-    }
-
     /// Install a deterministic fault-injection plan (the chaos harness).
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.options.faults = faults;
-        self
-    }
-
-    /// Select the physical join algorithm for grading executions
-    /// ([`engine::JoinStrategy::Hash`] is the default;
-    /// [`engine::JoinStrategy::NestedLoop`] is the differential baseline —
-    /// both produce byte-identical results).
-    pub fn with_join_strategy(mut self, strategy: JoinStrategy) -> Self {
-        self.strategy = strategy;
         self
     }
 
@@ -361,8 +334,9 @@ impl XData {
     /// batch, and a [`XData::with_deadline_ms`] expiry marks unfinished
     /// candidates [`core::CandidateOutcome::Unevaluated`].
     ///
-    /// The report (and [`core::BatchGradeReport::render`]) is
-    /// byte-identical for every `jobs` value.
+    /// Candidates execute with the hash join; the report (and
+    /// [`core::BatchGradeReport::render`]) is byte-identical for every
+    /// `jobs` value.
     pub fn grade_batch(
         &self,
         reference_sql: &str,
@@ -374,7 +348,7 @@ impl XData {
             &self.schema,
             &self.domains,
             &self.options,
-            self.strategy,
+            JoinStrategy::Hash,
         )?)
     }
 }

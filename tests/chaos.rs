@@ -255,6 +255,7 @@ fn tiny_deadline_yields_well_formed_partial_suite() {
 /// join strategies.
 #[test]
 fn chaos_batch_grade_is_deterministic_across_jobs() {
+    use xdata::core::GenOptions;
     use xdata::engine::JoinStrategy;
     let reference = "SELECT i.name, t.course_id FROM instructor i, teaches t WHERE i.id = t.id";
     let candidates: Vec<String> = [
@@ -266,9 +267,13 @@ fn chaos_batch_grade_is_deterministic_across_jobs() {
     .map(str::to_string)
     .to_vec();
     let faults = FaultPlan { expire_targets: vec!["eq-class".into()], ..FaultPlan::default() };
+    let schema = xdata::catalog::university::schema();
+    let domains = xdata::catalog::DomainCatalog::defaults(&schema);
     let grade = |jobs: usize, strategy: JoinStrategy| {
-        let xd = university().with_jobs(jobs).with_faults(faults.clone()).with_join_strategy(strategy);
-        let report = xd.grade_batch(reference, &candidates).expect("chaos batch completes");
+        let opts = GenOptions { jobs, faults: faults.clone(), ..GenOptions::default() };
+        let report =
+            xdata::core::grade_batch(reference, &candidates, &schema, &domains, &opts, strategy)
+                .expect("chaos batch completes");
         assert!(report.partial, "expired targets must mark the suite partial");
         report.render()
     };

@@ -166,7 +166,8 @@ fn batch_agrees_with_single_grade() {
 }
 
 /// The rendered verdict report is byte-identical for every `--jobs` value
-/// and both join strategies.
+/// and both join strategies (the nested loop is the hash join's
+/// reference oracle, reachable only through `grade_batch` itself).
 #[test]
 fn batch_report_deterministic_across_jobs_and_strategies() {
     let candidates = batch();
@@ -176,13 +177,20 @@ fn batch_report_deterministic_across_jobs_and_strategies() {
         let r = xd(1).with_jobs(jobs).grade_batch(REFERENCE, &candidates).unwrap().render();
         assert_eq!(baseline, r, "jobs={jobs}");
     }
+    let schema = university::schema_with_fk_count(1);
+    let domains = xdata::catalog::DomainCatalog::defaults(&schema);
     for jobs in [1, 2, 8] {
-        let r = xd(1)
-            .with_jobs(jobs)
-            .with_join_strategy(JoinStrategy::NestedLoop)
-            .grade_batch(REFERENCE, &candidates)
-            .unwrap()
-            .render();
+        let opts = xdata::core::GenOptions { jobs, ..Default::default() };
+        let r = xdata::core::grade_batch(
+            REFERENCE,
+            &candidates,
+            &schema,
+            &domains,
+            &opts,
+            JoinStrategy::NestedLoop,
+        )
+        .unwrap()
+        .render();
         assert_eq!(baseline, r, "nested-loop jobs={jobs}");
     }
 }

@@ -11,14 +11,17 @@
 //! frames), and deadline expiry degrades a response exactly like the
 //! batch CLI degrades a run.
 //!
-//! The metrics recorder is process-global, so the one test that requests
-//! per-request metrics shares the usual lock discipline with nothing —
-//! it is the only recorder user in this binary.
+//! Per-request metrics are checked in `serve_metrics.rs`, a test binary of
+//! their own: the metrics recorder is process-global, so a daemon that
+//! another test in this binary runs would leak into the report.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use xdata::client::{Client, ErrorCode, Response, WireOptions};
+use xdata::client::{
+    Client, ErrorCode, GenerateParams, GradeBatchParams, Request, RequestBody, Response,
+    WireOptions,
+};
 use xdata::relalg::mutation::MutationOptions;
 use xdata::serve::{render_evaluate, Server, ServerConfig};
 use xdata::XData;
@@ -38,6 +41,17 @@ fn in_process(jobs: usize) -> XData {
     let (schema, data) = xdata::sql::parse_script(SCHEMA).expect("example schema parses");
     assert!(data.is_empty(), "university.sql grew INSERTs; mirror the domain setup here");
     XData::new(schema).with_jobs(jobs)
+}
+
+/// Send one raw request line on a fresh connection and decode the reply.
+fn send_line(addr: std::net::SocketAddr, line: &str) -> Response {
+    let mut s = TcpStream::connect(addr).expect("connect");
+    s.write_all(line.as_bytes()).expect("write");
+    s.write_all(b"\n").expect("write");
+    let mut r = BufReader::new(s);
+    let mut resp = String::new();
+    r.read_line(&mut resp).expect("read");
+    Response::decode(resp.trim_end()).expect("responses are valid frames")
 }
 
 fn mopts() -> MutationOptions {
@@ -132,42 +146,6 @@ fn concurrent_clients_are_deterministic() {
     server.shutdown().expect("clean shutdown");
 }
 
-/// A request with `metrics` set gets a per-request report whose
-/// timing-stripped bytes match the in-process recorder's — modulo the
-/// `serve.*` lines, which carry daemon-lifetime totals by design.
-#[test]
-fn first_request_metrics_match_in_process_modulo_serve_counters() {
-    fn drop_serve_lines(report: &str) -> String {
-        report.lines().filter(|l| !l.contains("\"serve.")).collect::<Vec<_>>().join("\n")
-    }
-
-    let server = spawn_default();
-    let mut client = Client::connect(server.addr()).expect("connect");
-    let req = client
-        .build(xdata::client::RequestBody::Generate(xdata::client::GenerateParams {
-            schema: SCHEMA.to_string(),
-            query: QUERY.to_string(),
-            options: WireOptions::default(),
-        }))
-        .with_metrics();
-    let payload = client.request(&req).expect("generate ok");
-    let wire_metrics = payload.metrics_json.expect("metrics requested");
-    server.shutdown().expect("clean shutdown");
-
-    xdata::obs::install();
-    xdata::obs::preseed();
-    in_process(1).generate_for(QUERY).expect("in-process generate");
-    let local = xdata::obs::take_report().expect("recorder installed");
-
-    assert_eq!(
-        drop_serve_lines(&xdata::obs::strip_timings(&wire_metrics)),
-        drop_serve_lines(&local.to_json_stripped()),
-        "wire metrics diverged from the in-process recorder"
-    );
-    // And the serve.* totals themselves are the fresh-daemon values.
-    assert!(wire_metrics.contains("\"serve.requests\": 1"), "lifetime totals missing");
-}
-
 /// Framing edges: junk JSON gets a typed `bad_request` (with best-effort
 /// id recovery), an unknown method gets `unknown_method`, and an
 /// oversized line gets `oversized_frame` followed by connection close.
@@ -176,15 +154,7 @@ fn malformed_and_oversized_frames_get_typed_errors() {
     let config = ServerConfig { max_line_bytes: 4096, ..ServerConfig::default() };
     let server = Server::bind(config).expect("bind").spawn().expect("spawn");
 
-    let send_line = |line: &str| -> Response {
-        let mut s = TcpStream::connect(server.addr()).expect("connect");
-        s.write_all(line.as_bytes()).expect("write");
-        s.write_all(b"\n").expect("write");
-        let mut r = BufReader::new(s);
-        let mut resp = String::new();
-        r.read_line(&mut resp).expect("read");
-        Response::decode(resp.trim_end()).expect("error responses are valid frames")
-    };
+    let send_line = |line: &str| send_line(server.addr(), line);
 
     let resp = send_line("this is not json");
     assert_eq!(resp.result.unwrap_err().code, ErrorCode::BadRequest);
@@ -201,6 +171,54 @@ fn malformed_and_oversized_frames_get_typed_errors() {
     // daemon itself keeps serving new ones.
     let mut client = Client::connect(server.addr()).expect("connect");
     client.ping().expect("daemon survived the rejected frames");
+    server.shutdown().expect("clean shutdown");
+}
+
+/// Version-1 clients written before the solver and join selectors were
+/// retired still send `search_core` and `join_strategy`. The daemon
+/// ignores them like any other unknown option key and answers with the
+/// default bytes.
+#[test]
+fn retired_option_keys_are_ignored() {
+    let server = spawn_default();
+    let candidates = vec![
+        "SELECT i.name, t.course_id FROM teaches t, instructor i WHERE t.id = i.id".to_string(),
+        "SELECT i.name, t.course_id FROM instructor i LEFT OUTER JOIN teaches t ON i.id = t.id"
+            .to_string(),
+    ];
+    let xd = in_process(1);
+    let requests = [
+        (
+            RequestBody::Generate(GenerateParams {
+                schema: SCHEMA.to_string(),
+                query: QUERY.to_string(),
+                options: WireOptions::default(),
+            }),
+            xd.generate_for(QUERY).expect("in-process generate").suite.to_string(),
+        ),
+        (
+            RequestBody::GradeBatch(GradeBatchParams {
+                schema: SCHEMA.to_string(),
+                query: JOIN_QUERY.to_string(),
+                candidates: candidates.clone(),
+                options: WireOptions::default(),
+            }),
+            xd.grade_batch(JOIN_QUERY, &candidates).expect("in-process grade_batch").render(),
+        ),
+    ];
+    for (body, expected) in requests {
+        let method = body.method();
+        let frame = Request::new(1, body).encode().replacen(
+            r#""options":{"#,
+            r#""options":{"search_core":"dpll","join_strategy":"nested-loop","#,
+            1,
+        );
+        assert!(frame.contains(r#""search_core":"dpll""#), "{frame}");
+        let payload = send_line(server.addr(), &frame)
+            .result
+            .unwrap_or_else(|e| panic!("{method}: retired keys must be ignored, got {e:?}"));
+        assert_eq!(payload.output, expected, "{method} bytes");
+    }
     server.shutdown().expect("clean shutdown");
 }
 
