@@ -45,7 +45,7 @@ fn main() {
 
         // This paper's algorithm.
         let domains = DomainCatalog::defaults(&schema);
-        let opts = GenOptions { mode: Mode::Unfold, input_db: None, compare_attr_pairs: true, jobs: 1, ..GenOptions::default() };
+        let opts = GenOptions { mode: Mode::Unfold, input_db: None, jobs: 1, ..GenOptions::default() };
         let t = Instant::now();
         let new_suite = generate(&q, &schema, &domains, &opts).unwrap();
         let new_time = t.elapsed();
@@ -96,7 +96,7 @@ fn main() {
         let old_report = kill_report(&q, &space, &old_suite.data(), &schema).unwrap();
 
         let domains = DomainCatalog::defaults(&schema);
-        let opts = GenOptions { mode: Mode::Unfold, input_db: None, compare_attr_pairs: true, jobs: 1, ..GenOptions::default() };
+        let opts = GenOptions { mode: Mode::Unfold, input_db: None, jobs: 1, ..GenOptions::default() };
         let new_suite = generate(&q, &schema, &domains, &opts).unwrap();
         let new_report = kill_report(&q, &space, &new_suite.data(), &schema).unwrap();
 

@@ -28,7 +28,7 @@ fn main() {
     // Reference point: synthetic generation, no input database.
     {
         let domains = DomainCatalog::defaults(&schema);
-        let opts = GenOptions { mode: Mode::Unfold, input_db: None, compare_attr_pairs: true, jobs: 1, ..GenOptions::default() };
+        let opts = GenOptions { mode: Mode::Unfold, input_db: None, jobs: 1, ..GenOptions::default() };
         let t = Instant::now();
         let suite = generate(&q, &schema, &domains, &opts).unwrap();
         println!(
@@ -45,7 +45,6 @@ fn main() {
         let opts = GenOptions {
             mode: Mode::Unfold,
             input_db: Some(input),
-            compare_attr_pairs: true,
             jobs: 1,
             ..GenOptions::default()
         };

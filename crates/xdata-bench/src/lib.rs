@@ -220,7 +220,7 @@ pub struct EvalRow {
 
 /// Generation options for benches (synthetic domains, no input DB).
 pub fn bench_opts(mode: Mode) -> GenOptions {
-    GenOptions { mode, input_db: None, compare_attr_pairs: true, jobs: 1, ..GenOptions::default() }
+    GenOptions { mode, input_db: None, jobs: 1, ..GenOptions::default() }
 }
 
 /// Median-of-`samples` wall time of `f`, after `warmup` unmeasured runs.

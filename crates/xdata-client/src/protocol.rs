@@ -30,7 +30,7 @@ pub struct Request {
     /// Client-chosen correlation id, echoed verbatim in the response.
     pub id: u64,
     /// Warm-cache namespace: requests of different tenants never share
-    /// memoized solves or sessions.
+    /// memoized solves.
     pub tenant: String,
     /// Wall-clock budget for this request. On expiry the pipeline degrades
     /// exactly like the batch CLI — partial suites, `Unevaluated` grading

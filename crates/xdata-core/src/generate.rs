@@ -8,32 +8,37 @@
 //! nullification per equivalence-class element, one per retained
 //! predicate×relation, three comparison datasets per conjunct, aggregate
 //! and HAVING group constructions, the duplicate-row dataset — as inert
-//! `PlanItem` values. The solve phase then runs the targets through
-//! [`xdata_par::try_par_map`]: every target is an independent constraint
-//! problem, so they solve concurrently on `GenOptions::jobs` threads while
-//! the order-preserving collection keeps the resulting [`TestSuite`]
-//! **byte-identical to the sequential output for every thread count**.
+//! `PlanItem` values.
+//!
+//! The solve phase groups the targets into **lanes**, one per skeleton
+//! class (the number of tuple-set copies the target's constraint problem
+//! needs). A lane solves its targets one after another in plan order and
+//! owns everything they share: its skeleton cache, its incremental
+//! [`SolveSession`]s and its solve memo. Lanes share nothing, so they run
+//! through [`xdata_par::par_map_cancel`] on `GenOptions::jobs` threads
+//! with no lock between them, and their outcomes are put back in plan
+//! order: the resulting [`TestSuite`] is **byte-identical to the
+//! sequential output for every thread count**.
 //!
 //! Targets share one *constraint skeleton* per `(copies, repair_cap)`
 //! shape: the schema PK/FK closure, tuple arrays, symmetry breaking and
 //! domain constraints of [`ConstraintBuilder`] are built — and, in unfold
-//! mode, quantifier-expanded — once, cached, and cloned per target instead
-//! of being rebuilt for every target at every repair-ladder rung.
+//! mode, quantifier-expanded — once per lane, cached, and cloned per
+//! target instead of being rebuilt for every target at every
+//! repair-ladder rung.
 //!
 //! On top of the skeleton cache sits a cross-target **solve memo**: solve
 //! calls are keyed by a structural hash of the complete problem (array
-//! specs, solve mode, decision budget, and the ordered constraint list) and
-//! their outcome — model values, verdict and solver stats — is reused for
-//! any later target that builds the byte-identical problem. The common case
-//! is a comparison target whose forced operator *is* the predicate's
-//! original operator: its constraint set reproduces the original-query
-//! target's exactly. The memo blocks concurrent duplicates (first arriver
-//! computes, the rest wait), so hit/miss counts — and therefore the metrics
-//! report — stay deterministic for every `jobs` value.
+//! specs, solve mode, skeleton class, decision budget, and the ordered
+//! constraint list) and their outcome — model values, verdict and solver
+//! stats — is reused for any later target of the lane that builds the
+//! byte-identical problem. The common case is a comparison target whose
+//! forced operator *is* the predicate's original operator: its constraint
+//! set reproduces the original-query target's exactly. A warm run also
+//! looks keys up in a process-long [`WarmCache`] (see [`crate::warm`]).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::AssertUnwindSafe;
-use std::sync::{Arc, Condvar, Mutex};
 
 use xdata_catalog::{DomainCatalog, Schema, Value};
 use xdata_par::CancelToken;
@@ -47,24 +52,16 @@ use crate::builder::ConstraintBuilder;
 use crate::error::GenError;
 use crate::materialize::materialize;
 use crate::suite::{GenOptions, GeneratedDataset, SkipReason, SkippedTarget, TestSuite};
-use crate::warm::{
-    context_salt, lock_ignore_poison, memo_key, MemoEntry, MemoOutcome, MemoValue, PendingGuard,
-    SolveMemo, WarmCache,
-};
-
-/// Offset for `session` flow ids in the trace. `target` flows use the plan
-/// index, `session` flows the copies-class id; the offset keeps the two
-/// families in disjoint id spaces so Chrome/Perfetto never stitches a
-/// target arrow to a session arrow.
-const SESSION_FLOW_BASE: u64 = 0x5E55_0000_0000;
+use crate::warm::{context_salt, memo_key, sessions_enabled, MemoOutcome, MemoValue, WarmCache};
 
 /// Generate the complete test suite for `query` (Algorithm 1):
 /// a dataset for the original query, then datasets killing equivalence-class
 /// mutants, other-predicate mutants, comparison mutants and aggregation
 /// mutants. The number of datasets is linear in the query size.
 ///
-/// With `opts.jobs > 1` (or `0` for one thread per core) the solve targets
-/// run concurrently; the suite is identical to the `jobs = 1` output.
+/// With `opts.jobs > 1` (or `0` for one thread per core) the skeleton
+/// classes solve concurrently; the suite is identical to the `jobs = 1`
+/// output.
 pub fn generate(
     query: &NormQuery,
     schema: &Schema,
@@ -87,9 +84,7 @@ pub fn generate_cancellable(
     opts: &GenOptions,
     cancel: &CancelToken,
 ) -> Result<TestSuite, GenError> {
-    // A batch run owns its memo: warm state begins and ends with the call.
-    let memo = SolveMemo::default();
-    generate_impl(query, schema, domains, opts, cancel, &memo, None, None)
+    generate_impl(query, schema, domains, opts, cancel, None, None)
 }
 
 /// A reference solver standing in for the production search on every
@@ -110,18 +105,16 @@ pub fn generate_with_oracle(
     oracle: &Oracle,
 ) -> Result<TestSuite, GenError> {
     let cancel = CancelToken::for_deadline_ms(opts.deadline_ms);
-    let memo = SolveMemo::default();
-    generate_impl(query, schema, domains, opts, &cancel, &memo, None, Some(oracle))
+    generate_impl(query, schema, domains, opts, &cancel, None, Some(oracle))
 }
 
 /// [`generate_cancellable`] against a process-long [`WarmCache`]: solve
-/// outcomes and incremental sessions persist in `warm` under `namespace`'s
-/// context salt and are replayed by later structurally identical requests
-/// (the `xdata serve` fast path). Runs sharing a salt are serialized by the
-/// cache's run gate when incremental sessions are active; for runs whose
-/// deadlines never fire the output is byte-identical to a cold
-/// [`generate_cancellable`] call with the same arguments, whatever warm
-/// state preceded it (see [`crate::warm`] for the soundness argument).
+/// outcomes persist in `warm` under `namespace`'s context salt and are
+/// replayed by later structurally identical requests (the `xdata serve`
+/// fast path). For runs whose deadlines never fire the output is
+/// byte-identical to a cold [`generate_cancellable`] call with the same
+/// arguments, whatever warm state preceded it or runs beside it (see
+/// [`crate::warm`] for the argument).
 pub fn generate_warm(
     query: &NormQuery,
     schema: &Schema,
@@ -132,103 +125,69 @@ pub fn generate_warm(
     namespace: &str,
 ) -> Result<TestSuite, GenError> {
     let salt = context_salt(namespace, query, opts);
-    generate_impl(query, schema, domains, opts, cancel, &warm.memo, Some((warm, salt)), None)
+    generate_impl(query, schema, domains, opts, cancel, Some((warm, salt)), None)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn generate_impl(
     query: &NormQuery,
     schema: &Schema,
     domains: &DomainCatalog,
     opts: &GenOptions,
     cancel: &CancelToken,
-    memo: &SolveMemo,
     warm: Option<(&WarmCache, u64)>,
     oracle: Option<&Oracle>,
 ) -> Result<TestSuite, GenError> {
-    // Two warm runs sharing a context salt would race their turn gates on
-    // the shared incremental sessions; serialize whole runs per salt (other
-    // tenants and other queries proceed in parallel). Fresh solves are
-    // pure, so session-less runs need no gate — the memo's key-level
-    // blocking dedup already covers them.
-    let _run_guard = match warm {
-        Some((w, salt)) if crate::warm::sessions_enabled(opts) => Some(w.lock_run(salt)),
-        _ => None,
-    };
     let _gen_span = xdata_obs::span("generate");
     // Preprocessing beyond what normalization did: make sure every string
     // literal in the query is dictionary-coded.
     let domains = prepare_domains(query, schema, domains);
-    let gen = Gen {
-        query,
-        schema,
-        domains: &domains,
-        opts,
-        skeletons: Mutex::new(BTreeMap::new()),
-        sessions: Mutex::new(BTreeMap::new()),
-        gate: TurnGate::default(),
-        memo,
-        warm,
-        oracle,
-    };
+    let gen = Gen { query, schema, domains: &domains, opts, warm, oracle };
     let plan = {
         let _plan_span = xdata_obs::span("generate/plan");
         gen.plan()
     };
     xdata_obs::counter("core.targets.planned", plan.len() as u64);
-    // Plan-order sequence numbers for the session turn gate: one class per
-    // `copies` value, numbering exactly the targets that will touch that
-    // class's incremental sessions. `None` (plan-time skips, or sessions
-    // disabled) runs ungated.
-    let turns: Vec<Option<(u32, usize)>> = {
-        let mut next: HashMap<u32, usize> = HashMap::new();
-        plan.iter()
-            .map(|item| match &item.work {
-                Work::Solve(spec) if gen.sessions_enabled() => {
-                    let seq = next.entry(spec.copies()).or_insert(0);
-                    let s = *seq;
-                    *seq += 1;
-                    Some((spec.copies(), s))
-                }
-                _ => None,
-            })
-            .collect()
-    };
-    // Trace flows, opened on the coordinator so every start precedes its
-    // worker-side finish/steps in time: a `target` arrow per plan item
-    // (id = plan index) and a `session` arrow per copies-class chaining
-    // the turn order across that class's gated targets.
-    if xdata_obs::journal_enabled() {
-        let mut classes_started: HashSet<u32> = HashSet::new();
-        for (idx, turn) in turns.iter().enumerate() {
-            xdata_obs::flow("target", idx as u64, xdata_obs::FlowPhase::Start);
-            if let Some((class, _)) = turn {
-                if classes_started.insert(*class) {
-                    xdata_obs::flow(
-                        "session",
-                        SESSION_FLOW_BASE + u64::from(*class),
-                        xdata_obs::FlowPhase::Start,
-                    );
-                }
-            }
+    // One lane per skeleton class, listing its solve targets in plan
+    // order. Plan-time skips need no lane.
+    let mut classes: BTreeMap<u32, Vec<LaneTarget>> = BTreeMap::new();
+    for (idx, item) in plan.iter().enumerate() {
+        if let Work::Solve(spec) = &item.work {
+            classes.entry(spec.copies()).or_default().push((idx, &item.label, spec));
         }
     }
-    let outcomes = xdata_par::par_map_cancel(opts.jobs, &plan, cancel, |idx, item| {
-        gen.run_item(idx, item, turns[idx], cancel)
+    let lanes: Vec<(u32, Vec<LaneTarget>)> = classes.into_iter().collect();
+    // One `target` flow arrow per solve target (id = plan index), opened
+    // on the coordinator so every start precedes its worker-side finish.
+    if xdata_obs::journal_enabled() {
+        for &(idx, _, _) in lanes.iter().flat_map(|(_, targets)| targets) {
+            xdata_obs::flow("target", idx as u64, xdata_obs::FlowPhase::Start);
+        }
+    }
+    let lane_outcomes = xdata_par::par_map_cancel(opts.jobs, &lanes, cancel, |_, lane| {
+        gen.run_lane(lane.0, &lane.1, cancel)
     });
+    // Back into plan order. A lane never claimed (the suite deadline
+    // tripped first) leaves its targets `None`.
+    let mut outcomes: Vec<Option<Result<ItemOutcome, GenError>>> =
+        plan.iter().map(|_| None).collect();
+    for ((_, targets), lane) in lanes.iter().zip(lane_outcomes) {
+        for (&(idx, _, _), outcome) in targets.iter().zip(lane.into_iter().flatten()) {
+            outcomes[idx] = Some(outcome);
+        }
+    }
     let mut suite = TestSuite::default();
     for (item, outcome) in plan.into_iter().zip(outcomes) {
-        match outcome {
-            // The suite deadline tripped before this target was claimed.
-            None => suite
-                .skipped
-                .push(SkippedTarget { label: item.label, reason: SkipReason::Timeout }),
-            Some(Err(e)) => return Err(e),
-            Some(Ok(ItemOutcome::Dataset(d))) => suite.datasets.push(d),
-            Some(Ok(ItemOutcome::Skipped(reason))) => {
-                suite.skipped.push(SkippedTarget { label: item.label, reason })
+        let reason = match (item.work, outcome) {
+            (Work::Skip(reason), _) => reason,
+            (Work::Solve(_), None) => SkipReason::Timeout,
+            (Work::Solve(_), Some(Err(e))) => return Err(e),
+            (Work::Solve(_), Some(Ok(ItemOutcome::Dataset(d)))) => {
+                suite.datasets.push(d);
+                continue;
             }
-        }
+            (Work::Solve(_), Some(Ok(ItemOutcome::Skipped(reason)))) => reason,
+        };
+        suite.skipped.push(SkippedTarget { label: item.label, reason });
     }
     // Suite-level tallies, recorded on the assembling thread from the
     // order-preserved outcomes — deterministic for every `jobs` value.
@@ -466,93 +425,44 @@ enum ItemOutcome {
     Skipped(SkipReason),
 }
 
+/// A solve target as a lane sees it: plan index, label, spec.
+type LaneTarget<'p> = (usize, &'p str, &'p TargetSpec);
+
+/// What every lane of one run reads: the query and its context.
 struct Gen<'a> {
     query: &'a NormQuery,
     schema: &'a Schema,
     domains: &'a DomainCatalog,
     opts: &'a GenOptions,
-    /// Base constraint skeletons keyed by `(copies, repair_cap)`: arrays +
-    /// database constraints built (and unfolded, in unfold mode) once, then
-    /// cloned per target.
-    skeletons: Mutex<BTreeMap<(u32, u32), ConstraintBuilder<'a>>>,
-    /// Incremental solving sessions keyed like [`Gen::skeletons`]: the
-    /// skeleton is lowered into a long-lived CDCL engine once and each
-    /// eligible target solves under assumptions, retaining learned clauses
-    /// across targets (see [`SolveSession`]). Access is serialized into
-    /// plan order by [`Gen::gate`].
-    sessions: Mutex<BTreeMap<(u32, u32), Arc<SolveSession>>>,
-    /// Plan-order turn gate over session-eligible targets (see [`TurnGate`]).
-    gate: TurnGate,
-    /// Cross-target solve memo (see [`crate::warm`]): run-local for a batch
-    /// call, the process-long [`WarmCache`] memo for a warm one.
-    memo: &'a SolveMemo,
     /// Present on warm runs: the cache plus this run's context salt. Salt
     /// `0` with `warm: None` is the batch configuration — the salt is
-    /// hashed into every memo key, so batch and warm keys never mix even
-    /// in a shared memo.
+    /// hashed into every memo key, so batch and warm keys never mix.
     warm: Option<(&'a WarmCache, u64)>,
     /// Present on [`generate_with_oracle`] runs: solves every target in
     /// place of sessions and fresh CDCL.
     oracle: Option<&'a Oracle>,
 }
 
-/// Serializes session-eligible targets of one skeleton class (`copies`
-/// value) into plan order, whatever the thread schedule.
-///
-/// An incremental session's results depend on the order targets reach it —
-/// learned clauses and saved phases carry over — so unordered access would
-/// make the suite vary with `--jobs`. The gate pins the order: each
-/// eligible target gets a plan-time sequence number within its class and
-/// waits its turn. No deadlock is possible because `par_map_cancel` workers
-/// claim items through a monotonic cursor: every predecessor of a waiting
-/// item is already claimed, and the lowest unfinished sequence of a class
-/// is by construction never waiting.
-#[derive(Default)]
-struct TurnGate {
-    state: Mutex<HashMap<u32, usize>>,
-    advanced: Condvar,
-}
-
-impl TurnGate {
-    /// Block until `seq` is `class`'s current turn. Returns `false` —
-    /// without claiming the turn — if `cancel` trips while queued; waiters
-    /// behind the bailed item poll the token the same way, so the skipped
-    /// advance cannot strand them.
-    fn wait_for(&self, class: u32, seq: usize, cancel: &CancelToken) -> bool {
-        let mut st = lock_ignore_poison(&self.state);
-        loop {
-            if *st.entry(class).or_insert(0) >= seq {
-                return true;
-            }
-            if cancel.is_cancelled() {
-                return false;
-            }
-            let (g, _) = self
-                .advanced
-                .wait_timeout(st, std::time::Duration::from_millis(5))
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            st = g;
-        }
-    }
-
-    fn advance(&self, class: u32) {
-        let mut st = lock_ignore_poison(&self.state);
-        *st.entry(class).or_insert(0) += 1;
-        self.advanced.notify_all();
-    }
-}
-
-/// Drop guard passing the class turn on every exit from a gated item —
-/// normal completion, a timeout skip, or a chaos panic unwinding through.
-struct TurnGuard<'g> {
-    gate: &'g TurnGate,
-    class: u32,
-}
-
-impl Drop for TurnGuard<'_> {
-    fn drop(&mut self) {
-        self.gate.advance(self.class);
-    }
+/// One skeleton class's solve state, owned by the thread that runs the
+/// lane. The class's targets solve one after another in plan order, so an
+/// incremental session sees the same target sequence — and gives the same
+/// answers — whatever `--jobs` is.
+struct Lane<'g, 'a> {
+    gen: &'g Gen<'a>,
+    /// The class: tuple-set copies of every target in the lane.
+    copies: u32,
+    /// Base constraint skeletons keyed by repair cap: arrays + database
+    /// constraints built (and unfolded, in unfold mode) once, then cloned
+    /// per target.
+    skeletons: BTreeMap<u32, ConstraintBuilder<'a>>,
+    /// Incremental solving sessions keyed by repair cap, each built from
+    /// its skeleton on the lane's first memo miss at that cap. The
+    /// skeleton is lowered into a CDCL engine once and each target solves
+    /// under assumptions, keeping learned clauses for the targets after it
+    /// (see [`SolveSession`]). Dropped with the lane.
+    sessions: BTreeMap<u32, SolveSession>,
+    /// The solves this lane computed, keyed by [`memo_key`].
+    memo: HashMap<(u64, u64), MemoValue>,
 }
 
 /// Outcome of one targeted constraint set.
@@ -657,13 +567,6 @@ impl<'a> Gen<'a> {
 
     fn plan_comparison_operators(&self, plan: &mut Vec<PlanItem>) {
         for (pi, p) in self.query.preds.iter().enumerate() {
-            let attr_vs_const = matches!(
-                (&p.lhs, &p.rhs),
-                (Operand::Attr { .. }, Operand::Const(_)) | (Operand::Const(_), Operand::Attr { .. })
-            );
-            if !attr_vs_const && !self.opts.compare_attr_pairs {
-                continue;
-            }
             // String comparisons only make sense as =/<>: the `<`/`>`
             // datasets would compare dictionary codes; skip those targets.
             let string_pred = matches!(&p.lhs, Operand::Const(Value::Str(_)))
@@ -834,122 +737,36 @@ impl<'a> Gen<'a> {
 
     // ----- Phase 2: solving ---------------------------------------------
 
-    /// Execute one plan item. Pure function of the item (given the query,
-    /// schema, domains and options), so execution order cannot influence
-    /// any result — the determinism guarantee rests here. Degradation is
-    /// contained per item: a tripped token becomes a [`SkipReason::Timeout`]
-    /// skip, a panicking solve (chaos-injected or a genuine bug) is caught
-    /// and becomes [`SkipReason::Fault`] — neither can take down the suite.
-    fn run_item(
+    /// Solve one lane's targets in plan order. On a warm run a lane that
+    /// ended without a `Timeout` skip then commits the solves it computed
+    /// to the cache; a lane that timed out commits nothing, so the next
+    /// run re-solves the class from scratch on a fresh session.
+    fn run_lane(
         &self,
-        idx: usize,
-        item: &PlanItem,
-        turn: Option<(u32, usize)>,
+        copies: u32,
+        targets: &[LaneTarget],
         cancel: &CancelToken,
-    ) -> Result<ItemOutcome, GenError> {
-        let _solve_span = xdata_obs::span_with("generate/solve", || item.label.clone());
-        // Close this plan item's flow arrow on the thread that solved it.
-        xdata_obs::flow("target", idx as u64, xdata_obs::FlowPhase::Finish);
-        let out = self.run_item_inner(item, turn, cancel);
-        if let Ok(ItemOutcome::Skipped(reason)) = &out {
-            // The timeline attributes every skip inside the target's own
-            // solve span, with the reason spelled out.
-            xdata_obs::instant("core.target.skip", || format!("{} — {reason}", item.label));
-        }
-        out
-    }
-
-    fn run_item_inner(
-        &self,
-        item: &PlanItem,
-        turn: Option<(u32, usize)>,
-        cancel: &CancelToken,
-    ) -> Result<ItemOutcome, GenError> {
-        if let Work::Skip(reason) = &item.work {
-            return Ok(ItemOutcome::Skipped(reason.clone()));
-        }
-        // Session-eligible targets take their class's turn in plan order:
-        // the incremental session carries learned state between targets, so
-        // pinning the access order is what keeps every `--jobs` value
-        // byte-identical. Targets of different classes still run in
-        // parallel; ungated targets are unaffected.
-        let _turn_guard = match turn {
-            Some((class, seq)) => {
-                // The gate wait gets its own child span so the timeline
-                // separates queueing (waiting for the class's turn) from
-                // actual solving.
-                let granted = {
-                    let _gate_span =
-                        xdata_obs::span_with("generate/solve/gate", || item.label.clone());
-                    self.gate.wait_for(class, seq, cancel)
-                };
-                if !granted {
-                    // The suite token tripped while queued.
-                    return Ok(ItemOutcome::Skipped(SkipReason::Timeout));
-                }
-                xdata_obs::instant("solver.session.turn", || {
-                    format!("{} (class {class}, turn {seq})", item.label)
-                });
-                xdata_obs::flow(
-                    "session",
-                    SESSION_FLOW_BASE + u64::from(class),
-                    xdata_obs::FlowPhase::Step,
-                );
-                Some(TurnGuard { gate: &self.gate, class })
-            }
-            None => None,
+    ) -> Vec<Result<ItemOutcome, GenError>> {
+        let mut lane = Lane {
+            gen: self,
+            copies,
+            skeletons: BTreeMap::new(),
+            sessions: BTreeMap::new(),
+            memo: HashMap::new(),
         };
-        // The target token trips when the suite token does *or* when the
-        // per-target budget runs out; cancelling it never touches siblings.
-        let token = cancel.child_for_deadline_ms(self.opts.per_target_deadline_ms);
-        if self.opts.faults.should_expire(&item.label) {
-            // Synthetic expiry: deterministic (schedule-independent) and
-            // carrying no wall-clock latency sample.
-            token.cancel();
-        }
-        if token.is_cancelled() {
-            return Ok(ItemOutcome::Skipped(SkipReason::Timeout));
-        }
-        if self.opts.faults.should_unknown(&item.label) {
-            // A forced Unknown exit takes the same road a blown decision
-            // budget takes, without spending any decisions.
-            return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions: 0 }));
-        }
-        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            if self.opts.faults.should_panic(&item.label) {
-                panic!("chaos: injected panic at `{}`", item.label);
-            }
-            match &item.work {
-                Work::Solve(TargetSpec::Aggregate { a, copies }) => {
-                    self.solve_aggregate(&item.label, *a, *copies, &token)
-                }
-                Work::Solve(spec) => {
-                    let target = self.solve_target(spec.copies(), &item.label, &token, &|b| {
-                        self.assert_spec(b, spec)
-                    })?;
-                    Ok(match target {
-                        Target::Dataset(d) => ItemOutcome::Dataset(d),
-                        Target::Equivalent => ItemOutcome::Skipped(SkipReason::Equivalent),
-                        Target::GaveUp { decisions } => {
-                            ItemOutcome::Skipped(SkipReason::Budget { decisions })
-                        }
-                        Target::TimedOut => ItemOutcome::Skipped(SkipReason::Timeout),
-                    })
-                }
-                Work::Skip(_) => unreachable!("handled above"),
-            }
-        }));
-        match attempt {
-            Ok(outcome) => outcome,
-            Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                Ok(ItemOutcome::Skipped(SkipReason::Fault { message }))
+        let outcomes: Vec<_> = targets
+            .iter()
+            .map(|&(idx, label, spec)| lane.run_item(idx, label, spec, cancel))
+            .collect();
+        if let Some((warm, _)) = self.warm {
+            let timed_out = outcomes
+                .iter()
+                .any(|o| matches!(o, Ok(ItemOutcome::Skipped(SkipReason::Timeout))));
+            if !timed_out {
+                warm.commit(lane.memo);
             }
         }
+        outcomes
     }
 
     /// Assert the constraints of a (non-aggregate) target spec.
@@ -1160,309 +977,6 @@ impl<'a> Gen<'a> {
         }
     }
 
-    /// Algorithm 4's solve: optional constraint sets are relaxed greedily
-    /// on inconsistency (lines 11–13).
-    fn solve_aggregate(
-        &self,
-        label: &str,
-        a: AttrRef,
-        copies: u32,
-        cancel: &CancelToken,
-    ) -> Result<ItemOutcome, GenError> {
-        let SelectSpec::Aggregation { group_by, having, .. } = &self.query.select else {
-            unreachable!("aggregate target implies aggregation");
-        };
-        // Optional constraint sets, dropped greedily on inconsistency
-        // (lines 11–13 of Algorithm 4): strong positivity (A ≥ 4, which
-        // separates COUNT = 3 from MIN/MAX/SUM/AVG — the paper's "add
-        // additional constraints to ensure that COUNT ... also
-        // differ"), then weak positivity (A > 0), then S3 (group
-        // isolation), then S1 (duplicate pair), then S2 (distinct
-        // third value).
-        let mut enabled = [true; 5]; // [POS_STRONG, POS_WEAK, S3, S1, S2]
-        loop {
-            let target = self.solve_target(copies, label, cancel, &|b| {
-                self.assert_aggregate_conds(b, group_by, having, a, copies, enabled)
-            })?;
-            match target {
-                Target::Dataset(d) => return Ok(ItemOutcome::Dataset(d)),
-                Target::GaveUp { decisions } => {
-                    // The budget would only exhaust again on the relaxed
-                    // (larger-feasible-space) retries: report it now.
-                    return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions }));
-                }
-                // No time left for the relaxation ladder either.
-                Target::TimedOut => return Ok(ItemOutcome::Skipped(SkipReason::Timeout)),
-                Target::Equivalent => {
-                    // Relax the next enabled optional set.
-                    if let Some(i) = enabled.iter().position(|e| *e) {
-                        enabled[i] = false;
-                    } else {
-                        return Ok(ItemOutcome::Skipped(SkipReason::Equivalent));
-                    }
-                }
-            }
-        }
-    }
-
-    // ----- Shared solve machinery ---------------------------------------
-
-    /// The cached base skeleton for a `(copies, repair_cap)` shape: tuple
-    /// arrays plus `genDBConstraints`, quantifiers pre-expanded in unfold
-    /// mode. Built once under the lock, cloned per use.
-    fn skeleton(&self, copies: u32, cap: u32) -> Result<ConstraintBuilder<'a>, GenError> {
-        // Poison-tolerant: a chaos-injected panic on a sibling target must
-        // not wedge every later skeleton lookup (the cached builders are
-        // only ever inserted whole, so the data is valid regardless).
-        let mut map = lock_ignore_poison(&self.skeletons);
-        if let Some(b) = map.get(&(copies, cap)) {
-            // Hit/miss totals are deterministic across thread counts: the
-            // lock is held across build-and-insert, so each (copies, cap)
-            // shape misses exactly once however the targets are scheduled.
-            xdata_obs::counter("core.skeleton_cache.hit", 1);
-            return Ok(b.clone());
-        }
-        xdata_obs::counter("core.skeleton_cache.miss", 1);
-        let mut b =
-            ConstraintBuilder::with_repair_cap(self.schema, self.query, self.domains, copies, cap)?;
-        b.gen_db_constraints();
-        if self.opts.mode == Mode::Unfold {
-            // Unfold the database constraints once for all targets. Lazy
-            // mode keeps them quantified: pre-expansion would defeat the
-            // §VI-B "without unfolding" configuration being measured.
-            b.problem.inline_quantifiers();
-        }
-        map.insert((copies, cap), b.clone());
-        Ok(b)
-    }
-
-    /// Whether this run routes eligible solves through incremental
-    /// sessions (see [`crate::warm::sessions_enabled`]); an oracle run
-    /// never does.
-    fn sessions_enabled(&self) -> bool {
-        self.oracle.is_none() && crate::warm::sessions_enabled(self.opts)
-    }
-
-    /// The shared incremental session for a `(copies, repair_cap)` skeleton
-    /// shape: built from the cached skeleton once, then reused — under the
-    /// turn gate — by every eligible target of that shape.
-    ///
-    /// Warm runs resolve sessions from the [`WarmCache`] store instead of
-    /// the run-local map, so a later request with the same context salt
-    /// inherits the lowered skeleton and its learned clauses without
-    /// rebuilding either. The run gate held by `generate_warm` makes the
-    /// check-then-insert race-free within a salt.
-    fn session(&self, copies: u32, cap: u32) -> Result<Arc<SolveSession>, GenError> {
-        if let Some((w, salt)) = self.warm {
-            if let Some(s) = w.session(salt, copies, cap) {
-                return Ok(s);
-            }
-            let skel = self.skeleton(copies, cap)?;
-            let s = Arc::new(SolveSession::new(&skel.problem));
-            w.insert_session(salt, copies, cap, Arc::clone(&s));
-            return Ok(s);
-        }
-        let mut map = lock_ignore_poison(&self.sessions);
-        if let Some(s) = map.get(&(copies, cap)) {
-            return Ok(Arc::clone(s));
-        }
-        let skel = self.skeleton(copies, cap)?;
-        let s = Arc::new(SolveSession::new(&skel.problem));
-        map.insert((copies, cap), Arc::clone(&s));
-        Ok(s)
-    }
-
-    /// Build constraints via `f`, add database (and input-database)
-    /// constraints, solve, materialize. Implements the paper's retry:
-    /// when input-database constraints make the set inconsistent, solve
-    /// again without them (§VI-A).
-    fn solve_target(
-        &self,
-        copies: u32,
-        label: &str,
-        cancel: &CancelToken,
-        f: &dyn Fn(&mut ConstraintBuilder<'_>) -> Result<(), GenError>,
-    ) -> Result<Target, GenError> {
-        let with_input = self.opts.input_db.is_some();
-        if with_input {
-            // The input-constrained attempt gets a tighter decision budget:
-            // proving UNSAT under tuple-pinning can be expensive, and the
-            // paper's §VI-A recovery path is "retry data generation after
-            // removing these constraints" anyway — so both Unsat and a
-            // blown budget fall through to the unconstrained attempt.
-            match self.solve_once(copies, label, cancel, f, true)? {
-                SolveRes::Dataset(ds) => return Ok(Target::Dataset(ds)),
-                // A tripped token is latched: the unconstrained attempt
-                // would exit immediately too, so report the timeout now.
-                SolveRes::TimedOut => return Ok(Target::TimedOut),
-                SolveRes::Unsat | SolveRes::GaveUp { .. } => {}
-            }
-        }
-        match self.solve_once(copies, label, cancel, f, false)? {
-            SolveRes::Dataset(ds) => Ok(Target::Dataset(ds)),
-            SolveRes::Unsat => Ok(Target::Equivalent),
-            SolveRes::GaveUp { decisions } => Ok(Target::GaveUp { decisions }),
-            SolveRes::TimedOut => Ok(Target::TimedOut),
-        }
-    }
-
-    /// Solve with the cross-target memo: the first thread to see a
-    /// structural key computes; duplicates (concurrent or later) reuse the
-    /// stored verdict, model values and stats.
-    ///
-    /// Two degradation rules keep the memo honest under cancellation and
-    /// chaos:
-    /// * a [`SolveOutcome::Cancelled`] result is **never stored** — it is a
-    ///   withdrawn time budget, not a verdict, and caching it would poison
-    ///   structurally identical targets that still have time;
-    /// * the `Pending` claim is dropped (and waiters woken) on *any* exit
-    ///   from the computing thread, including a panic unwinding through —
-    ///   so a chaos-killed solve can never deadlock the threads parked on
-    ///   its key.
-    fn solve_memoized(
-        &self,
-        problem: &Problem,
-        limit: u64,
-        cancel: &CancelToken,
-        session: Option<&SolveSession>,
-    ) -> (SolveOutcome, SolverStats) {
-        let key = memo_key(problem, self.opts, limit, self.warm.map_or(0, |(_, salt)| salt));
-        {
-            let mut map = lock_ignore_poison(&self.memo.map);
-            loop {
-                match map.get(&key) {
-                    None => {
-                        map.insert(key, MemoEntry::Pending);
-                        xdata_obs::counter("core.solve_memo.miss", 1);
-                        break;
-                    }
-                    Some(MemoEntry::Pending) => {
-                        map = self
-                            .memo
-                            .done
-                            .wait(map)
-                            .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    }
-                    Some(MemoEntry::Done(v)) => {
-                        xdata_obs::counter("core.solve_memo.hit", 1);
-                        return (v.outcome.replay(problem), v.stats);
-                    }
-                }
-            }
-        }
-        // From here until the entry is resolved, this thread owns the
-        // Pending claim; the guard releases it on every exit path.
-        let guard = PendingGuard { memo: self.memo, key };
-        let (out, stats) = match (session, self.oracle) {
-            // The incremental road: only this target's delta constraints
-            // are lowered; the engine arrives warm with everything learned
-            // from the shape's earlier targets.
-            (Some(s), _) => s.solve_delta(problem, limit, cancel),
-            (None, Some(oracle)) => oracle(problem, limit, cancel),
-            (None, None) => problem.solve_cancel(self.opts.mode, limit, cancel),
-        };
-        if matches!(out, SolveOutcome::Cancelled) {
-            // Not a verdict: drop the claim (guard wakes the waiters; the
-            // next arriver recomputes under its own time budget).
-            drop(guard);
-            return (out, stats);
-        }
-        let value = MemoValue { outcome: MemoOutcome::capture(&out), stats };
-        let mut map = lock_ignore_poison(&self.memo.map);
-        map.insert(key, MemoEntry::Done(value));
-        std::mem::forget(guard); // entry resolved; nothing to clean up
-        self.memo.done.notify_all();
-        drop(map);
-        (out, stats)
-    }
-
-    fn solve_once(
-        &self,
-        copies: u32,
-        label: &str,
-        cancel: &CancelToken,
-        f: &dyn Fn(&mut ConstraintBuilder<'_>) -> Result<(), GenError>,
-        use_input: bool,
-    ) -> Result<SolveRes, GenError> {
-        // Iterative deepening over the repair-slot capacity: most targets
-        // need at most one repair tuple per relation, so small tuple arrays
-        // are tried first (exponentially smaller search); only an UNSAT at
-        // full capacity means "no such dataset" (equivalent mutants).
-        let mut agg_stats = xdata_solver::SolverStats::default();
-        for (rung, cap) in crate::builder::REPAIR_LADDER.iter().enumerate() {
-            // Between rungs is the natural bail-out point: skeleton cloning
-            // and constraint building are wasted work once the token trips.
-            if cancel.is_cancelled() {
-                return Ok(SolveRes::TimedOut);
-            }
-            let b = if use_input {
-                // Input constraints must precede gen_db_constraints (they
-                // mark pinned relations whose enumerated domain constraints
-                // are then skipped), so this path builds fresh.
-                let mut b = ConstraintBuilder::with_repair_cap(
-                    self.schema,
-                    self.query,
-                    self.domains,
-                    copies,
-                    *cap,
-                )?;
-                f(&mut b)?;
-                if let Some(input) = &self.opts.input_db {
-                    b.gen_input_db_constraints(input)?;
-                }
-                b.gen_db_constraints();
-                b
-            } else {
-                let mut b = self.skeleton(copies, *cap)?;
-                f(&mut b)?;
-                b
-            };
-            let limit = if use_input {
-                self.opts.decision_limit.min(500_000)
-            } else {
-                self.opts.decision_limit
-            };
-            let session = if !use_input && self.sessions_enabled() {
-                Some(self.session(copies, *cap)?)
-            } else {
-                None
-            };
-            let (out, stats) = self.solve_memoized(&b.problem, limit, cancel, session.as_deref());
-            agg_stats.decisions += stats.decisions;
-            agg_stats.conflicts += stats.conflicts;
-            agg_stats.theory_relaxations += stats.theory_relaxations;
-            agg_stats.propagations += stats.propagations;
-            agg_stats.unknown_exits += stats.unknown_exits;
-            agg_stats.learned_clauses += stats.learned_clauses;
-            agg_stats.restarts += stats.restarts;
-            agg_stats.cancel_checks += stats.cancel_checks;
-            agg_stats.ground_solves += stats.ground_solves;
-            agg_stats.instantiations += stats.instantiations;
-            agg_stats.ground_atoms = agg_stats.ground_atoms.max(stats.ground_atoms);
-            match out {
-                SolveOutcome::Sat(model) => {
-                    let dataset = materialize(&b, &model, label);
-                    return Ok(SolveRes::Dataset(GeneratedDataset {
-                        dataset,
-                        label: label.to_string(),
-                        stats: agg_stats,
-                    }));
-                }
-                SolveOutcome::Unsat => {
-                    if rung + 1 == crate::builder::REPAIR_LADDER.len() {
-                        return Ok(SolveRes::Unsat);
-                    }
-                    // Widen and retry: the UNSAT may be a capacity artifact.
-                }
-                SolveOutcome::Unknown => {
-                    return Ok(SolveRes::GaveUp { decisions: agg_stats.decisions })
-                }
-                SolveOutcome::Cancelled => return Ok(SolveRes::TimedOut),
-            }
-        }
-        Ok(SolveRes::Unsat)
-    }
-
     /// Assert the original query's conditions over copy `c`.
     fn assert_query_conds(&self, b: &mut ConstraintBuilder<'_>, copy: u32) -> Result<(), GenError> {
         self.assert_base_conds(b, copy)?;
@@ -1625,24 +1139,323 @@ impl<'a> Gen<'a> {
     }
 }
 
-/// Combined stats across all datasets of a run (convenience for benches).
-pub fn total_stats(suite: &TestSuite) -> SolverStats {
-    let mut t = SolverStats::default();
-    for d in &suite.datasets {
-        t.decisions += d.stats.decisions;
-        t.conflicts += d.stats.conflicts;
-        t.theory_relaxations += d.stats.theory_relaxations;
-        t.propagations += d.stats.propagations;
-        t.unknown_exits += d.stats.unknown_exits;
-        t.learned_clauses += d.stats.learned_clauses;
-        t.restarts += d.stats.restarts;
-        t.cancel_checks += d.stats.cancel_checks;
-        t.ground_solves += d.stats.ground_solves;
-        t.instantiations += d.stats.instantiations;
-        t.ground_atoms += d.stats.ground_atoms;
+impl<'a> Lane<'_, 'a> {
+    /// Run one target. Degradation is contained per target: a tripped
+    /// token becomes a [`SkipReason::Timeout`] skip, a panicking solve
+    /// (chaos-injected or a genuine bug) is caught and becomes
+    /// [`SkipReason::Fault`] — neither can take down the suite.
+    fn run_item(
+        &mut self,
+        idx: usize,
+        label: &str,
+        spec: &TargetSpec,
+        cancel: &CancelToken,
+    ) -> Result<ItemOutcome, GenError> {
+        let _solve_span = xdata_obs::span_with("generate/solve", || label.to_string());
+        // Close this target's flow arrow on the thread that solved it.
+        xdata_obs::flow("target", idx as u64, xdata_obs::FlowPhase::Finish);
+        let out = self.run_item_inner(label, spec, cancel);
+        if let Ok(ItemOutcome::Skipped(reason)) = &out {
+            // The timeline attributes every skip inside the target's own
+            // solve span, with the reason spelled out.
+            xdata_obs::instant("core.target.skip", || format!("{label} — {reason}"));
+        }
+        out
     }
-    t
+
+    fn run_item_inner(
+        &mut self,
+        label: &str,
+        spec: &TargetSpec,
+        cancel: &CancelToken,
+    ) -> Result<ItemOutcome, GenError> {
+        let gen = self.gen;
+        // The target token trips when the suite token does *or* when the
+        // per-target budget runs out; cancelling it never touches siblings.
+        let token = cancel.child_for_deadline_ms(gen.opts.per_target_deadline_ms);
+        if gen.opts.faults.should_expire(label) {
+            // Synthetic expiry: deterministic (schedule-independent) and
+            // carrying no wall-clock latency sample.
+            token.cancel();
+        }
+        if token.is_cancelled() {
+            return Ok(ItemOutcome::Skipped(SkipReason::Timeout));
+        }
+        if gen.opts.faults.should_unknown(label) {
+            // A forced Unknown exit takes the same road a blown decision
+            // budget takes, without spending any decisions.
+            return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions: 0 }));
+        }
+        let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            if gen.opts.faults.should_panic(label) {
+                panic!("chaos: injected panic at `{label}`");
+            }
+            if let TargetSpec::Aggregate { a, .. } = spec {
+                return self.solve_aggregate(label, *a, &token);
+            }
+            let target = self.solve_target(label, &token, &|b| gen.assert_spec(b, spec))?;
+            Ok(match target {
+                Target::Dataset(d) => ItemOutcome::Dataset(d),
+                Target::Equivalent => ItemOutcome::Skipped(SkipReason::Equivalent),
+                Target::GaveUp { decisions } => {
+                    ItemOutcome::Skipped(SkipReason::Budget { decisions })
+                }
+                Target::TimedOut => ItemOutcome::Skipped(SkipReason::Timeout),
+            })
+        }));
+        match attempt {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| payload.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
+                Ok(ItemOutcome::Skipped(SkipReason::Fault { message }))
+            }
+        }
+    }
+
+    /// Algorithm 4's solve: optional constraint sets are relaxed greedily
+    /// on inconsistency (lines 11–13).
+    fn solve_aggregate(
+        &mut self,
+        label: &str,
+        a: AttrRef,
+        cancel: &CancelToken,
+    ) -> Result<ItemOutcome, GenError> {
+        let (gen, copies) = (self.gen, self.copies);
+        let SelectSpec::Aggregation { group_by, having, .. } = &gen.query.select else {
+            unreachable!("aggregate target implies aggregation");
+        };
+        // Optional constraint sets, dropped greedily on inconsistency
+        // (lines 11–13 of Algorithm 4): strong positivity (A ≥ 4, which
+        // separates COUNT = 3 from MIN/MAX/SUM/AVG — the paper's "add
+        // additional constraints to ensure that COUNT ... also
+        // differ"), then weak positivity (A > 0), then S3 (group
+        // isolation), then S1 (duplicate pair), then S2 (distinct
+        // third value).
+        let mut enabled = [true; 5]; // [POS_STRONG, POS_WEAK, S3, S1, S2]
+        loop {
+            let target = self.solve_target(label, cancel, &|b| {
+                gen.assert_aggregate_conds(b, group_by, having, a, copies, enabled)
+            })?;
+            match target {
+                Target::Dataset(d) => return Ok(ItemOutcome::Dataset(d)),
+                Target::GaveUp { decisions } => {
+                    // The budget would only exhaust again on the relaxed
+                    // (larger-feasible-space) retries: report it now.
+                    return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions }));
+                }
+                // No time left for the relaxation ladder either.
+                Target::TimedOut => return Ok(ItemOutcome::Skipped(SkipReason::Timeout)),
+                Target::Equivalent => {
+                    // Relax the next enabled optional set.
+                    if let Some(i) = enabled.iter().position(|e| *e) {
+                        enabled[i] = false;
+                    } else {
+                        return Ok(ItemOutcome::Skipped(SkipReason::Equivalent));
+                    }
+                }
+            }
+        }
+    }
+
+    /// The cached base skeleton for repair cap `cap`: tuple arrays plus
+    /// `genDBConstraints`, quantifiers pre-expanded in unfold mode. Built
+    /// once per lane, cloned per use.
+    fn skeleton(&mut self, cap: u32) -> Result<ConstraintBuilder<'a>, GenError> {
+        if let Some(b) = self.skeletons.get(&cap) {
+            xdata_obs::counter("core.skeleton_cache.hit", 1);
+            return Ok(b.clone());
+        }
+        xdata_obs::counter("core.skeleton_cache.miss", 1);
+        let gen = self.gen;
+        let mut b = ConstraintBuilder::with_repair_cap(
+            gen.schema,
+            gen.query,
+            gen.domains,
+            self.copies,
+            cap,
+        )?;
+        b.gen_db_constraints();
+        if gen.opts.mode == Mode::Unfold {
+            // Unfold the database constraints once for all targets. Lazy
+            // mode keeps them quantified: pre-expansion would defeat the
+            // §VI-B "without unfolding" configuration being measured.
+            b.problem.inline_quantifiers();
+        }
+        self.skeletons.insert(cap, b.clone());
+        Ok(b)
+    }
+
+    /// The lane's incremental session for repair cap `cap`, built from the
+    /// cached skeleton on first use.
+    fn session(&mut self, cap: u32) -> Result<&mut SolveSession, GenError> {
+        if !self.sessions.contains_key(&cap) {
+            let skeleton = self.skeleton(cap)?;
+            self.sessions.insert(cap, SolveSession::new(&skeleton.problem));
+        }
+        Ok(self.sessions.get_mut(&cap).expect("session built above"))
+    }
+
+    /// Build constraints via `f`, add database (and input-database)
+    /// constraints, solve, materialize. Implements the paper's retry:
+    /// when input-database constraints make the set inconsistent, solve
+    /// again without them (§VI-A).
+    fn solve_target(
+        &mut self,
+        label: &str,
+        cancel: &CancelToken,
+        f: &dyn Fn(&mut ConstraintBuilder<'_>) -> Result<(), GenError>,
+    ) -> Result<Target, GenError> {
+        if self.gen.opts.input_db.is_some() {
+            // The input-constrained attempt gets a tighter decision budget:
+            // proving UNSAT under tuple-pinning can be expensive, and the
+            // paper's §VI-A recovery path is "retry data generation after
+            // removing these constraints" anyway — so both Unsat and a
+            // blown budget fall through to the unconstrained attempt.
+            match self.solve_once(label, cancel, f, true)? {
+                SolveRes::Dataset(ds) => return Ok(Target::Dataset(ds)),
+                // A tripped token is latched: the unconstrained attempt
+                // would exit immediately too, so report the timeout now.
+                SolveRes::TimedOut => return Ok(Target::TimedOut),
+                SolveRes::Unsat | SolveRes::GaveUp { .. } => {}
+            }
+        }
+        match self.solve_once(label, cancel, f, false)? {
+            SolveRes::Dataset(ds) => Ok(Target::Dataset(ds)),
+            SolveRes::Unsat => Ok(Target::Equivalent),
+            SolveRes::GaveUp { decisions } => Ok(Target::GaveUp { decisions }),
+            SolveRes::TimedOut => Ok(Target::TimedOut),
+        }
+    }
+
+    /// Solve with the memo: a key this lane or — on a warm run — the
+    /// cache already holds replays the stored verdict, model values and
+    /// stats; otherwise the lane solves and remembers the outcome. A
+    /// [`SolveOutcome::Cancelled`] result is **never stored**: it is a
+    /// withdrawn time budget, not a verdict, and caching it would poison
+    /// structurally identical targets that still have time.
+    fn solve_memoized(
+        &mut self,
+        problem: &Problem,
+        cap: u32,
+        limit: u64,
+        cancel: &CancelToken,
+    ) -> Result<(SolveOutcome, SolverStats), GenError> {
+        let gen = self.gen;
+        let salt = gen.warm.map_or(0, |(_, salt)| salt);
+        let key = memo_key(problem, gen.opts, self.copies, limit, salt);
+        let hit = match self.memo.get(&key) {
+            Some(v) => Some(v.replay(problem)),
+            None => gen.warm.and_then(|(w, _)| w.replay(key, problem)),
+        };
+        if let Some(hit) = hit {
+            xdata_obs::counter("core.solve_memo.hit", 1);
+            return Ok(hit);
+        }
+        xdata_obs::counter("core.solve_memo.miss", 1);
+        let (out, stats) = match gen.oracle {
+            Some(oracle) => oracle(problem, limit, cancel),
+            // The incremental road: only this target's delta constraints
+            // are lowered; the engine arrives warm with everything learned
+            // from the lane's earlier targets.
+            None if sessions_enabled(gen.opts) => {
+                self.session(cap)?.solve_delta(problem, limit, cancel)
+            }
+            None => problem.solve_cancel(gen.opts.mode, limit, cancel),
+        };
+        if !matches!(out, SolveOutcome::Cancelled) {
+            let value = MemoValue { outcome: MemoOutcome::capture(&out), stats };
+            self.memo.insert(key, value);
+        }
+        Ok((out, stats))
+    }
+
+    fn solve_once(
+        &mut self,
+        label: &str,
+        cancel: &CancelToken,
+        f: &dyn Fn(&mut ConstraintBuilder<'_>) -> Result<(), GenError>,
+        use_input: bool,
+    ) -> Result<SolveRes, GenError> {
+        let gen = self.gen;
+        // Iterative deepening over the repair-slot capacity: most targets
+        // need at most one repair tuple per relation, so small tuple arrays
+        // are tried first (exponentially smaller search); only an UNSAT at
+        // full capacity means "no such dataset" (equivalent mutants).
+        let mut agg_stats = xdata_solver::SolverStats::default();
+        for (rung, &cap) in crate::builder::REPAIR_LADDER.iter().enumerate() {
+            // Between rungs is the natural bail-out point: skeleton cloning
+            // and constraint building are wasted work once the token trips.
+            if cancel.is_cancelled() {
+                return Ok(SolveRes::TimedOut);
+            }
+            let b = if use_input {
+                // Input constraints must precede gen_db_constraints (they
+                // mark pinned relations whose enumerated domain constraints
+                // are then skipped), so this path builds fresh.
+                let mut b = ConstraintBuilder::with_repair_cap(
+                    gen.schema,
+                    gen.query,
+                    gen.domains,
+                    self.copies,
+                    cap,
+                )?;
+                f(&mut b)?;
+                if let Some(input) = &gen.opts.input_db {
+                    b.gen_input_db_constraints(input)?;
+                }
+                b.gen_db_constraints();
+                b
+            } else {
+                let mut b = self.skeleton(cap)?;
+                f(&mut b)?;
+                b
+            };
+            let limit = if use_input {
+                gen.opts.decision_limit.min(500_000)
+            } else {
+                gen.opts.decision_limit
+            };
+            let (out, stats) = self.solve_memoized(&b.problem, cap, limit, cancel)?;
+            agg_stats.decisions += stats.decisions;
+            agg_stats.conflicts += stats.conflicts;
+            agg_stats.theory_relaxations += stats.theory_relaxations;
+            agg_stats.propagations += stats.propagations;
+            agg_stats.unknown_exits += stats.unknown_exits;
+            agg_stats.learned_clauses += stats.learned_clauses;
+            agg_stats.restarts += stats.restarts;
+            agg_stats.cancel_checks += stats.cancel_checks;
+            agg_stats.ground_solves += stats.ground_solves;
+            agg_stats.instantiations += stats.instantiations;
+            agg_stats.ground_atoms = agg_stats.ground_atoms.max(stats.ground_atoms);
+            match out {
+                SolveOutcome::Sat(model) => {
+                    let dataset = materialize(&b, &model, label);
+                    return Ok(SolveRes::Dataset(GeneratedDataset {
+                        dataset,
+                        label: label.to_string(),
+                        stats: agg_stats,
+                    }));
+                }
+                SolveOutcome::Unsat => {
+                    if rung + 1 == crate::builder::REPAIR_LADDER.len() {
+                        return Ok(SolveRes::Unsat);
+                    }
+                    // Widen and retry: the UNSAT may be a capacity artifact.
+                }
+                SolveOutcome::Unknown => {
+                    return Ok(SolveRes::GaveUp { decisions: agg_stats.decisions })
+                }
+                SolveOutcome::Cancelled => return Ok(SolveRes::TimedOut),
+            }
+        }
+        Ok(SolveRes::Unsat)
+    }
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -60,6 +60,6 @@ pub use xdata_par::CancelToken;
 /// Re-export of the evaluation loop (suite × mutation space → kill matrix).
 pub mod kill {
     pub use xdata_engine::kill::{
-        execute_mutant, kill_report, kill_report_cancel, kill_report_jobs, kills, KillReport,
+        execute_mutant, kill_report, kill_report_cancel, kills, KillReport,
     };
 }

@@ -21,13 +21,11 @@ pub struct GenOptions {
     /// On inconsistency the generator retries without the restriction, as
     /// the paper describes.
     pub input_db: Option<Dataset>,
-    /// Generate the three `=`, `<`, `>` datasets for attribute-vs-attribute
-    /// comparisons too (a generalization of the paper's `A.x op val` case).
-    pub compare_attr_pairs: bool,
     /// Worker threads for the solve phase: `1` (the default) is fully
-    /// sequential, `0` means one per available core. Every value produces
-    /// the identical suite — solve targets are independent and collected
-    /// in plan order.
+    /// sequential, `0` means one per available core. Generation runs in
+    /// parallel per skeleton class (one lane per `copies` value; a lane
+    /// solves its targets in plan order), so at most one thread per class
+    /// is busy. Every value produces the identical suite.
     pub jobs: usize,
     /// Decision budget per solve call. A target whose solve exhausts the
     /// budget is reported as skipped with [`SkipReason::Budget`] — never
@@ -54,7 +52,6 @@ impl Default for GenOptions {
         GenOptions {
             mode: Mode::Unfold,
             input_db: None,
-            compare_attr_pairs: true,
             jobs: 1,
             decision_limit: xdata_solver::DEFAULT_DECISION_LIMIT,
             deadline_ms: None,

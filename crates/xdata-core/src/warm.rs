@@ -1,21 +1,20 @@
-//! Cross-request warm state: the solve memo and incremental-session store,
-//! lifted out of a single [`generate`](crate::generate::generate) call so a
-//! long-running process (the `xdata serve` daemon) can keep them hot across
-//! requests and tenants.
+//! Cross-request warm state: the solve memo, lifted out of a single
+//! [`generate`](crate::generate::generate) call so a long-running process
+//! (the `xdata serve` daemon) can replay solves across requests.
 //!
-//! A batch CLI invocation builds the memo and the per-shape
-//! [`SolveSession`]s, uses them for one suite, and throws them away at
-//! process exit. [`WarmCache`] is the same state with a process-long
-//! lifetime:
+//! Every generation run solves its targets in *lanes*, one per skeleton
+//! class, and each lane owns its skeleton cache, its incremental
+//! [`SolveSession`](xdata_solver::SolveSession)s and a lane-local memo
+//! map. A batch run drops all of that when it returns. A warm run does
+//! too, except for one thing: [`WarmCache`], a map from a 128-bit
+//! structural problem hash (context salt, mode, skeleton class, budget,
+//! array specs, ordered constraints) to the verdict, model values and
+//! solver stats. Entries are owned data, so they outlive the
+//! query/schema/domain borrows of the request that produced them.
 //!
-//! * the **solve memo** maps a 128-bit structural problem hash (mode,
-//!   budget, array specs, ordered constraints) to its
-//!   verdict, model values and solver stats. Entries are owned data, so
-//!   they outlive the query/schema/domain borrows of the request that
-//!   produced them;
-//! * the **session store** keeps warm [`SolveSession`] engines (skeleton
-//!   lowered once, learned clauses retained) keyed by the same context
-//!   salt plus the `(copies, repair_cap)` skeleton shape.
+//! A warm lane looks a key up in its own map first, then in the cache.
+//! When it finishes without a `Timeout` skip it copies the entries it
+//! computed into the cache; a lane that timed out commits nothing.
 //!
 //! ## Tenant namespaces and the context salt
 //!
@@ -30,64 +29,52 @@
 //! * session solves depend on the session's history (learned clauses carry
 //!   over between targets), which is pinned to plan order *per query*. Two
 //!   different queries — or the same query under a different budget or
-//!   fault plan — would interleave different histories, so their salts
-//!   differ and they never share memo entries or sessions.
+//!   fault plan — would have different histories, so their salts differ
+//!   and they never share memo entries.
 //!
 //! Tenants never share anything: a namespace mismatch changes every key.
 //!
-//! ## Concurrency: the per-salt run gate
+//! ## Why warm output equals cold output
 //!
-//! Two *concurrent* requests with the same salt would race their turn
-//! gates on the shared sessions, interleaving target order and breaking
-//! the byte-identical-to-cold contract. `WarmCache::lock_run` serializes
-//! whole generation runs per salt (requests with different salts — other
-//! tenants, other queries — run fully in parallel); the blocking solve
-//! memo already serializes duplicate solves at the key level for
-//! session-less runs. The warm determinism contract is therefore exactly
-//! the batch one: for runs whose deadlines never fire, a warm request's
-//! output is byte-identical to a cold in-process run with the same
-//! arguments, whatever ran before it.
+//! Fresh solves are pure, so any hit replays exactly what a solve would
+//! return. Session solves are not: they depend on the lane's history.
+//! With sessions on, the salt pins the query, budget and fault plan, so
+//! within one salt a lane always poses the same keys in the same order,
+//! and the skeleton class is hashed into every key, so no key recurs
+//! outside its lane. A lane's entries therefore reach the cache all at
+//! once or not at all, and a warm lane finds none of them or all of them.
+//! With none it solves on a fresh session exactly as a cold run would;
+//! with all it never builds a session. If a concurrent run commits the
+//! lane's entries while it is running, every later lookup is a hit and
+//! returns what the lane would have computed. So for runs whose deadlines
+//! never fire, a warm request's output is byte-identical to a cold
+//! in-process run with the same arguments, whatever ran before or beside
+//! it — without any lock held across a run.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use xdata_relalg::fingerprint::structural_hash;
 use xdata_relalg::NormQuery;
-use xdata_solver::{Mode, Model, Problem, SolveOutcome, SolveSession, SolverStats};
+use xdata_solver::{Mode, Model, Problem, SolveOutcome, SolverStats};
 
 use crate::suite::GenOptions;
 
-/// Lock a mutex tolerating poison: the protected maps are only ever
-/// mutated by whole-entry insert/remove, so a panic on another thread
-/// cannot leave them in a torn state worth refusing to read.
-pub(crate) fn lock_ignore_poison<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Cross-target memo over complete solve calls.
-///
-/// Keyed by a 128-bit structural hash of the problem; the first thread to
-/// claim a key marks it [`MemoEntry::Pending`] and computes, concurrent
-/// arrivals with the same key block on the condvar until the value lands.
-/// This blocking dedup is what keeps `core.solve_memo.hit`/`.miss` — and
-/// the reused [`SolverStats`] — schedule-independent: each distinct key
-/// misses exactly once however many threads race on it.
-#[derive(Default)]
-pub(crate) struct SolveMemo {
-    pub(crate) map: Mutex<HashMap<(u64, u64), MemoEntry>>,
-    pub(crate) done: Condvar,
-}
-
-pub(crate) enum MemoEntry {
-    Pending,
-    Done(MemoValue),
-}
-
+/// A memoized solve: verdict (with model values) plus the solver stats of
+/// the solve that produced it.
 #[derive(Clone)]
 pub(crate) struct MemoValue {
     pub(crate) outcome: MemoOutcome,
     pub(crate) stats: SolverStats,
+}
+
+impl MemoValue {
+    /// The stored verdict against `problem`, which must be structurally
+    /// identical to the one that produced it.
+    pub(crate) fn replay(&self, problem: &Problem) -> (SolveOutcome, SolverStats) {
+        (self.outcome.replay(problem), self.stats)
+    }
 }
 
 /// [`SolveOutcome`] with the model flattened to raw values so it can be
@@ -111,7 +98,7 @@ impl MemoOutcome {
         }
     }
 
-    pub(crate) fn replay(&self, problem: &Problem) -> SolveOutcome {
+    fn replay(&self, problem: &Problem) -> SolveOutcome {
         match self {
             MemoOutcome::Sat(values) => {
                 SolveOutcome::Sat(Model::from_values(values.clone(), problem.var_table()))
@@ -122,31 +109,20 @@ impl MemoOutcome {
     }
 }
 
-/// Drop guard owning a [`MemoEntry::Pending`] claim: unless defused with
-/// [`std::mem::forget`], dropping it removes the claim and wakes every
-/// thread waiting on the key. This is the memo's unwind safety — a panic
-/// (or a `Cancelled` early return) in the computing thread releases the
-/// key instead of leaving waiters parked forever on the condvar.
-pub(crate) struct PendingGuard<'m> {
-    pub(crate) memo: &'m SolveMemo,
-    pub(crate) key: (u64, u64),
-}
-
-impl Drop for PendingGuard<'_> {
-    fn drop(&mut self) {
-        let mut map = lock_ignore_poison(&self.memo.map);
-        map.remove(&self.key);
-        self.memo.done.notify_all();
-    }
-}
-
 /// Structural 128-bit key of a solve call: two independently seeded 64-bit
-/// hashes over (context salt, mode, budget, array specs, ordered
-/// constraints). The constraint *order* is hashed deliberately — assertion
-/// order steers the search, so only byte-identical problems may share an
-/// outcome. `salt` is `0` for a batch run and [`context_salt`] for a warm
-/// one (tenant namespace + session context).
-pub(crate) fn memo_key(problem: &Problem, opts: &GenOptions, limit: u64, salt: u64) -> (u64, u64) {
+/// hashes over (context salt, mode, skeleton class, budget, array specs,
+/// ordered constraints). The constraint *order* is hashed deliberately —
+/// assertion order steers the search, so only byte-identical problems may
+/// share an outcome. `copies` is the lane's skeleton class, which keeps
+/// every key inside one lane. `salt` is `0` for a batch run and
+/// [`context_salt`] for a warm one (tenant namespace + session context).
+pub(crate) fn memo_key(
+    problem: &Problem,
+    opts: &GenOptions,
+    copies: u32,
+    limit: u64,
+    salt: u64,
+) -> (u64, u64) {
     use std::collections::hash_map::DefaultHasher;
     let mut h1 = DefaultHasher::new();
     let mut h2 = DefaultHasher::new();
@@ -154,6 +130,7 @@ pub(crate) fn memo_key(problem: &Problem, opts: &GenOptions, limit: u64, salt: u
     for h in [&mut h1, &mut h2] {
         salt.hash(h);
         opts.mode.hash(h);
+        copies.hash(h);
         limit.hash(h);
         problem.specs().hash(h);
         problem.constraints().hash(h);
@@ -192,20 +169,12 @@ pub(crate) fn context_salt(namespace: &str, query: &NormQuery, opts: &GenOptions
     h.finish()
 }
 
-/// Process-long warm state shared across requests and tenants — see the
-/// module docs. `Sync` by construction: every map sits behind the same
-/// Mutex+Condvar shapes the single-run pipeline already uses.
+/// Process-long warm state shared across requests and tenants: the solve
+/// memo, behind one mutex that is held only for a lookup or a commit — see
+/// the module docs.
 #[derive(Default)]
 pub struct WarmCache {
-    pub(crate) memo: SolveMemo,
-    /// Warm incremental sessions keyed by (context salt, copies,
-    /// repair_cap). Only populated by runs whose salt gate is held, so
-    /// plain get/insert cannot race within a salt.
-    sessions: Mutex<HashMap<(u64, u32, u32), Arc<SolveSession>>>,
-    /// Salts with a generation run currently in flight (the per-salt run
-    /// gate).
-    running: Mutex<HashSet<u64>>,
-    freed: Condvar,
+    memo: Mutex<HashMap<(u64, u64), MemoValue>>,
 }
 
 impl WarmCache {
@@ -213,107 +182,42 @@ impl WarmCache {
         WarmCache::default()
     }
 
-    /// Resolved solve outcomes currently held (the `serve.warm.memo_entries`
-    /// gauge). Pending claims of in-flight solves are not counted.
-    pub fn memo_entries(&self) -> usize {
-        lock_ignore_poison(&self.memo.map)
-            .values()
-            .filter(|e| matches!(e, MemoEntry::Done(_)))
-            .count()
-    }
-
-    /// Warm incremental sessions currently held (the `serve.warm.sessions`
+    /// Memoized solve outcomes currently held (the `serve.warm.memo_entries`
     /// gauge).
-    pub fn session_count(&self) -> usize {
-        lock_ignore_poison(&self.sessions).len()
+    pub fn len(&self) -> usize {
+        self.map().len()
     }
 
-    /// Drop every memoized outcome and warm session (e.g. an operator
-    /// bouncing a tenant's corpus). In-flight runs are unaffected beyond
-    /// losing future hits: pending memo claims stay untouched.
-    pub fn clear(&self) {
-        lock_ignore_poison(&self.memo.map).retain(|_, e| matches!(e, MemoEntry::Pending));
-        lock_ignore_poison(&self.sessions).clear();
+    pub fn is_empty(&self) -> bool {
+        self.map().is_empty()
     }
 
-    pub(crate) fn session(&self, salt: u64, copies: u32, cap: u32) -> Option<Arc<SolveSession>> {
-        lock_ignore_poison(&self.sessions).get(&(salt, copies, cap)).map(Arc::clone)
-    }
-
-    pub(crate) fn insert_session(
+    /// The stored outcome for `key`, replayed against `problem`.
+    pub(crate) fn replay(
         &self,
-        salt: u64,
-        copies: u32,
-        cap: u32,
-        session: Arc<SolveSession>,
-    ) {
-        lock_ignore_poison(&self.sessions).insert((salt, copies, cap), session);
+        key: (u64, u64),
+        problem: &Problem,
+    ) -> Option<(SolveOutcome, SolverStats)> {
+        self.map().get(&key).map(|v| v.replay(problem))
     }
 
-    /// Serialize generation runs sharing `salt`: blocks until no other run
-    /// with the same salt is in flight, then claims it. Runs with other
-    /// salts (other tenants, other queries) proceed in parallel. The guard
-    /// releases the salt on every exit path, panics included.
-    pub(crate) fn lock_run(&self, salt: u64) -> RunGuard<'_> {
-        let mut running = lock_ignore_poison(&self.running);
-        while running.contains(&salt) {
-            running = self
-                .freed
-                .wait(running)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+    /// Add a finished lane's entries.
+    pub(crate) fn commit(&self, entries: HashMap<(u64, u64), MemoValue>) {
+        if !entries.is_empty() {
+            self.map().extend(entries);
         }
-        running.insert(salt);
-        RunGuard { cache: self, salt }
     }
-}
 
-/// Drop guard releasing a [`WarmCache::lock_run`] claim.
-pub(crate) struct RunGuard<'w> {
-    cache: &'w WarmCache,
-    salt: u64,
-}
-
-impl Drop for RunGuard<'_> {
-    fn drop(&mut self) {
-        let mut running = lock_ignore_poison(&self.cache.running);
-        running.remove(&self.salt);
-        self.cache.freed.notify_all();
+    /// Poison-tolerant: the map is only ever changed by whole-entry
+    /// inserts, so a panic on another thread cannot leave it torn.
+    fn map(&self) -> MutexGuard<'_, HashMap<(u64, u64), MemoValue>> {
+        self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn run_gate_serializes_same_salt_only() {
-        let cache = WarmCache::new();
-        let g1 = cache.lock_run(7);
-        // A different salt is claimable while 7 is held.
-        let g2 = cache.lock_run(8);
-        drop(g2);
-        drop(g1);
-        // Re-claimable after release.
-        let _g3 = cache.lock_run(7);
-    }
-
-    #[test]
-    fn clear_empties_resolved_state() {
-        let cache = WarmCache::new();
-        lock_ignore_poison(&cache.memo.map).insert(
-            (1, 2),
-            MemoEntry::Done(MemoValue {
-                outcome: MemoOutcome::Unsat,
-                stats: SolverStats::default(),
-            }),
-        );
-        lock_ignore_poison(&cache.memo.map).insert((3, 4), MemoEntry::Pending);
-        assert_eq!(cache.memo_entries(), 1, "pending claims are not entries");
-        cache.clear();
-        assert_eq!(cache.memo_entries(), 0);
-        // The pending claim survives (its owner will resolve or drop it).
-        assert_eq!(lock_ignore_poison(&cache.memo.map).len(), 1);
-    }
 
     #[test]
     fn salt_separates_tenants_and_session_contexts() {

@@ -138,34 +138,25 @@ fn class_name(m: &Mutant) -> &'static str {
 
 /// Run every mutant in `space` against every dataset in `suite`, recording
 /// which dataset (if any) first kills each mutant — the evaluation loop of
-/// §VI-C. Sequential; see [`kill_report_jobs`] for the parallel form.
+/// §VI-C. Sequential; see [`kill_report_cancel`] for the parallel,
+/// cancellable form.
 pub fn kill_report(
     q: &NormQuery,
     space: &MutationSpace,
     suite: &[&Dataset],
     schema: &Schema,
 ) -> Result<KillReport, EngineError> {
-    kill_report_jobs(q, space, suite, schema, 1)
+    kill_report_cancel(q, space, suite, schema, 1, &CancelToken::new())
 }
 
 /// [`kill_report`] with the mutant axis sharded over `jobs` worker threads
-/// (`0` = one per core). Each mutant's verdict — the index of the *first*
-/// dataset that kills it — is independent of every other mutant's, and the
-/// order-preserving parallel map returns verdicts in mutant-enumeration
-/// order, so the report is identical for every `jobs` value.
-pub fn kill_report_jobs(
-    q: &NormQuery,
-    space: &MutationSpace,
-    suite: &[&Dataset],
-    schema: &Schema,
-    jobs: usize,
-) -> Result<KillReport, EngineError> {
-    kill_report_cancel(q, space, suite, schema, jobs, &CancelToken::new())
-}
-
-/// [`kill_report_jobs`] honoring a cancellation token: when `cancel` trips
-/// (a pipeline-level deadline expired), mutants without a verdict yet land
-/// in [`KillReport::unevaluated`] instead of blocking the report. Verdicts
+/// (`0` = one per core), honoring a cancellation token. Each mutant's
+/// verdict — the index of the *first* dataset that kills it — is
+/// independent of every other mutant's, and the order-preserving parallel
+/// map returns verdicts in mutant-enumeration order, so the report is
+/// identical for every `jobs` value. When `cancel` trips (a pipeline-level
+/// deadline expired), mutants without a verdict yet land in
+/// [`KillReport::unevaluated`] instead of blocking the report. Verdicts
 /// already computed are kept — cancellation never invalidates them.
 pub fn kill_report_cancel(
     q: &NormQuery,
@@ -302,7 +293,9 @@ mod tests {
 
         // The parallel form must agree verdict-for-verdict.
         for jobs in [0, 2, 8] {
-            let par = kill_report_jobs(&q, &space, &[&d1, &d2], &schema, jobs).unwrap();
+            let par =
+                kill_report_cancel(&q, &space, &[&d1, &d2], &schema, jobs, &CancelToken::new())
+                    .unwrap();
             assert_eq!(report.killed_by, par.killed_by, "jobs={jobs}");
         }
     }

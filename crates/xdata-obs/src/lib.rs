@@ -212,8 +212,8 @@ pub fn instant(name: &'static str, label: impl FnOnce() -> String) {
 }
 
 /// Journal a flow marker connecting causally-related work across threads
-/// (a plan target moving from the planning thread to its solving worker, a
-/// session's turn order across gated targets). `id` disambiguates
+/// (a plan target moving from the planning thread to its solving worker).
+/// `id` disambiguates
 /// concurrent flows with the same `name`; the Chrome exporter renders them
 /// as arrows.
 #[inline]

@@ -10,7 +10,7 @@
 /// Every canonical counter, sorted. Solver counters are recorded inside
 /// `xdata-solver` (per ground solve), `core.*` by `xdata-core::generate`
 /// and `xdata-core::grade`, `engine.*` by the join executor, `kill.*` by
-/// `xdata-engine::kill_report_jobs`, and `serve.*` by the `xdata-serve`
+/// `xdata-engine::kill_report_cancel`, and `serve.*` by the `xdata-serve`
 /// daemon (connection/request lifecycle and warm-cache occupancy).
 pub const ALL_COUNTERS: &[&str] = &[
     "core.grade.candidates",
@@ -66,7 +66,6 @@ pub const ALL_COUNTERS: &[&str] = &[
     "serve.requests.grade_batch",
     "serve.requests.ping",
     "serve.warm.memo_entries",
-    "serve.warm.sessions",
     "solver.cancel_checks",
     "solver.clause_db.dropped",
     "solver.clause_db.kept",
@@ -98,17 +97,13 @@ pub const ALL_HISTOGRAMS: &[&str] = &[
     "solver.ground_atoms",
 ];
 
-/// Every canonical span path (the pipeline phases).
-/// `generate/solve/gate` wraps a session-eligible target's wait on the
-/// turn gate, separating queueing from solving in the timeline. The
-/// `grade/*` spans cover the batch-grading fast path: `grade/reference`
+/// Every canonical span path (the pipeline phases). The `grade/*` spans cover the batch-grading fast path: `grade/reference`
 /// executes the instructor query per dataset, `grade/grid` fans the
 /// deduplicated candidate×dataset matrix over the worker pool.
 pub const PHASE_SPANS: &[&str] = &[
     "generate",
     "generate/plan",
     "generate/solve",
-    "generate/solve/gate",
     "grade",
     "grade/grid",
     "grade/reference",
@@ -130,8 +125,6 @@ pub const PHASE_SPANS: &[&str] = &[
 ///   the queue-wait since the batch was submitted. Scheduling-domain, so
 ///   excluded from the deterministic trace structure.
 /// * `solver.restart` — a CDCL core restarted (conflict-driven, Luby).
-/// * `solver.session.turn` — a session handover: a gated target's turn
-///   arrived on its shared incremental engine.
 /// * `solver.solve` — one ground solve finished; the label carries the
 ///   verdict and decision/conflict totals (per-decision events would bloat
 ///   traces by orders of magnitude; the batch is the compromise).
@@ -140,17 +133,13 @@ pub const ALL_INSTANTS: &[&str] = &[
     "kill.verdict",
     "par.claim",
     "solver.restart",
-    "solver.session.turn",
     "solver.solve",
 ];
 
-/// Every canonical flow name, sorted. `target` arrows connect a plan
-/// item's planning-time start to the worker that solved it (flow id =
-/// plan index); `session` arrows chain the turn order of gated targets
-/// sharing one incremental solver session (flow id = copies-class id,
-/// offset into its own namespace by the instrumentation so the two flow
-/// families cannot collide).
-pub const FLOW_NAMES: &[&str] = &["session", "target"];
+/// Every canonical flow name, sorted. `target` arrows connect a solve
+/// target's planning-time start to the worker that solved it (flow id =
+/// plan index).
+pub const FLOW_NAMES: &[&str] = &["target"];
 
 /// Zero-initialize every canonical key. Call right after [`crate::install`]
 /// when a stable report schema matters (the CLI does); without it the

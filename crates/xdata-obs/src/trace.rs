@@ -6,7 +6,7 @@
 //!
 //! * [`TraceLog::to_chrome_json`] — Chrome trace-event JSON, loadable in
 //!   Perfetto or `chrome://tracing`. Threads become tracks, spans become
-//!   `B`/`E` pairs, targets and sessions become flow arrows.
+//!   `B`/`E` pairs, solve targets become flow arrows.
 //! * [`TraceLog::to_folded`] — folded-stacks text (`stack;path weight`)
 //!   consumable by any flamegraph renderer. Weights are self-time in
 //!   nanoseconds.
@@ -20,7 +20,7 @@
 //!   tests, CI and `xdata trace --validate`.
 //! * [`TraceLog::analyze`] — offline analysis backing the `xdata trace`
 //!   subcommand: critical-path extraction, per-target and per-mutant-class
-//!   breakdowns, turn-gate wait attribution, top-K slowest solves.
+//!   breakdowns, top-K slowest solves.
 //!
 //! Everything here is hand-rolled: the workspace has zero external
 //! dependencies by design, so the exporters emit JSON via string building
@@ -318,9 +318,7 @@ impl TraceLog {
     ///   worker claimed which slot), which is exactly what `--jobs`
     ///   changes; they are counted under their name only.
     /// * instants and counters keep their owning span *path* but not its
-    ///   label: with memoized solves the computing target is
-    ///   first-arriver-wins, so owner labels are racy even though the
-    ///   event multiset is not.
+    ///   label; the span lines already list every label.
     pub fn to_structure(&self) -> String {
         let mut spans: BTreeMap<(String, String), u64> = BTreeMap::new();
         let mut instants: BTreeMap<(String, String), u64> = BTreeMap::new();
@@ -375,8 +373,7 @@ impl TraceLog {
     }
 
     /// Offline analysis backing `xdata trace`: critical path, per-target
-    /// and per-mutant-class time, turn-gate waits and the top-`k` slowest
-    /// solves.
+    /// and per-mutant-class time and the top-`k` slowest solves.
     pub fn analyze(&self, k: usize) -> TraceAnalysis {
         let spans = self.span_instances();
         let root_start = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
@@ -443,7 +440,6 @@ impl TraceLog {
             let r = s.label.rfind(']')?;
             (l < r).then(|| s.label[l + 1..r].to_string())
         });
-        let gate_wait = group("generate/solve/gate", &|s| Some(s.label.clone()));
 
         let mut slowest: Vec<SpanInstance> =
             spans.iter().filter(|s| s.path == "generate/solve").cloned().collect();
@@ -457,7 +453,6 @@ impl TraceLog {
             critical_path: segments,
             per_target,
             per_class,
-            gate_wait,
             slowest,
         }
     }
@@ -489,7 +484,6 @@ pub struct TraceAnalysis {
     pub critical_path: Vec<CriticalSegment>,
     pub per_target: Vec<(String, u64, u64)>,
     pub per_class: Vec<(String, u64, u64)>,
-    pub gate_wait: Vec<(String, u64, u64)>,
     pub slowest: Vec<SpanInstance>,
 }
 

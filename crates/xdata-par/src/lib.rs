@@ -2,28 +2,29 @@
 //!
 //! A dependency-free parallel execution layer built on [`std::thread::scope`]
 //! (no rayon, no crossbeam): a small work-stealing pool exposing an
-//! order-preserving [`par_map`].
+//! order-preserving, cancellable [`par_map_cancel`].
 //!
 //! Both X-Data hot paths are embarrassingly parallel with *wildly* uneven
-//! task costs — one constraint target can take 100× another (deep
-//! repair-ladder retries), one mutant can die on the first dataset while
-//! another survives all of them. Static chunking would serialize on the
-//! slowest chunk, so workers instead pull the next item from a shared atomic
+//! task costs — one skeleton class of constraint targets can take 100×
+//! another, one mutant can die on the first dataset while another
+//! survives all of them. Static chunking would serialize on the slowest
+//! chunk, so workers instead pull the next item from a shared atomic
 //! cursor (work stealing at item granularity). Each worker accumulates
 //! `(index, result)` pairs locally; the results are scattered back into
 //! input order afterwards, which is what makes parallel output
 //! **byte-identical** to sequential output regardless of thread count.
 //!
-//! Determinism contract: `par_map(jobs, items, f)` returns exactly
-//! `items.iter().enumerate().map(|(i, x)| f(i, x)).collect()` for every
-//! `jobs`, provided `f` is a pure function of its arguments. Nothing about
-//! scheduling order can leak into the result vector.
+//! Determinism contract: with a token that never trips,
+//! `par_map_cancel(jobs, items, &token, f)` returns exactly
+//! `items.iter().enumerate().map(|(i, x)| Some(f(i, x))).collect()` for
+//! every `jobs`, provided `f` is a pure function of its arguments.
+//! Nothing about scheduling order can leak into the result vector.
 //!
 //! The [`cancel`] module provides the pipeline's cooperative
-//! [`CancelToken`] (atomic flag + optional deadline); [`par_map_cancel`]
-//! honours it with an early exit: workers stop claiming items once the
-//! token trips, and the unprocessed slots come back as `None` so the
-//! caller can attribute every skipped item instead of losing it.
+//! [`CancelToken`] (atomic flag + optional deadline); once it trips,
+//! workers stop claiming items, and the unprocessed slots come back as
+//! `None` so the caller can attribute every skipped item instead of
+//! losing it.
 
 pub mod cancel;
 
@@ -54,27 +55,15 @@ pub fn resolve_jobs(requested: usize) -> usize {
 /// * Work is distributed dynamically: each worker repeatedly claims the next
 ///   unprocessed index from an atomic cursor, so stragglers don't idle the
 ///   pool.
-/// * A panic in `f` propagates to the caller once the scope joins.
-pub fn par_map<T, R, F>(jobs: usize, items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    par_map_cancel(jobs, items, &CancelToken::new(), f)
-        .into_iter()
-        .map(|r| r.expect("never-cancelled par_map left a slot unprocessed"))
-        .collect()
-}
-
-/// [`par_map`] with cooperative early exit: once `cancel` trips, workers
-/// stop claiming new items (items already in flight run to completion) and
-/// every unprocessed slot is returned as `None`, preserving positional
-/// attribution — callers know exactly *which* items were abandoned.
+/// * A panic in `f` propagates to the caller once the scope joins, naming
+///   the item index and the payload.
+/// * Cooperative early exit: once `cancel` trips, workers stop claiming new
+///   items (items already in flight run to completion) and every
+///   unprocessed slot is returned as `None`, preserving positional
+///   attribution — callers know exactly *which* items were abandoned.
 ///
-/// With a never-tripping token this is exactly [`par_map`]. With a
-/// synthetically cancelled token (tripped before the call) no item runs at
-/// all. A wall-clock deadline may trip mid-run, in which case *which*
+/// With a never-tripping token every slot is `Some`. With a synthetically
+/// cancelled token (tripped before the call) no item runs at all. A wall-clock deadline may trip mid-run, in which case *which*
 /// slots are `None` depends on scheduling — callers that need determinism
 /// must only rely on the already-computed (`Some`) results being pure.
 pub fn par_map_cancel<T, R, F>(
@@ -150,7 +139,7 @@ where
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("par_map worker panicked")).collect()
+        handles.into_iter().map(|h| h.join().expect("par_map_cancel worker panicked")).collect()
     });
     if let Some((i, payload)) = first_panic.into_inner().expect("panic slot") {
         let msg = payload
@@ -158,7 +147,7 @@ where
             .map(|s| s.to_string())
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_else(|| "<non-string panic payload>".to_string());
-        panic!("par_map worker panicked on item {i}: {msg}");
+        panic!("par_map_cancel worker panicked on item {i}: {msg}");
     }
     // Scatter back into input order. The cursor hands each index out at
     // most once; indices never claimed (cancellation tripped first) stay
@@ -173,36 +162,30 @@ where
     slots
 }
 
-/// [`par_map`] over fallible tasks: short-circuits to the **first** error in
-/// *input* order (not completion order), so error reporting is deterministic
-/// too. All tasks still run — with independent solver tasks the wasted work
-/// on a rare error is cheaper than cross-thread cancellation plumbing.
-pub fn try_par_map<T, R, E, F>(jobs: usize, items: &[T], f: F) -> Result<Vec<R>, E>
-where
-    T: Sync,
-    R: Send,
-    E: Send,
-    F: Fn(usize, &T) -> Result<R, E> + Sync,
-{
-    let results = par_map(jobs, items, f);
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        out.push(r?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
+
+    /// [`par_map_cancel`] under a token that never trips: every slot must
+    /// come back filled.
+    fn map_all<T: Sync, R: Send>(
+        jobs: usize,
+        items: &[T],
+        f: impl Fn(usize, &T) -> R + Sync,
+    ) -> Vec<R> {
+        par_map_cancel(jobs, items, &CancelToken::new(), f)
+            .into_iter()
+            .map(|r| r.expect("a live token leaves no slot unprocessed"))
+            .collect()
+    }
 
     #[test]
     fn preserves_order_across_thread_counts() {
         let items: Vec<u64> = (0..257).collect();
         let expected: Vec<u64> = items.iter().map(|x| x * x).collect();
         for jobs in [0, 1, 2, 3, 8, 64] {
-            let got = par_map(jobs, &items, |_, x| x * x);
+            let got = map_all(jobs, &items, |_, x| x * x);
             assert_eq!(got, expected, "jobs={jobs}");
         }
     }
@@ -210,7 +193,7 @@ mod tests {
     #[test]
     fn index_argument_matches_position() {
         let items = vec!["a", "b", "c", "d", "e"];
-        let got = par_map(4, &items, |i, s| format!("{i}:{s}"));
+        let got = map_all(4, &items, |i, s| format!("{i}:{s}"));
         assert_eq!(got, vec!["0:a", "1:b", "2:c", "3:d", "4:e"]);
     }
 
@@ -218,7 +201,7 @@ mod tests {
     fn uneven_task_costs_all_complete() {
         // Tasks with pathological skew: item 0 does ~1000x the work.
         let items: Vec<u64> = (0..64).collect();
-        let got = par_map(8, &items, |_, &x| {
+        let got = map_all(8, &items, |_, &x| {
             let spins = if x == 0 { 100_000 } else { 100 };
             (0..spins).fold(x, |acc, _| acc.wrapping_mul(31).wrapping_add(1))
         });
@@ -228,37 +211,18 @@ mod tests {
     #[test]
     fn empty_and_singleton_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(8, &empty, |_, x| *x).is_empty());
-        assert_eq!(par_map(8, &[7u32], |_, x| x + 1), vec![8]);
+        assert!(map_all(8, &empty, |_, x| *x).is_empty());
+        assert_eq!(map_all(8, &[7u32], |_, x| x + 1), vec![8]);
     }
 
     #[test]
     fn every_item_processed_exactly_once() {
         let counter = AtomicUsize::new(0);
         let items: Vec<u32> = (0..1000).collect();
-        par_map(7, &items, |_, _| {
+        map_all(7, &items, |_, _| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(counter.load(Ordering::Relaxed), 1000);
-    }
-
-    #[test]
-    fn try_par_map_reports_first_error_in_input_order() {
-        let items: Vec<i32> = (0..100).collect();
-        // Items 30 and 60 fail; input-order first is 30, regardless of
-        // which thread finished first.
-        for jobs in [1, 2, 8] {
-            let r: Result<Vec<i32>, i32> =
-                try_par_map(jobs, &items, |_, &x| if x == 30 || x == 60 { Err(x) } else { Ok(x) });
-            assert_eq!(r.unwrap_err(), 30, "jobs={jobs}");
-        }
-    }
-
-    #[test]
-    fn try_par_map_ok_preserves_order() {
-        let items: Vec<i32> = (0..50).collect();
-        let r: Result<Vec<i32>, ()> = try_par_map(4, &items, |_, &x| Ok(x * 2));
-        assert_eq!(r.unwrap(), (0..50).map(|x| x * 2).collect::<Vec<_>>());
     }
 
     #[test]
@@ -271,7 +235,7 @@ mod tests {
     #[should_panic(expected = "worker panicked")]
     fn worker_panic_propagates() {
         let items = vec![1u32, 2, 3, 4];
-        par_map(2, &items, |_, &x| {
+        map_all(2, &items, |_, &x| {
             if x == 3 {
                 panic!("boom");
             }
@@ -280,10 +244,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "par_map worker panicked on item 2: boom at 3")]
+    #[should_panic(expected = "par_map_cancel worker panicked on item 2: boom at 3")]
     fn worker_panic_reports_item_index_and_payload() {
         let items = vec![1u32, 2, 3, 4];
-        par_map(2, &items, |_, &x| {
+        map_all(2, &items, |_, &x| {
             if x == 3 {
                 panic!("boom at {x}");
             }
@@ -297,11 +261,11 @@ mod tests {
         // panic is always observed and the surfaced index is in range.
         let items: Vec<u32> = (0..32).collect();
         let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            par_map(4, &items, |_, &x| -> u32 { panic!("all fail {x}") })
+            map_all(4, &items, |_, &x| -> u32 { panic!("all fail {x}") })
         }));
         let payload = r.expect_err("must panic");
         let msg = payload.downcast_ref::<String>().expect("formatted message");
-        assert!(msg.starts_with("par_map worker panicked on item "), "{msg}");
+        assert!(msg.starts_with("par_map_cancel worker panicked on item "), "{msg}");
         assert!(msg.contains("all fail"), "payload text lost: {msg}");
     }
 
@@ -354,7 +318,7 @@ mod tests {
     #[should_panic(expected = "<non-string panic payload>")]
     fn worker_panic_non_string_payload_still_reports_index() {
         let items = vec![1u32, 2];
-        par_map(2, &items, |_, &x| {
+        map_all(2, &items, |_, &x| {
             if x == 2 {
                 std::panic::panic_any(42i32);
             }

@@ -70,7 +70,7 @@ fn parsed_script(shared: &Shared, text: &str) -> Result<Arc<ParsedScript>, WireE
 /// The warm-cache namespace for one `(tenant, schema script)` pair. The
 /// script hash is part of the namespace because session salts hash only
 /// the *query* structurally — the same query text under two different
-/// schemas must never share warm sessions.
+/// schemas must never share memoized solves.
 fn namespace(tenant: &str, schema_text: &str) -> String {
     let (a, b) = script_key(schema_text);
     format!("{tenant}\u{1f}{a:016x}{b:016x}")
@@ -215,9 +215,8 @@ fn warm_suite(
 fn run_method(shared: &Shared, req: &Request, cancel: &CancelToken) -> Result<String, WireError> {
     match &req.body {
         RequestBody::Ping => Ok(format!(
-            "pong: protocol {PROTOCOL_VERSION}, warm memo entries {}, warm sessions {}\n",
-            shared.warm.memo_entries(),
-            shared.warm.session_count()
+            "pong: protocol {PROTOCOL_VERSION}, warm memo entries {}\n",
+            shared.warm.len()
         )),
         RequestBody::Shutdown => Ok("shutting down: draining connections\n".to_string()),
         RequestBody::Generate(p) => {
@@ -304,8 +303,7 @@ fn snapshot_serve_counters(shared: &Shared) {
     xdata_obs::counter("serve.errors", s.errors.load(Ordering::Relaxed));
     xdata_obs::counter("serve.rejected_frames", s.rejected_frames.load(Ordering::Relaxed));
     xdata_obs::counter("serve.deadline_clamped", s.deadline_clamped.load(Ordering::Relaxed));
-    xdata_obs::counter("serve.warm.memo_entries", shared.warm.memo_entries() as u64);
-    xdata_obs::counter("serve.warm.sessions", shared.warm.session_count() as u64);
+    xdata_obs::counter("serve.warm.memo_entries", shared.warm.len() as u64);
 }
 
 /// The full request lifecycle: stats, deadline mapping, the metrics gate,

@@ -7,14 +7,13 @@
 //! PROTOCOL.md at the repo root; runbook: OPERATIONS.md).
 //!
 //! The point of the daemon — versus the batch CLI, which produces the
-//! same bytes — is **warm state**. A process-long
-//! [`WarmCache`] keeps the solve memo and the
-//! incremental CDCL session engines alive across
-//! requests, keyed by structural hashes under a per-tenant namespace: a
-//! grading service calling `grade_batch` against one reference query pays
-//! for suite generation once and replays memoized solves on every later
-//! batch (the `serve_sweep` bench measures the multiplier). Parsed schema
-//! scripts are cached the same way.
+//! same bytes — is **warm state**. A process-long [`WarmCache`] keeps
+//! memoized solves across requests, keyed by structural hashes under a
+//! per-tenant namespace: a grading service calling `grade_batch` against
+//! one reference query pays for suite generation once and replays
+//! memoized solves on every later batch (the `serve_sweep` bench measures
+//! the multiplier). Incremental solver sessions live only as long as the
+//! run that built them. Parsed schema scripts are cached the same way.
 //!
 //! ## Threading model
 //!

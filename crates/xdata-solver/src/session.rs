@@ -30,13 +30,11 @@
 //! itself refuted, independent of any selector) poisons the session, after
 //! which every further target reports `Unsat` immediately.
 //!
-//! The session is `Sync`: callers may share it behind an `Arc`, with an
-//! internal mutex serializing solves. Determinism across schedules is the
-//! *caller's* responsibility — results depend on the order in which
-//! targets hit the session, so `xdata-core` serializes same-skeleton
-//! targets into plan order before calling in.
-
-use std::sync::Mutex;
+//! [`SolveSession::solve_delta`] takes `&mut self`: a session has one
+//! owner and no lock. Results depend on the order in which targets reach
+//! the session, so a caller that wants reproducible output feeds them in a
+//! fixed order; `xdata-core` gives each skeleton class its own sessions and
+//! solves that class's targets one after another in plan order.
 
 use xdata_par::CancelToken;
 
@@ -48,7 +46,11 @@ use crate::problem::{outcome_from_ground, Problem, SolveOutcome, SolverStats};
 use crate::search::{record_search_obs, GroundResult};
 use crate::unfold::unfold;
 
-struct Inner {
+/// A long-lived solving session over one shared constraint skeleton. See
+/// the module docs for the encoding; see `xdata-core`'s generator for the
+/// production caller (one session per `(copies, repair_cap)` skeleton
+/// shape).
+pub struct SolveSession {
     core: Cdcl,
     vars: VarTable,
     /// The monolithic formula: an `And` whose first child is the lowered
@@ -66,14 +68,6 @@ struct Inner {
     poisoned: bool,
 }
 
-/// A long-lived solving session over one shared constraint skeleton. See
-/// the module docs for the encoding; see `xdata-core`'s generator for the
-/// production caller (one session per `(copies, repair_cap)` skeleton
-/// shape).
-pub struct SolveSession {
-    inner: Mutex<Inner>,
-}
-
 impl SolveSession {
     /// Build a session from the shared skeleton problem, lowering its
     /// constraints into the engine once. In unfold mode the caller
@@ -87,26 +81,19 @@ impl SolveSession {
         let ground = unfold(&nf, &vars);
         let skel_if = core.lower_formula(&ground);
         SolveSession {
-            inner: Mutex::new(Inner {
-                core,
-                vars,
-                root: IF::And(vec![skel_if]),
-                selectors: Vec::new(),
-                skeleton_len: skeleton.constraints().len(),
-                poisoned: false,
-            }),
+            core,
+            vars,
+            root: IF::And(vec![skel_if]),
+            selectors: Vec::new(),
+            skeleton_len: skeleton.constraints().len(),
+            poisoned: false,
         }
-    }
-
-    /// Constraint count of the skeleton this session was built from.
-    pub fn skeleton_len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).skeleton_len
     }
 
     /// Number of targets registered so far (equals the number of
     /// non-pre-cancelled [`SolveSession::solve_delta`] calls).
     pub fn targets_registered(&self) -> usize {
-        self.inner.lock().unwrap_or_else(|e| e.into_inner()).selectors.len()
+        self.selectors.len()
     }
 
     /// Solve one target: `problem` must extend this session's skeleton
@@ -121,30 +108,28 @@ impl SolveSession {
     /// itself checks the token on the engine's usual every-64-steps
     /// cadence.
     pub fn solve_delta(
-        &self,
+        &mut self,
         problem: &Problem,
         limit: u64,
         cancel: &CancelToken,
     ) -> (SolveOutcome, SolverStats) {
-        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let inner = &mut *guard;
         if cancel.is_cancelled() {
             return (SolveOutcome::Cancelled, SolverStats::default());
         }
         debug_assert!(
-            problem.specs().len() == inner.vars.arrays().count()
+            problem.specs().len() == self.vars.arrays().count()
                 && problem
                     .specs()
                     .iter()
                     .enumerate()
-                    .all(|(i, s)| inner.vars.spec(crate::ids::ArrayId(i as u32)) == s),
+                    .all(|(i, s)| self.vars.spec(crate::ids::ArrayId(i as u32)) == s),
             "target problem declares different arrays than the session skeleton"
         );
         debug_assert!(
-            problem.constraints().len() >= inner.skeleton_len,
+            problem.constraints().len() >= self.skeleton_len,
             "target problem is shorter than the session skeleton"
         );
-        if inner.poisoned {
+        if self.poisoned {
             // The skeleton itself was refuted: every target is Unsat. Keep
             // the per-solve counters flowing so reports stay summable.
             let stats = SolverStats { ground_solves: 1, ..SolverStats::default() };
@@ -156,45 +141,45 @@ impl SolveSession {
         // Register this target: lower its delta and guard it behind a
         // fresh selector. `¬sel` comes first in the guard so the walk
         // dismisses inactive targets in O(1).
-        let tid = inner.selectors.len() as u32;
-        let sel = inner.core.intern_selector(tid);
-        let delta: Vec<IF> = problem.constraints()[inner.skeleton_len..]
+        let tid = self.selectors.len() as u32;
+        let sel = self.core.intern_selector(tid);
+        let delta: Vec<IF> = problem.constraints()[self.skeleton_len..]
             .iter()
             .map(|c| {
-                let g = unfold(&to_nnf(c), &inner.vars);
-                inner.core.lower_formula(&g)
+                let g = unfold(&to_nnf(c), &self.vars);
+                self.core.lower_formula(&g)
             })
             .collect();
         let target_guard =
             IF::Or(vec![IF::Not(Box::new(IF::Atom(sel))), IF::And(delta)]);
-        match &mut inner.root {
+        match &mut self.root {
             IF::And(children) => children.push(target_guard),
             _ => unreachable!("session root is always an And"),
         }
-        inner.selectors.push(sel);
+        self.selectors.push(sel);
 
-        let assumptions: Vec<_> = inner
+        let assumptions: Vec<_> = self
             .selectors
             .iter()
             .enumerate()
             .map(|(i, &s)| lit(s, i as u32 == tid))
             .collect();
-        inner.core.begin_solve(limit, cancel.clone(), assumptions);
+        self.core.begin_solve(limit, cancel.clone(), assumptions);
         // Age the clause DB between targets (level 0, before the search).
-        inner.core.reduce_db();
-        let reused = inner.core.live_learned_clauses() as u64;
-        let result = inner.core.solve_current(&inner.root);
-        if inner.core.global_unsat() {
-            inner.poisoned = true;
+        self.core.reduce_db();
+        let reused = self.core.live_learned_clauses() as u64;
+        let result = self.core.solve_current(&self.root);
+        if self.core.global_unsat() {
+            self.poisoned = true;
         }
         debug_assert!(
             !matches!(result, GroundResult::Unsat)
-                || inner.poisoned
-                || !inner.core.failed_core().is_empty(),
+                || self.poisoned
+                || !self.core.failed_core().is_empty(),
             "assumption-rejected solve must carry a failed-assumption core"
         );
 
-        let s = *inner.core.stats();
+        let s = *self.core.stats();
         let stats = SolverStats {
             decisions: s.decisions,
             conflicts: s.conflicts,
@@ -209,14 +194,14 @@ impl SolveSession {
             // Sessions report the engine's cumulative interned-atom count
             // (the formula grows by one guard per target); one-shot solves
             // report the per-target ground formula's atom count.
-            ground_atoms: inner.core.atom_count(),
+            ground_atoms: self.core.atom_count(),
         };
-        record_search_obs(&result, &s, inner.core.backjumps(), inner.core.lbds(), cancel);
+        record_search_obs(&result, &s, self.core.backjumps(), self.core.lbds(), cancel);
         xdata_obs::counter("solver.ground_solves", 1);
         xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
         xdata_obs::counter("solver.session.assumption_solves", 1);
         xdata_obs::counter("solver.session.reused_clauses", reused);
-        (outcome_from_ground(result, &inner.vars), stats)
+        (outcome_from_ground(result, &self.vars), stats)
     }
 }
 
@@ -247,7 +232,7 @@ mod tests {
     #[test]
     fn session_solves_many_targets_and_retains_learning() {
         let skel = skeleton();
-        let session = SolveSession::new(&skel);
+        let mut session = SolveSession::new(&skel);
         let token = CancelToken::new();
         for k in 0..6 {
             let mut p = skel.clone();
@@ -271,7 +256,7 @@ mod tests {
     #[test]
     fn unsat_target_does_not_poison_session() {
         let skel = skeleton();
-        let session = SolveSession::new(&skel);
+        let mut session = SolveSession::new(&skel);
         let token = CancelToken::new();
         // Target 0: contradictory — field both above and below bounds.
         let mut bad = skel.clone();
@@ -294,7 +279,7 @@ mod tests {
     fn unsat_skeleton_poisons_every_target() {
         let mut skel = skeleton();
         skel.assert(Formula::atom(fld(0, 0), RelOp::Gt, Term::Const(500)));
-        let session = SolveSession::new(&skel);
+        let mut session = SolveSession::new(&skel);
         let token = CancelToken::new();
         for _ in 0..2 {
             let mut p = skel.clone();
@@ -307,7 +292,7 @@ mod tests {
     #[test]
     fn pre_cancelled_solve_leaves_session_untouched() {
         let skel = skeleton();
-        let session = SolveSession::new(&skel);
+        let mut session = SolveSession::new(&skel);
         let expired = CancelToken::new();
         expired.cancel();
         let mut p = skel.clone();
@@ -334,7 +319,7 @@ mod tests {
             Formula::atom(fld(0, 0), RelOp::Eq, Term::Const(1)),
             Formula::atom(fld(0, 0), RelOp::Eq, Term::Const(7)),
         ]));
-        let session = SolveSession::new(&skel);
+        let mut session = SolveSession::new(&skel);
         let token = CancelToken::new();
         let mut p = skel.clone();
         p.assert(Formula::atom(fld(0, 0), RelOp::Gt, Term::Const(3)));
@@ -351,7 +336,7 @@ mod tests {
     #[test]
     fn matches_fresh_verdicts_across_a_target_family() {
         let skel = skeleton();
-        let session = SolveSession::new(&skel);
+        let mut session = SolveSession::new(&skel);
         let token = CancelToken::new();
         for k in 0..8 {
             let mut p = skel.clone();

@@ -28,8 +28,9 @@ cargo test -q --offline --test metrics_schema
 # Chaos gate: deterministic fault injection (injected panics, forced
 # Unknown exits, synthetic deadline expiry) must yield byte-identical
 # partial suites and stripped metrics across --jobs values, with every
-# skip attributed.
-cargo test -q --offline --features chaos --test chaos
+# skip attributed. The serve binary's chaos test checks that an expired
+# target becomes an `Unevaluated` verdict over the wire.
+cargo test -q --offline --features chaos --test chaos --test serve
 
 # Grading-sweep smoke gate: the batch grader over a tiny synthetic
 # submission pile. The binary asserts hash/nested verdict parity

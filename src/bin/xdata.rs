@@ -394,7 +394,6 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
     };
     breakdown("per-target solve time", &a.per_target);
     breakdown("per-mutant-class evaluation time", &a.per_class);
-    breakdown("turn-gate waits", &a.gate_wait);
 
     println!("\ntop {} slowest solves:", args.top);
     if a.slowest.is_empty() {

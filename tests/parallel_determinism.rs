@@ -1,11 +1,24 @@
 //! Cross-crate determinism guarantee: generation and kill evaluation must
 //! produce **byte-identical** output for every thread count. Covers the
 //! Table I chain-join workload and Table II-style selection/aggregation
-//! queries, with jobs ∈ {1, 2, 8}.
+//! queries, with jobs ∈ {1, 2, 8}, plus the sessions-off configurations
+//! (`Mode::Lazy` and §VI-A input databases).
+//!
+//! The metrics recorder is process-global, so the tests share a lock.
+
+use std::sync::{Mutex, MutexGuard};
 
 use xdata::catalog::university;
+use xdata::obs;
 use xdata::relalg::mutation::MutationOptions;
+use xdata::solver::Mode;
 use xdata::XData;
+
+static RECORDER_LOCK: Mutex<()> = Mutex::new(());
+
+fn lock() -> MutexGuard<'static, ()> {
+    RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 /// Table I: pure join chains over 2..=4 relations, all relevant FKs kept.
 fn table1_queries() -> Vec<(String, xdata::catalog::Schema)> {
@@ -44,6 +57,7 @@ fn table2_queries() -> Vec<(String, xdata::catalog::Schema)> {
 
 #[test]
 fn suites_and_kill_matrices_identical_across_thread_counts() {
+    let _g = lock();
     let mopts =
         MutationOptions { include_full: false, tree_limit: 2_000, ..Default::default() };
     let mut queries = table1_queries();
@@ -75,6 +89,42 @@ fn suites_and_kill_matrices_identical_across_thread_counts() {
             assert_eq!(skips(&base_run), skips(&run), "jobs={jobs}: {sql}");
             // Kill matrix, verdict for verdict.
             assert_eq!(base_report.killed_by, report.killed_by, "jobs={jobs}: {sql}");
+        }
+    }
+}
+
+/// Sessions-off generation solves every target with a fresh search, in
+/// parallel per skeleton class: `Mode::Lazy` (Table I's "without
+/// unfolding" column) and §VI-A input-database runs. Both queries plan
+/// targets in two classes (one tuple-set copy, plus the duplicate-row or
+/// aggregate copies). Suite bytes and the timing-stripped metrics report
+/// must not depend on `--jobs`.
+#[test]
+fn sessions_off_generation_identical_across_thread_counts() {
+    let _g = lock();
+    let queries = [
+        "SELECT i.name FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000",
+        "SELECT dept_id, SUM(salary) FROM instructor GROUP BY dept_id",
+    ];
+    let lazy = XData::new(university::schema()).with_mode(Mode::Lazy);
+    let input_db = XData::new(university::schema()).with_input_db(university::sample_data(5));
+    for (name, xd) in [("lazy", lazy), ("input-db", input_db)] {
+        for sql in queries {
+            let run = |jobs: usize| {
+                obs::install();
+                obs::preseed();
+                let xd = xd.clone().with_jobs(jobs);
+                let run = xd.generate_for(sql).unwrap_or_else(|e| panic!("{name} {sql}: {e}"));
+                let report = obs::take_report().expect("recorder was installed");
+                assert!(!run.suite.datasets.is_empty(), "{name} jobs={jobs}: {sql}");
+                (run.suite.to_string(), report.to_json_stripped())
+            };
+            let (suite1, metrics1) = run(1);
+            for jobs in [2, 8] {
+                let (suite, metrics) = run(jobs);
+                assert_eq!(suite1, suite, "{name}: suite differs at jobs={jobs}: {sql}");
+                assert_eq!(metrics1, metrics, "{name}: metrics differ at jobs={jobs}: {sql}");
+            }
         }
     }
 }

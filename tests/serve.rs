@@ -146,6 +146,43 @@ fn concurrent_clients_are_deterministic() {
     server.shutdown().expect("clean shutdown");
 }
 
+/// Concurrent clients on the *same* tenant and query: the four first
+/// requests start together and race cold on one warm-cache namespace,
+/// each committing the solves the others are still computing, and the
+/// second ones replay them. Half the clients ask for `jobs: 2`. Every
+/// reply must carry the single-client bytes.
+#[test]
+fn concurrent_clients_on_one_tenant_are_deterministic() {
+    let server = spawn_default();
+    let addr = server.addr();
+    let expected = Client::connect(addr)
+        .expect("connect")
+        .with_tenant("solo")
+        .generate(SCHEMA, JOIN_QUERY, WireOptions::default())
+        .expect("single-client generate")
+        .output;
+    let start = std::sync::Arc::new(std::sync::Barrier::new(4));
+    let handles: Vec<_> = (0..4)
+        .map(|i| {
+            let expected = expected.clone();
+            let start = std::sync::Arc::clone(&start);
+            std::thread::spawn(move || {
+                let mut c = Client::connect(addr).expect("connect").with_tenant("shared");
+                let opts = WireOptions { jobs: 1 + i % 2, ..WireOptions::default() };
+                start.wait();
+                for round in 0..2 {
+                    let got = c.generate(SCHEMA, JOIN_QUERY, opts.clone()).expect("generate");
+                    assert_eq!(got.output, expected, "client {i} diverged in round {round}");
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("client thread");
+    }
+    server.shutdown().expect("clean shutdown");
+}
+
 /// Framing edges: junk JSON gets a typed `bad_request` (with best-effort
 /// id recovery), an unknown method gets `unknown_method`, and an
 /// oversized line gets `oversized_frame` followed by connection close.

@@ -115,20 +115,13 @@ fn chaos_partial_run_exports_valid_chrome_trace_across_jobs() {
 }
 
 #[test]
-fn clean_run_trace_has_gate_spans_and_session_flows() {
+fn clean_run_trace_has_target_flows_and_registered_names() {
     let _g = lock();
     let log = traced_evaluate(2, FaultPlan::default());
     let structure = log.to_structure();
-    assert!(structure.contains("span generate/solve/gate"), "gate spans missing:\n{structure}");
-    assert!(structure.contains("flow session start"), "session flow start missing:\n{structure}");
-    assert!(structure.contains("flow session step"), "session flow steps missing:\n{structure}");
     assert!(structure.contains("flow target start"), "target flow starts missing:\n{structure}");
     assert!(structure.contains("flow target finish"), "target flow finishes missing:\n{structure}");
     assert!(structure.contains("instant kill.verdict"), "verdict instants missing:\n{structure}");
-    assert!(
-        structure.contains("instant solver.session.turn"),
-        "turn instants missing:\n{structure}"
-    );
     assert!(structure.contains("instant solver.solve"), "solve instants missing:\n{structure}");
 
     // Every instant name the pipeline journals is in the canonical
