@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use xdata_bench::{chain_schema, chain_sql, secs};
+use xdata_bench::{chain_schema, chain_sql, ms};
 use xdata_catalog::{university, DomainCatalog};
 use xdata_core::baseline::baseline_generate;
 use xdata_core::{generate, GenOptions};
@@ -23,7 +23,7 @@ fn main() {
     println!("schema without foreign keys (the old algorithm did not handle them)");
     println!(
         "{:>6} | {:>12} {:>10} {:>10} | {:>12} {:>10} {:>10}",
-        "#Joins", "old time", "old #ds", "old kill", "new time", "new #ds", "new kill"
+        "#Joins", "old ms", "old #ds", "old kill", "new ms", "new #ds", "new kill"
     );
     println!("{}", "-".repeat(84));
 
@@ -52,12 +52,12 @@ fn main() {
         let new_report = kill_report(&q, &space, &new_suite.data(), &schema).unwrap();
 
         println!(
-            "{:>6} | {:>12} {:>10} {:>10} | {:>12} {:>10} {:>10}",
+            "{:>6} | {:>12.3} {:>10} {:>10} | {:>12.3} {:>10} {:>10}",
             joins,
-            secs(old_time),
+            ms(old_time),
             old_suite.datasets.len(),
             format!("{}/{}", old_report.killed_count(), space.len()),
-            secs(new_time),
+            ms(new_time),
             new_suite.datasets.len(),
             format!("{}/{}", new_report.killed_count(), space.len()),
         );

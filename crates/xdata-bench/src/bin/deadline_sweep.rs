@@ -9,10 +9,8 @@
 //! cargo run -p xdata-bench --release --bin deadline_sweep
 //! ```
 
-use std::time::Duration;
-
 use xdata_bench::{
-    build_json_line, chain_schema, chain_sql, median_time, relevant_fk_count,
+    build_json_line, chain_schema, chain_sql, median_time, ms, relevant_fk_count,
     write_trace_artifact,
 };
 use xdata_catalog::DomainCatalog;
@@ -34,10 +32,6 @@ struct SweepRow {
     tiny_datasets: usize,
     /// Targets the tiny-deadline run timed out.
     tiny_timeouts: usize,
-}
-
-fn ms(d: Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn main() {

@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use xdata_bench::{chain_schema, chain_sql, secs};
+use xdata_bench::{chain_schema, chain_sql, ms};
 use xdata_catalog::{university, DomainCatalog};
 use xdata_core::{generate, GenOptions};
 use xdata_relalg::normalize;
@@ -22,7 +22,7 @@ fn main() {
 
     println!("Input-database experiment (cf. paper §VI-C.3)");
     println!("query: 4 joins (5 relations), no foreign keys, unfolded quantifiers");
-    println!("{:>22} {:>12} {:>10}", "input DB size", "total time", "#datasets");
+    println!("{:>22} {:>12} {:>10}", "input DB size", "time (ms)", "#datasets");
     println!("{}", "-".repeat(48));
 
     // Reference point: synthetic generation, no input database.
@@ -32,9 +32,9 @@ fn main() {
         let t = Instant::now();
         let suite = generate(&q, &schema, &domains, &opts).unwrap();
         println!(
-            "{:>22} {:>12} {:>10}",
+            "{:>22} {:>12.3} {:>10}",
             "none (synthetic)",
-            secs(t.elapsed()),
+            ms(t.elapsed()),
             suite.datasets.len()
         );
     }
@@ -51,9 +51,9 @@ fn main() {
         let t = Instant::now();
         let suite = generate(&q, &schema, &domains, &opts).unwrap();
         println!(
-            "{:>22} {:>12} {:>10}",
+            "{:>22} {:>12.3} {:>10}",
             format!("{n} tuples/relation"),
-            secs(t.elapsed()),
+            ms(t.elapsed()),
             suite.datasets.len()
         );
     }

@@ -28,7 +28,7 @@
 
 use std::time::Instant;
 
-use xdata_bench::build_json_line;
+use xdata_bench::{build_json_line, ms};
 use xdata_client::{Client, WireOptions};
 use xdata_core::generate;
 use xdata_relalg::normalize;
@@ -67,10 +67,6 @@ fn expected_outputs() -> Vec<String> {
             generate(&query, &schema, &domains, &opts).expect("suite generates").to_string()
         })
         .collect()
-}
-
-fn ms(d: std::time::Duration) -> f64 {
-    d.as_secs_f64() * 1e3
 }
 
 fn percentile(sorted_ms: &[f64], p: f64) -> f64 {

@@ -1,17 +1,19 @@
 //! Regenerates **Table I** of the paper: inner-join queries with 1–6 joins
 //! (2–7 relations), sweeping the number of foreign keys, reporting datasets
 //! generated, mutants killed, and generation time without/with quantifier
-//! unfolding. Also writes the table plus an aggregate pipeline metrics
-//! report to `results/BENCH_table1.json`.
+//! unfolding (median of five runs each, in milliseconds). Also writes the
+//! table plus an aggregate pipeline metrics report to
+//! `results/BENCH_table1.json`.
 //!
 //! ```sh
 //! cargo run -p xdata-bench --release --bin table1
 //! ```
 
 use xdata_bench::{
-    build_json_line, chain_schema, chain_sql, evaluate_query, indent_json, relevant_fk_count,
-    secs, write_trace_artifact,
+    build_json_line, chain_schema, chain_sql, evaluate_query, generate_time, indent_json, ms,
+    table1_points, write_trace_artifact,
 };
+use xdata_solver::Mode;
 
 fn main() {
     // Tree enumeration cap for mutant counting: the space is exponential;
@@ -27,50 +29,46 @@ fn main() {
 
     println!("Table I: results for inner join queries (cf. paper §VI-C.1)");
     println!(
-        "{:>5} {:>8} {:>4} {:>10} {:>8} {:>9} {:>14} {:>12}",
-        "Query", "#Joins", "#FK", "#Datasets", "#Killed", "#KillRaw", "t w/o unfold", "t unfolded"
+        "{:>5} {:>8} {:>4} {:>10} {:>8} {:>9} {:>18} {:>16}",
+        "Query",
+        "#Joins",
+        "#FK",
+        "#Datasets",
+        "#Killed",
+        "#KillRaw",
+        "t w/o unfold (ms)",
+        "t unfolded (ms)"
     );
-    println!("{}", "-".repeat(78));
+    println!("{}", "-".repeat(85));
     // Aggregate solver/pipeline metrics across the whole table run (both
-    // modes, every FK point) — embedded in the JSON artifact below.
+    // modes, every FK point, timing repeats included) — embedded in the
+    // JSON artifact below.
     xdata_obs::install();
     xdata_obs::preseed();
     let mut json_rows: Vec<String> = Vec::new();
-    for joins in 1..=max_joins {
+    for (joins, n_fks) in table1_points().into_iter().filter(|&(j, _)| j <= max_joins) {
         let k = joins + 1; // relations
-        let max_fk = relevant_fk_count(k);
-        // The paper shows 0, a middle value and the max; sweep all when few.
-        let mut fk_points: Vec<usize> = if max_fk <= 2 {
-            (0..=max_fk).collect()
-        } else {
-            vec![0, max_fk / 2, max_fk]
-        };
-        fk_points.dedup();
-        for n_fks in fk_points {
-            let schema = chain_schema(k, n_fks);
-            let row = evaluate_query(&chain_sql(k), &schema, tree_limit);
-            println!(
-                "{:>5} {:>8} {:>4} {:>10} {:>8} {:>9} {:>14} {:>12}",
-                joins,
-                format!("{joins} ({k})"),
-                n_fks,
-                row.datasets,
-                row.killed,
-                row.killed_raw,
-                secs(row.time_lazy),
-                secs(row.time_unfold),
-            );
-            json_rows.push(format!(
-                "{{\"joins\": {joins}, \"relations\": {k}, \"fks\": {n_fks}, \
-                 \"datasets\": {}, \"killed\": {}, \"killed_raw\": {}, \
-                 \"lazy_s\": {}, \"unfold_s\": {}}}",
-                row.datasets,
-                row.killed,
-                row.killed_raw,
-                secs(row.time_lazy),
-                secs(row.time_unfold),
-            ));
-        }
+        let (sql, schema) = (chain_sql(k), chain_schema(k, n_fks));
+        let row = evaluate_query(&sql, &schema, tree_limit);
+        let lazy_ms = ms(generate_time(&sql, &schema, Mode::Lazy));
+        let unfold_ms = ms(generate_time(&sql, &schema, Mode::Unfold));
+        println!(
+            "{:>5} {:>8} {:>4} {:>10} {:>8} {:>9} {:>18.3} {:>16.3}",
+            joins,
+            format!("{joins} ({k})"),
+            n_fks,
+            row.datasets,
+            row.killed,
+            row.killed_raw,
+            lazy_ms,
+            unfold_ms,
+        );
+        json_rows.push(format!(
+            "{{\"joins\": {joins}, \"relations\": {k}, \"fks\": {n_fks}, \
+             \"datasets\": {}, \"killed\": {}, \"killed_raw\": {}, \
+             \"lazy_ms\": {lazy_ms:.3}, \"unfold_ms\": {unfold_ms:.3}}}",
+            row.datasets, row.killed, row.killed_raw,
+        ));
     }
 
     // Hand-rolled JSON artifact: the workspace deliberately has no serde.

@@ -1,76 +1,43 @@
 //! Regenerates **Table II** of the paper: queries mixing selections,
-//! aggregations and joins (queries 7–12 of §VI-C.2).
+//! aggregations and joins (queries 7–12 of §VI-C.2), with generation times
+//! in milliseconds (median of five runs each).
 //!
 //! ```sh
 //! cargo run -p xdata-bench --release --bin table2
 //! ```
 
-use xdata_bench::{chain_schema, evaluate_query, secs};
+use xdata_bench::{evaluate_query, generate_time, ms, table2_schema, TABLE2_QUERIES};
+use xdata_solver::Mode;
 
 fn main() {
-    // The paper: "queries involving joins contained exactly one foreign
-    // key"; join-free queries run on the FK-free schema.
-    let cases: &[(&str, usize, usize, usize, &str)] = &[
-        // (query id, #joins, #selections, #aggregations, SQL)
-        ("7", 0, 1, 0, "SELECT * FROM instructor WHERE salary > 70000"),
-        ("8", 0, 0, 1, "SELECT COUNT(salary) FROM instructor"),
-        (
-            "9",
-            1,
-            0,
-            1,
-            "SELECT i.dept_id, SUM(i.salary) FROM instructor i, teaches t \
-             WHERE i.id = t.id GROUP BY i.dept_id",
-        ),
-        (
-            "10",
-            2,
-            1,
-            0,
-            "SELECT * FROM instructor i, teaches t, course c \
-             WHERE i.id = t.id AND t.course_id = c.course_id AND i.salary > 70000",
-        ),
-        (
-            "11",
-            2,
-            2,
-            0,
-            "SELECT * FROM instructor i, teaches t, course c \
-             WHERE i.id = t.id AND t.course_id = c.course_id \
-             AND i.salary > 70000 AND c.credits >= 3",
-        ),
-        (
-            "12",
-            2,
-            1,
-            1,
-            "SELECT i.dept_id, AVG(i.salary) FROM instructor i, teaches t, course c \
-             WHERE i.id = t.id AND t.course_id = c.course_id AND c.credits >= 3 \
-             GROUP BY i.dept_id",
-        ),
-    ];
-
     println!("Table II: results for queries with selection/aggregation (cf. paper §VI-C.2)");
     println!(
-        "{:>5} {:>6} {:>5} {:>4} {:>10} {:>8} {:>14} {:>12}",
-        "Query", "#Joins", "#Sel", "#Agg", "#Datasets", "#Killed", "t w/o unfold", "t unfolded"
+        "{:>5} {:>6} {:>5} {:>4} {:>10} {:>8} {:>18} {:>16}",
+        "Query",
+        "#Joins",
+        "#Sel",
+        "#Agg",
+        "#Datasets",
+        "#Killed",
+        "t w/o unfold (ms)",
+        "t unfolded (ms)"
     );
-    println!("{}", "-".repeat(72));
-    for (id, joins, sels, aggs, sql) in cases {
-        // Join queries: one FK (as in the paper); others: none.
-        let k = joins + 1;
-        let schema = chain_schema(k.max(2), usize::from(*joins > 0));
+    println!("{}", "-".repeat(79));
+    for (id, joins, sels, aggs, sql) in TABLE2_QUERIES {
+        // The paper: "queries involving joins contained exactly one foreign
+        // key"; join-free queries run on the FK-free schema.
+        let schema = table2_schema(joins);
         let row = evaluate_query(sql, &schema, 20_000);
         println!(
-            "{:>5} {:>6} {:>5} {:>4} {:>10} {:>8} {:>14} {:>12}",
+            "{:>5} {:>6} {:>5} {:>4} {:>10} {:>8} {:>18.3} {:>16.3}",
             id,
             joins,
             sels,
             aggs,
             row.datasets,
             row.killed,
-            secs(row.time_lazy),
-            secs(row.time_unfold),
+            ms(generate_time(sql, &schema, Mode::Lazy)),
+            ms(generate_time(sql, &schema, Mode::Unfold)),
         );
     }
     println!(

@@ -17,7 +17,7 @@
 use std::time::{Duration, Instant};
 
 use xdata_catalog::{university, Attribute, DomainCatalog, Relation, Schema, SplitMix64, SqlType};
-use xdata_core::{generate, GenOptions, TestSuite};
+use xdata_core::{generate, GenOptions};
 use xdata_engine::kill::kill_report;
 use xdata_relalg::mutation::{mutation_space, MutationOptions};
 use xdata_relalg::{normalize, NormQuery};
@@ -202,8 +202,72 @@ pub fn random_join_cases(seed: u64, count: usize) -> Vec<RandomJoinCase> {
         .collect()
 }
 
-/// One evaluation row: generate with the given mode, time it, count
-/// datasets; optionally evaluate the kill matrix.
+/// The Table I foreign-key sweep as `(joins, foreign keys)` rows: 1–6
+/// joins, each at 0, half and all of its relevant foreign keys (the paper
+/// shows 0, a middle value and the maximum), or at every count when there
+/// are at most two.
+pub fn table1_points() -> Vec<(usize, usize)> {
+    let mut rows = Vec::new();
+    for joins in 1..=6 {
+        let max_fk = relevant_fk_count(joins + 1);
+        let mut fks: Vec<usize> =
+            if max_fk <= 2 { (0..=max_fk).collect() } else { vec![0, max_fk / 2, max_fk] };
+        fks.dedup();
+        rows.extend(fks.into_iter().map(|n| (joins, n)));
+    }
+    rows
+}
+
+/// Table II queries 7–12 (§VI-C.2): `(id, joins, selections, aggregates,
+/// SQL)`. Join queries run with exactly one foreign key, as in the paper;
+/// join-free ones on the FK-free schema (see [`table2_schema`]).
+pub const TABLE2_QUERIES: [(usize, usize, usize, usize, &str); 6] = [
+    (7, 0, 1, 0, "SELECT * FROM instructor WHERE salary > 70000"),
+    (8, 0, 0, 1, "SELECT COUNT(salary) FROM instructor"),
+    (
+        9,
+        1,
+        0,
+        1,
+        "SELECT i.dept_id, SUM(i.salary) FROM instructor i, teaches t \
+         WHERE i.id = t.id GROUP BY i.dept_id",
+    ),
+    (
+        10,
+        2,
+        1,
+        0,
+        "SELECT * FROM instructor i, teaches t, course c \
+         WHERE i.id = t.id AND t.course_id = c.course_id AND i.salary > 70000",
+    ),
+    (
+        11,
+        2,
+        2,
+        0,
+        "SELECT * FROM instructor i, teaches t, course c \
+         WHERE i.id = t.id AND t.course_id = c.course_id \
+         AND i.salary > 70000 AND c.credits >= 3",
+    ),
+    (
+        12,
+        2,
+        1,
+        1,
+        "SELECT i.dept_id, AVG(i.salary) FROM instructor i, teaches t, course c \
+         WHERE i.id = t.id AND t.course_id = c.course_id AND c.credits >= 3 \
+         GROUP BY i.dept_id",
+    ),
+];
+
+/// The schema a Table II query with `joins` joins runs on: the chain
+/// schema over its relations with one foreign key when it joins, none
+/// otherwise.
+pub fn table2_schema(joins: usize) -> Schema {
+    chain_schema((joins + 1).max(2), usize::from(joins > 0))
+}
+
+/// The counts of one evaluation row.
 pub struct EvalRow {
     pub datasets: usize,
     pub skipped: usize,
@@ -214,8 +278,6 @@ pub struct EvalRow {
     /// Killed under the paper's raw counting (every `(tree, node, kind)`
     /// triple across all join orderings counts separately).
     pub killed_raw: usize,
-    pub time_unfold: Duration,
-    pub time_lazy: Duration,
 }
 
 /// Generation options for benches (synthetic domains, no input DB).
@@ -243,16 +305,18 @@ pub fn median_time<F: FnMut()>(warmup: usize, samples: usize, mut f: F) -> Durat
     times[times.len() / 2]
 }
 
-/// Run the full §VI-C loop for one query: time both solver modes, then
-/// check kills (mutation space excludes full-outer mutations, as the
+fn bench_query(sql: &str, schema: &Schema) -> NormQuery {
+    normalize(&parse_query(sql).expect("bench SQL parses"), schema).expect("bench SQL normalizes")
+}
+
+/// Run the §VI-C loop for one query: generate with quantifier unfolding,
+/// then check kills (mutation space excludes full-outer mutations, as the
 /// paper's evaluation does).
 pub fn evaluate_query(sql: &str, schema: &Schema, tree_limit: usize) -> EvalRow {
-    let q = normalize(&parse_query(sql).expect("bench SQL parses"), schema)
-        .expect("bench SQL normalizes");
+    let q = bench_query(sql, schema);
     let domains = DomainCatalog::defaults(schema);
-
-    let (suite, time_unfold) = timed_generate(&q, schema, &domains, Mode::Unfold);
-    let (_, time_lazy) = timed_generate(&q, schema, &domains, Mode::Lazy);
+    let suite =
+        generate(&q, schema, &domains, &bench_opts(Mode::Unfold)).expect("generation succeeds");
 
     let mopts = MutationOptions { include_full: false, include_extensions: false, tree_limit };
     let space = mutation_space(&q, mopts);
@@ -276,28 +340,23 @@ pub fn evaluate_query(sql: &str, schema: &Schema, tree_limit: usize) -> EvalRow 
         mutants: space.len(),
         killed: report.killed_count(),
         killed_raw,
-        time_unfold,
-        time_lazy,
     }
 }
 
-/// Generate and time one mode.
-pub fn timed_generate(
-    q: &NormQuery,
-    schema: &Schema,
-    domains: &DomainCatalog,
-    mode: Mode,
-) -> (TestSuite, Duration) {
+/// Median wall time of generating `sql`'s suite in `mode` (one warm-up
+/// run, five timed ones).
+pub fn generate_time(sql: &str, schema: &Schema, mode: Mode) -> Duration {
+    let q = bench_query(sql, schema);
+    let domains = DomainCatalog::defaults(schema);
     let opts = bench_opts(mode);
-    let start = Instant::now();
-    let suite = generate(q, schema, domains, &opts).expect("generation succeeds");
-    (suite, start.elapsed())
+    median_time(1, 5, || {
+        generate(&q, schema, &domains, &opts).expect("generation succeeds");
+    })
 }
 
-/// Format a duration in seconds with millisecond precision, like the
-/// paper's tables.
-pub fn secs(d: Duration) -> String {
-    format!("{:.3}", d.as_secs_f64())
+/// A duration in milliseconds.
+pub fn ms(d: Duration) -> f64 {
+    d.as_secs_f64() * 1e3
 }
 
 /// The `"build"` provenance line every bench artifact embeds right after

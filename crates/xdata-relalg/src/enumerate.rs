@@ -12,6 +12,14 @@
 //! splits with both sides connected and at least one cross edge are
 //! considered (no cross products, matching how the paper applies join
 //! predicates at the earliest possible point).
+//!
+//! The shapes form a DAG rather than a list of trees: each connected mask
+//! stores its shapes as `(left mask, left shape, right shape)` splits into
+//! smaller masks' shapes, so a sub-tree shared by many trees is stored
+//! once. [`enumerate_trees`] materializes and annotates every whole-query
+//! shape; the join-mutant enumeration instead walks each shape's preorder
+//! `(left leaves, right leaves)` masks and materializes only the few
+//! shapes whose mutants it keeps.
 
 use std::collections::HashMap;
 
@@ -88,29 +96,65 @@ fn has_cross_edge(a: u64, b: u64, adj: &[u64]) -> bool {
 /// (the space is exponential; the paper's evaluation samples beyond 4-way
 /// joins too).
 pub fn enumerate_trees(q: &NormQuery, limit: usize) -> Vec<JoinTree> {
-    let n = q.occurrences.len();
-    let adj = join_graph(q);
-    let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let mut memo: HashMap<u64, Vec<JoinTree>> = HashMap::new();
-    let shapes = shapes_for(full, &adj, &mut memo, limit);
-    shapes.into_iter().take(limit).map(|t| t.annotate(&q.eq_classes, &q.preds)).collect()
+    let dag = ShapeDag::new(q, limit);
+    (0..dag.len()).map(|i| dag.annotated(q, i)).collect()
 }
 
-fn shapes_for(
-    mask: u64,
-    adj: &[u64],
-    memo: &mut HashMap<u64, Vec<JoinTree>>,
-    limit: usize,
-) -> Vec<JoinTree> {
-    if let Some(v) = memo.get(&mask) {
-        return v.clone();
+/// One shape of a connected mask: shape `li` of the sub-mask `left` joined
+/// with shape `ri` of the rest of the mask.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    left: u64,
+    li: usize,
+    ri: usize,
+}
+
+/// The inner-join tree shapes of a query, shared bottom-up: every connected
+/// occurrence mask the enumeration reaches maps to its shapes in
+/// enumeration order, each shape a [`Split`] into two smaller masks'
+/// shapes (a single-occurrence mask has exactly one shape, the leaf).
+/// Shape `i` of the whole query is tree `i` of [`enumerate_trees`]; it is
+/// materialized only on demand, so a caller that needs just the node masks
+/// of most trees never builds them.
+#[derive(Debug)]
+pub(crate) struct ShapeDag {
+    full: u64,
+    splits: HashMap<u64, Vec<Split>>,
+    len: usize,
+}
+
+impl ShapeDag {
+    /// Build the DAG of the join graph of `q`, keeping at most `limit`
+    /// shapes per mask, the whole query's included.
+    pub fn new(q: &NormQuery, limit: usize) -> ShapeDag {
+        let n = q.occurrences.len();
+        let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
+        let mut dag = ShapeDag { full, splits: HashMap::new(), len: 0 };
+        dag.len = dag.build(full, &join_graph(q), limit).min(limit);
+        dag
     }
-    let mut out = Vec::new();
-    if mask.count_ones() == 1 {
-        out.push(JoinTree::Leaf(mask.trailing_zeros() as usize));
-    } else {
-        // Enumerate splits mask = a ∪ b with the lowest bit pinned to `a`
-        // (unordered split canonicalization).
+
+    /// Number of whole-query shapes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Record the shapes of `mask` (if not yet known) and return their
+    /// count. Splits `mask = a ∪ b` with the lowest bit pinned to `a`
+    /// (unordered split canonicalization), both sides connected and at
+    /// least one cross edge.
+    fn build(&mut self, mask: u64, adj: &[u64], limit: usize) -> usize {
+        if mask.count_ones() == 1 {
+            return 1;
+        }
+        if let Some(v) = self.splits.get(&mask) {
+            return v.len();
+        }
+        let mut out = Vec::new();
         let low = mask & mask.wrapping_neg();
         let rest = mask & !low;
         // Iterate over subsets s of `rest`: a = low | s, b = mask \ a.
@@ -123,11 +167,11 @@ fn shapes_for(
                 && is_connected(b, adj)
                 && has_cross_edge(a, b, adj)
             {
-                let las = shapes_for(a, adj, memo, limit);
-                let rbs = shapes_for(b, adj, memo, limit);
-                'outer: for l in &las {
-                    for r in &rbs {
-                        out.push(JoinTree::node(JoinKind::Inner, l.clone(), r.clone(), vec![]));
+                let nl = self.build(a, adj, limit);
+                let nr = self.build(b, adj, limit);
+                'outer: for li in 0..nl {
+                    for ri in 0..nr {
+                        out.push(Split { left: a, li, ri });
                         if out.len() >= limit {
                             break 'outer;
                         }
@@ -142,9 +186,41 @@ fn shapes_for(
                 break;
             }
         }
+        let count = out.len();
+        self.splits.insert(mask, out);
+        count
     }
-    memo.insert(mask, out.clone());
-    out
+
+    /// Whole-query shape `i`, annotated with its join conditions: tree `i`
+    /// of [`enumerate_trees`].
+    pub fn annotated(&self, q: &NormQuery, i: usize) -> JoinTree {
+        self.bare(self.full, i).annotate(&q.eq_classes, &q.preds)
+    }
+
+    fn bare(&self, mask: u64, i: usize) -> JoinTree {
+        if mask.count_ones() == 1 {
+            return JoinTree::Leaf(mask.trailing_zeros() as usize);
+        }
+        let Split { left, li, ri } = self.splits[&mask][i];
+        JoinTree::node(JoinKind::Inner, self.bare(left, li), self.bare(mask ^ left, ri), vec![])
+    }
+
+    /// The `(left leaves, right leaves)` masks of every join node of
+    /// whole-query shape `i`, in preorder (the order of
+    /// [`JoinTree::kind_at`]'s node indices), appended to `out`.
+    pub fn node_masks(&self, i: usize, out: &mut Vec<(u64, u64)>) {
+        self.push_masks(self.full, i, out);
+    }
+
+    fn push_masks(&self, mask: u64, i: usize, out: &mut Vec<(u64, u64)>) {
+        if mask.count_ones() == 1 {
+            return;
+        }
+        let Split { left, li, ri } = self.splits[&mask][i];
+        out.push((left, mask ^ left));
+        self.push_masks(left, li, out);
+        self.push_masks(mask ^ left, ri, out);
+    }
 }
 
 #[cfg(test)]

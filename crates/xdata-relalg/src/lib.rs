@@ -11,12 +11,20 @@
 //!   possible level, §II), the join tree, and the aggregation spec.
 //! * [`JoinTree`] — annotated join trees with per-node join kinds and
 //!   conditions; semantic canonicalization modulo inner-join
-//!   commutativity/associativity.
+//!   commutativity/associativity ([`JoinTree::canonical_key`]).
 //! * [`enumerate::enumerate_trees`] — all equivalent join trees derivable
 //!   from the join graph (including edges implied by equivalence classes —
-//!   the Figure 2 motivation).
+//!   the Figure 2 motivation), built as a shape DAG: each connected
+//!   relation subset stores its shapes once, as splits into two smaller
+//!   subsets' shapes.
 //! * [`mutation::MutationSpace`] — join-type, comparison-operator and
 //!   aggregation-operator mutants (§II), deduplicated by canonical form.
+//!   A join mutant of an enumerated tree is keyed by the mutated node's
+//!   join kind and left/right leaf masks, which fix its canonical key, so
+//!   the exponential raw space costs a hash lookup per triple and a tree
+//!   is built only per distinct mutant; `canonical_key()` keys the one
+//!   written tree of an outer-join query and is the tests' oracle for the
+//!   mask keys.
 
 pub mod decorrelate;
 pub mod enumerate;

@@ -2,18 +2,32 @@
 //!
 //! * **Join-type mutants** — every (equivalent join tree, node, alternative
 //!   join kind) triple, deduplicated by semantic canonical form
-//!   ([`crate::JoinTree::canonical_key`]). For queries with explicit outer
+//!   ([`crate::JoinTree::canonical_key`]). The space is exponential in the
+//!   joins while the distinct mutants are few, so the enumerated trees are
+//!   never keyed one by one: every enumerated tree is all-inner, and a
+//!   one-node mutant of it is `I(leaves outside the node, K(I(left
+//!   leaves), I(right leaves)))`, so its canonical key is fixed by the
+//!   node's leaf masks — `(Left, l, r)` for a left join, `(Left, r, l)`
+//!   for a right join (`A ⟖ B ≡ B ⟕ A`), `(Full, min, max)` for a full
+//!   join. No such key is an all-inner original's. Walking the shape DAG's
+//!   node masks keys every triple without building a tree; only a key's
+//!   first triple materializes its tree. For queries with explicit outer
 //!   joins the tree shape is fixed (outer joins do not commute in general)
-//!   and only node kinds mutate.
+//!   and only node kinds mutate; that one written tree, and the fallback
+//!   for a disconnected join graph, are keyed by `canonical_key()` itself,
+//!   which is also the tests' oracle for the mask keys.
 //! * **Comparison mutants** — every comparison operator of every WHERE
 //!   conjunct replaced by each of the five alternatives.
 //! * **Aggregation mutants** — every aggregate replaced by each other
 //!   member of the eight-operator space (`COUNT(*)` does not mutate: the
 //!   other operators need a column argument).
 
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+
 use xdata_sql::{CompareOp, JoinKind};
 
-use crate::enumerate::enumerate_trees;
+use crate::enumerate::ShapeDag;
 use crate::ir::{AggFunc, LikePred, NormQuery, SelectSpec, SubPred, SubqueryKind};
 use crate::tree::JoinTree;
 
@@ -26,8 +40,6 @@ pub struct JoinMutant {
     pub node: usize,
     pub from: JoinKind,
     pub to: JoinKind,
-    /// Semantic canonical key used for deduplication.
-    pub key: String,
     /// How many raw `(tree, node, kind)` triples collapsed into this
     /// canonical mutant. The paper's Table I counts raw triples across all
     /// join orderings; `multiplicity` recovers that counting.
@@ -427,45 +439,80 @@ fn join_mutants(q: &NormQuery, opts: MutationOptions) -> Vec<JoinMutant> {
     if q.occurrences.len() < 2 {
         return Vec::new();
     }
-    let trees: Vec<JoinTree> = if q.has_outer {
-        vec![q.tree.clone()]
-    } else {
-        let ts = enumerate_trees(q, opts.tree_limit);
-        if ts.is_empty() {
-            // Disconnected join graph (explicit cross product): fall back
-            // to the tree as written.
-            vec![q.tree.clone()]
-        } else {
-            ts
+    let kinds: Vec<JoinKind> =
+        JoinKind::ALL.into_iter().filter(|&k| opts.include_full || k != JoinKind::Full).collect();
+    if !q.has_outer {
+        let dag = ShapeDag::new(q, opts.tree_limit);
+        if !dag.is_empty() {
+            return enumerated_join_mutants(q, &dag, &kinds);
         }
-    };
-    let mut seen = std::collections::HashMap::new();
-    // Never emit a mutant semantically equal to some original-equivalent
-    // tree: for inner-only queries every enumerated all-inner tree is the
-    // original.
-    for t in &trees {
-        seen.insert(t.canonical_key(), usize::MAX);
     }
+    // Explicit outer joins fix the shape; a disconnected join graph
+    // (explicit cross product) falls back to the tree as written.
+    written_tree_mutants(&q.tree, &kinds)
+}
+
+/// Join mutants of every enumerated (all-inner) tree, keyed by the mutated
+/// node's leaf masks: equal keys are exactly equal
+/// [`JoinTree::canonical_key`]s (see the module doc), and none equals an
+/// original's, so the originals need no entry.
+fn enumerated_join_mutants(q: &NormQuery, dag: &ShapeDag, kinds: &[JoinKind]) -> Vec<JoinMutant> {
+    let mut seen: HashMap<(JoinKind, u64, u64), usize> = HashMap::new();
     let mut out: Vec<JoinMutant> = Vec::new();
-    for tree in &trees {
-        for node in 0..tree.node_count() {
-            let from = tree.kind_at(node).expect("node index in range");
-            for to in JoinKind::ALL {
-                if to == from || (!opts.include_full && to == JoinKind::Full) {
-                    continue;
+    let mut masks = Vec::new();
+    for shape in 0..dag.len() {
+        masks.clear();
+        dag.node_masks(shape, &mut masks);
+        let mut tree = None;
+        for (node, &(l, r)) in masks.iter().enumerate() {
+            for &to in kinds {
+                let key = match to {
+                    JoinKind::Inner => continue,
+                    JoinKind::Left => (JoinKind::Left, l, r),
+                    JoinKind::Right => (JoinKind::Left, r, l),
+                    JoinKind::Full => (JoinKind::Full, l.min(r), l.max(r)),
+                };
+                match seen.entry(key) {
+                    Entry::Occupied(e) => out[*e.get()].multiplicity += 1,
+                    Entry::Vacant(e) => {
+                        e.insert(out.len());
+                        let t = tree.get_or_insert_with(|| dag.annotated(q, shape));
+                        out.push(JoinMutant {
+                            tree: t.with_kind_at(node, to),
+                            node,
+                            from: JoinKind::Inner,
+                            to,
+                            multiplicity: 1,
+                        });
+                    }
                 }
-                let m = tree.with_kind_at(node, to);
-                let key = m.canonical_key();
-                match seen.get(&key) {
-                    Some(&idx) => {
-                        if idx != usize::MAX {
-                            out[idx].multiplicity += 1;
-                        }
+            }
+        }
+    }
+    out
+}
+
+/// Join mutants of one fixed tree, deduplicated by canonical key; a mutant
+/// equal to the tree itself is dropped.
+fn written_tree_mutants(tree: &JoinTree, kinds: &[JoinKind]) -> Vec<JoinMutant> {
+    let mut seen = HashMap::from([(tree.canonical_key(), usize::MAX)]);
+    let mut out: Vec<JoinMutant> = Vec::new();
+    for node in 0..tree.node_count() {
+        let from = tree.kind_at(node).expect("node index in range");
+        for &to in kinds {
+            if to == from {
+                continue;
+            }
+            let m = tree.with_kind_at(node, to);
+            match seen.entry(m.canonical_key()) {
+                Entry::Occupied(e) => {
+                    if *e.get() != usize::MAX {
+                        out[*e.get()].multiplicity += 1;
                     }
-                    None => {
-                        seen.insert(key.clone(), out.len());
-                        out.push(JoinMutant { tree: m, node, from, to, key, multiplicity: 1 });
-                    }
+                }
+                Entry::Vacant(e) => {
+                    e.insert(out.len());
+                    out.push(JoinMutant { tree: m, node, from, to, multiplicity: 1 });
                 }
             }
         }
@@ -590,8 +637,8 @@ mod tests {
         let ms = mutation_space(&q, MutationOptions::default());
         // 2 trees × 2 nodes × 3 kinds = 12, minus canonical duplicates.
         assert!(ms.join.len() >= 10, "got {}", ms.join.len());
-        // All keys unique.
-        let mut keys: Vec<&String> = ms.join.iter().map(|m| &m.key).collect();
+        // All canonical keys unique.
+        let mut keys: Vec<String> = ms.join.iter().map(|m| m.tree.canonical_key()).collect();
         keys.sort();
         keys.dedup();
         assert_eq!(keys.len(), ms.join.len());

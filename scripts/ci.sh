@@ -5,6 +5,28 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# Every leg registers its temp files with `tmpfiles`; one EXIT trap removes
+# them all and stops the serve daemon if a leg failed while it ran.
+CLEANUP=
+SERVE_PID=
+cleanup() {
+    if [ -n "$SERVE_PID" ]; then kill "$SERVE_PID" 2>/dev/null || true; fi
+    # Unquoted on purpose: the list splits into paths (mktemp's have no
+    # spaces).
+    rm -f $CLEANUP
+}
+trap cleanup EXIT
+trap 'exit 1' INT TERM
+# tmpfiles NAME...: create a temp file per NAME, store its path in the
+# variable NAME and register it for cleanup.
+tmpfiles() {
+    for name in "$@"; do
+        f=$(mktemp)
+        CLEANUP="$CLEANUP $f"
+        eval "$name=\$f"
+    done
+}
+
 cargo build --release --offline
 # --workspace: at the workspace root a bare `cargo test` tests only the
 # root `xdata` package, skipping every member crate's own tests.
@@ -37,12 +59,12 @@ cargo test -q --offline --features chaos --test chaos --test serve
 # (byte-identical rendered reports), per-candidate agreement between the
 # amortized batch and the independent per-candidate loop, and bulk-join
 # result parity, before it prints a single timing.
-GRADE_OUT=$(mktemp)
+tmpfiles GRADE_OUT
+CLEANUP="$CLEANUP $GRADE_OUT.trace.json"
 XDATA_GRADE_CANDIDATES=60 XDATA_JOIN_ROWS=64 \
     XDATA_SWEEP_OUT="$GRADE_OUT" \
     cargo run -q --release --offline -p xdata-bench --bin grading_sweep \
     > /dev/null
-rm -f "$GRADE_OUT" "$GRADE_OUT.trace.json"
 echo "ci: grading_sweep smoke (batch/independent + hash/nested parity) OK"
 
 # Doc-link gate: every backticked metric key named in DESIGN.md must
@@ -73,8 +95,7 @@ echo "ci: DESIGN.md metric keys all present in the registry"
 # generate with --metrics-json under two thread counts, require the
 # canonical keys, and require the timing-stripped reports identical.
 Q='SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000'
-M1=$(mktemp) && M4=$(mktemp)
-trap 'rm -f "$M1" "$M4"' EXIT
+tmpfiles M1 M4
 ./target/release/xdata generate --schema examples/university.sql \
     --query "$Q" --jobs 1 --metrics-json "$M1" > /dev/null
 ./target/release/xdata generate --schema examples/university.sql \
@@ -102,8 +123,7 @@ echo "ci: metrics schema + determinism OK"
 # the witness in core.targets.null_witness, and stay byte-identical
 # across --jobs values.
 EQ='SELECT name FROM instructor WHERE id IN (SELECT id FROM teaches WHERE year > 2000)'
-E1=$(mktemp) && E4=$(mktemp) && EM=$(mktemp)
-trap 'rm -f "$M1" "$M4" "$E1" "$E4" "$EM"' EXIT
+tmpfiles E1 E4 EM
 ./target/release/xdata generate --schema examples/university_subqueries.sql \
     --query "$EQ" --jobs 1 --metrics-json "$EM" > "$E1"
 ./target/release/xdata generate --schema examples/university_subqueries.sql \
@@ -139,8 +159,7 @@ echo "ci: extended-class smoke (NULL witness + kill-complete + jobs determinism)
 # nested-loop identity is checked by tests/grading.rs and tests/chaos.rs,
 # which call grade_batch with each strategy.)
 GQ='SELECT i.name, t.course_id FROM instructor i, teaches t WHERE i.id = t.id'
-G1=$(mktemp) && G4=$(mktemp)
-trap 'rm -f "$M1" "$M4" "$G1" "$G4"' EXIT
+tmpfiles G1 G4
 ./target/release/xdata grade --schema examples/university.sql \
     --query "$GQ" --candidates examples/submissions.sql --jobs 1 > "$G1"
 ./target/release/xdata grade --schema examples/university.sql \
@@ -159,8 +178,7 @@ echo "ci: batch grading verdict stability OK"
 # begin/end nesting, monotonic per-thread timestamps, flow ordering — no
 # external tooling), and require the critical path to tile the root span
 # (the subcommand exits non-zero if the segment sum diverges).
-T=$(mktemp) && F=$(mktemp)
-trap 'rm -f "$M1" "$M4" "$G1" "$G4" "$T" "$F"' EXIT
+tmpfiles T F
 ./target/release/xdata evaluate --schema examples/university.sql \
     --query "$Q" --jobs 4 --trace-out "$T" > /dev/null
 grep -q '"traceEvents"' "$T" || {
@@ -187,8 +205,7 @@ echo "ci: trace capture + validation + critical path OK"
 # scripts/cli_help.txt is its committed snapshot. Any flag or command
 # added without updating the snapshot (and thus the README flag table
 # next to it) fails here.
-H=$(mktemp)
-trap 'rm -f "$M1" "$M4" "$G1" "$G4" "$T" "$F" "$H"' EXIT
+tmpfiles H
 ./target/release/xdata --help > "$H"
 if ! cmp -s "$H" scripts/cli_help.txt; then
     echo "ci: xdata --help drifted from scripts/cli_help.txt" >&2
@@ -224,10 +241,9 @@ echo "ci: PROTOCOL.md covers every wire type and error code"
 # same inputs (the service mode's core contract), then shut it down
 # gracefully and require exit 0.
 cargo build -q --release --offline -p xdata-client
-SERVE_LOG=$(mktemp) && WIRE=$(mktemp) && LOCAL=$(mktemp)
+tmpfiles SERVE_LOG WIRE LOCAL
 ./target/release/xdata serve --listen 127.0.0.1:0 > "$SERVE_LOG" &
 SERVE_PID=$!
-trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -f "$M1" "$M4" "$G1" "$G4" "$T" "$F" "$H" "$SERVE_LOG" "$WIRE" "$LOCAL"' EXIT
 ADDR=
 i=0
 while [ $i -lt 100 ]; do
@@ -251,16 +267,16 @@ if ! cmp -s "$WIRE" "$LOCAL"; then
 fi
 ./target/release/xdata-client --addr "$ADDR" shutdown > /dev/null
 wait "$SERVE_PID" || { echo "ci: daemon exited nonzero after graceful shutdown" >&2; exit 1; }
+SERVE_PID=
 echo "ci: serve loopback smoke (ping + wire/CLI byte-identity + graceful shutdown) OK"
 
 # Serve-sweep smoke: the service-mode bench at a tiny scale. The binary
 # asserts wire/in-process output parity on every response and
 # warm-p50 < cold before printing a single timing, so this is a
 # correctness gate for the warm path too. Writes to a temp file.
-SERVE_SWEEP_OUT=$(mktemp)
+tmpfiles SERVE_SWEEP_OUT
 XDATA_SERVE_REQUESTS=3 XDATA_SERVE_WORKERS=2 \
     XDATA_SWEEP_OUT="$SERVE_SWEEP_OUT" \
     cargo run -q --release --offline -p xdata-bench --bin serve_sweep \
     > /dev/null
-rm -f "$SERVE_SWEEP_OUT"
 echo "ci: serve_sweep smoke (parity + warm<cold) OK"
