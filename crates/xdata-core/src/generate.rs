@@ -1385,7 +1385,7 @@ impl<'a> Lane<'_, 'a> {
         // need at most one repair tuple per relation, so small tuple arrays
         // are tried first (exponentially smaller search); only an UNSAT at
         // full capacity means "no such dataset" (equivalent mutants).
-        let mut agg_stats = xdata_solver::SolverStats::default();
+        let mut agg_stats = SolverStats::default();
         for (rung, &cap) in crate::builder::REPAIR_LADDER.iter().enumerate() {
             // Between rungs is the natural bail-out point: skeleton cloning
             // and constraint building are wasted work once the token trips.
@@ -1420,17 +1420,7 @@ impl<'a> Lane<'_, 'a> {
                 gen.opts.decision_limit
             };
             let (out, stats) = self.solve_memoized(&b.problem, cap, limit, cancel)?;
-            agg_stats.decisions += stats.decisions;
-            agg_stats.conflicts += stats.conflicts;
-            agg_stats.theory_relaxations += stats.theory_relaxations;
-            agg_stats.propagations += stats.propagations;
-            agg_stats.unknown_exits += stats.unknown_exits;
-            agg_stats.learned_clauses += stats.learned_clauses;
-            agg_stats.restarts += stats.restarts;
-            agg_stats.cancel_checks += stats.cancel_checks;
-            agg_stats.ground_solves += stats.ground_solves;
-            agg_stats.instantiations += stats.instantiations;
-            agg_stats.ground_atoms = agg_stats.ground_atoms.max(stats.ground_atoms);
+            agg_stats.add(&stats);
             match out {
                 SolveOutcome::Sat(model) => {
                     let dataset = materialize(&b, &model, label);

@@ -13,17 +13,21 @@
 //!   (Perfetto / `chrome://tracing`) and folded stacks (flamegraphs), and
 //!   feeds the offline `xdata trace` analyses.
 //!
-//! ## Global no-op recorder
+//! ## One recorder per run
 //!
 //! Instrumentation sites call [`counter`], [`observe`], [`span`],
-//! [`instant`] and [`flow`] unconditionally. All sinks share one atomic
-//! state word with a bit per sink (metrics collection, stderr span lines,
-//! journal); when every sink is off (the default) each call is a single
-//! relaxed atomic load and an early return — the uninstrumented hot path
-//! stays at effectively zero overhead, which is what lets the solver and
-//! the parallel kill loop carry permanent instrumentation. [`install`]
-//! switches metrics collection on and [`take_report`] switches it off;
-//! [`install_trace`] / [`take_trace`] do the same for the journal.
+//! [`instant`] and [`flow`] unconditionally, and each records into the
+//! [`Recorder`] bound to the thread it runs on. [`install`] (metrics),
+//! [`install_trace`] (journal) and [`set_trace`] (stderr span lines) turn
+//! a sink on for the calling thread, binding a recorder first if none is
+//! bound; [`take_report`] and [`take_trace`] turn theirs off and return
+//! what the run recorded, unbinding the recorder once no sink is on.
+//! `xdata-par` workers bind the recorder of the thread that started them,
+//! so a run's report covers its workers and no concurrent run on another
+//! thread. A thread with no recorder bound (the default) pays one
+//! thread-local load and an early return per event site, which is what
+//! lets the solver and the parallel kill loop carry permanent
+//! instrumentation.
 //!
 //! ## Determinism contract
 //!
@@ -54,12 +58,11 @@
 //! Span paths are explicit `/`-separated static strings
 //! (`"generate/solve"` is a child of `"generate"`), so parent links survive
 //! crossing the `xdata-par` thread pool — a worker thread opening
-//! `generate/solve` needs no thread-local context from the coordinating
-//! thread. Finished spans accumulate in a per-thread buffer and merge into
-//! the global aggregate when the thread's outermost span closes, keeping
-//! lock traffic at one acquisition per top-level span rather than one per
-//! span. The journal and the stderr trace lines follow the same policy:
-//! buffer per thread, flush on outermost-span close.
+//! `generate/solve` needs no span context from the coordinating thread.
+//! Finished spans, journal events and stderr trace lines accumulate in one
+//! per-thread buffer that flushes into the thread's recorder when its
+//! outermost span closes, keeping lock traffic at one acquisition per
+//! top-level span rather than one per span.
 //!
 //! With stderr tracing enabled ([`set_trace`]) every span close prints a
 //! `[xdata-trace tN]` line (thread ordinal, path, label, duration). Lines
@@ -71,15 +74,13 @@
 mod journal;
 mod metrics;
 mod names;
+mod recorder;
 mod span;
 mod trace;
 
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Mutex;
-
 pub use metrics::{Histogram, MetricsReport, SpanAgg};
 pub use names::{preseed, ALL_COUNTERS, ALL_HISTOGRAMS, ALL_INSTANTS, FLOW_NAMES, PHASE_SPANS};
+pub use recorder::{Binding, Recorder};
 pub use span::{span, span_with, SpanGuard};
 pub use trace::{
     build_meta, build_meta_json, parse_chrome_trace, parse_json, validate_chrome_trace,
@@ -87,128 +88,97 @@ pub use trace::{
     TraceLog, TraceSummary,
 };
 
-/// Metrics collection is on ([`install`] .. [`take_report`]).
-const METRICS: u32 = 1 << 0;
-/// Span closes print `[xdata-trace tN]` lines to stderr ([`set_trace`]).
-const STDERR: u32 = 1 << 1;
-/// The event journal is on ([`install_trace`] .. [`take_trace`]).
-const JOURNAL: u32 = 1 << 2;
+use journal::{now_ns, JEvent};
+use recorder::{sinks, with_local, with_store, JOURNAL, METRICS, STDERR};
 
-/// One word holds every sink's enable bit, so an event site with all sinks
-/// off pays exactly one relaxed load — the overhead contract asserted by
-/// `disabled_event_sites_stay_cheap`.
-static STATE: AtomicU32 = AtomicU32::new(0);
-
-#[inline]
-pub(crate) fn state() -> u32 {
-    STATE.load(Ordering::Relaxed)
-}
-
-pub(crate) static COUNTERS: Mutex<BTreeMap<&'static str, u64>> = Mutex::new(BTreeMap::new());
-pub(crate) static HISTS: Mutex<BTreeMap<&'static str, Histogram>> = Mutex::new(BTreeMap::new());
-pub(crate) static SPANS: Mutex<BTreeMap<String, SpanAgg>> = Mutex::new(BTreeMap::new());
-
-/// Install a fresh global metrics recorder: clears any previous contents
-/// and enables collection. Call once per run (e.g. when `--metrics-json`
-/// is requested).
+/// Start a fresh metrics run on the calling thread's recorder: clears
+/// anything it collected before and enables collection. Call once per run
+/// (e.g. when `--metrics-json` is requested).
 pub fn install() {
-    COUNTERS.lock().expect("obs counters").clear();
-    HISTS.lock().expect("obs hists").clear();
-    SPANS.lock().expect("obs spans").clear();
-    STATE.fetch_or(METRICS, Ordering::AcqRel);
+    recorder::install(METRICS);
 }
 
-/// Whether metrics collection is currently enabled.
+/// Whether metrics collection is enabled on the calling thread.
 #[inline]
 pub fn enabled() -> bool {
-    state() & METRICS != 0
+    sinks() & METRICS != 0
 }
 
-/// Enable or disable `[xdata-trace tN]` stderr output on span close.
-/// Independent of [`install`]: stderr tracing works with or without a
-/// report. [`take_report`] turns it back off together with collection, so
-/// one run's `--trace` cannot leak into the next run in the same process.
+/// Enable or disable `[xdata-trace tN]` stderr output on span close for
+/// the calling thread's run. Independent of [`install`]: stderr tracing
+/// works with or without a report. [`take_report`] turns it back off
+/// together with collection, so one run's `--trace` cannot leak into the
+/// next run on the same thread.
 pub fn set_trace(on: bool) {
     if on {
-        STATE.fetch_or(STDERR, Ordering::AcqRel);
+        recorder::install(STDERR);
     } else {
-        STATE.fetch_and(!STDERR, Ordering::AcqRel);
+        recorder::take(STDERR, 0, |_| ());
     }
 }
 
-/// Whether stderr trace output is enabled.
+/// Whether stderr trace output is enabled on the calling thread.
 #[inline]
 pub fn trace_enabled() -> bool {
-    state() & STDERR != 0
+    sinks() & STDERR != 0
 }
 
-/// Start a fresh journal run: discards any previously journaled events and
-/// enables event journaling. Call once per run (e.g. when `--trace-out`
-/// is requested).
+/// Start a fresh journal run on the calling thread's recorder: discards
+/// any previously journaled events and enables event journaling. Call once
+/// per run (e.g. when `--trace-out` is requested).
 pub fn install_trace() {
-    journal::reset();
-    STATE.fetch_or(JOURNAL, Ordering::AcqRel);
+    recorder::install(JOURNAL);
 }
 
-/// Whether the event journal is enabled.
+/// Whether the event journal is enabled on the calling thread.
 #[inline]
 pub fn journal_enabled() -> bool {
-    state() & JOURNAL != 0
+    sinks() & JOURNAL != 0
 }
 
 /// Disable the journal and return everything journaled since
 /// [`install_trace`] as a stable-ordered [`TraceLog`]. Returns `None` when
 /// the journal was never enabled.
 pub fn take_trace() -> Option<TraceLog> {
-    if STATE.fetch_and(!JOURNAL, Ordering::AcqRel) & JOURNAL == 0 {
-        return None;
-    }
-    Some(journal::take())
+    recorder::take(JOURNAL, JOURNAL, |store| std::mem::take(&mut store.chunks))
+        .map(journal::assemble)
 }
 
 /// Disable collection — and stderr tracing, which is scoped to the same
 /// run — and return everything recorded since [`install`]. Returns `None`
 /// when no recorder was installed (stderr tracing is still reset).
 pub fn take_report() -> Option<MetricsReport> {
-    if STATE.fetch_and(!(METRICS | STDERR), Ordering::AcqRel) & METRICS == 0 {
-        return None;
-    }
-    Some(MetricsReport {
-        counters: std::mem::take(&mut *COUNTERS.lock().expect("obs counters")),
-        histograms: std::mem::take(&mut *HISTS.lock().expect("obs hists")),
-        spans: std::mem::take(&mut *SPANS.lock().expect("obs spans")),
-    })
+    recorder::take(METRICS | STDERR, METRICS, |store| std::mem::take(&mut store.report))
 }
 
 /// Add `delta` to counter `name` (creating it at 0 first). `delta == 0`
-/// still creates the key — [`preseed`] relies on this to give reports a
-/// stable key set across workloads. When the journal is on, non-zero
-/// deltas are additionally journaled as timestamped counter events
-/// (zero-delta preseeds are pure schema, not occurrences, and stay out of
-/// the timeline).
+/// still creates the key. When the journal is on, non-zero deltas are
+/// additionally journaled as timestamped counter events (zero deltas are
+/// schema, not occurrences, and stay out of the timeline).
 #[inline]
 pub fn counter(name: &'static str, delta: u64) {
-    let s = state();
+    let s = sinks();
     if s == 0 {
         return;
     }
     if s & METRICS != 0 {
-        *COUNTERS.lock().expect("obs counters").entry(name).or_insert(0) += delta;
+        with_store(|store| *store.report.counters.entry(name).or_insert(0) += delta);
     }
     if s & JOURNAL != 0 && delta != 0 {
-        journal::counter(name, delta);
+        with_local(|l| l.push_event(JEvent::Counter { name, delta, ts: now_ns() }));
     }
 }
 
 /// Journal a point event (cache hit, verdict, restart, …) with a
 /// lazily-built label. The closure runs only when the journal is on, so a
-/// disabled site pays one atomic load and never formats the label.
+/// disabled site pays one thread-local load and never formats the label.
 #[inline]
 pub fn instant(name: &'static str, label: impl FnOnce() -> String) {
-    if state() & JOURNAL == 0 {
+    if !journal_enabled() {
         return;
     }
-    journal::instant(name, label());
+    let label = label();
+    with_local(|l| l.push_event(JEvent::Instant { name, label, ts: now_ns() }));
 }
 
 /// Journal a flow marker connecting causally-related work across threads
@@ -218,19 +188,16 @@ pub fn instant(name: &'static str, label: impl FnOnce() -> String) {
 /// as arrows.
 #[inline]
 pub fn flow(name: &'static str, id: u64, phase: FlowPhase) {
-    if state() & JOURNAL == 0 {
+    if !journal_enabled() {
         return;
     }
-    journal::flow(name, id, phase);
+    with_local(|l| l.push_event(JEvent::Flow { name, id, phase, ts: now_ns() }));
 }
 
 /// Record `value` into the log2-bucket histogram `name`.
 #[inline]
 pub fn observe(name: &'static str, value: u64) {
-    if !enabled() {
-        return;
-    }
-    HISTS.lock().expect("obs hists").entry(name).or_default().record(value);
+    observe_all(name, &[value]);
 }
 
 /// Record every value of `values` into the histogram `name` under a single
@@ -242,11 +209,12 @@ pub fn observe_all(name: &'static str, values: &[u64]) {
     if !enabled() || values.is_empty() {
         return;
     }
-    let mut hists = HISTS.lock().expect("obs hists");
-    let h = hists.entry(name).or_default();
-    for &v in values {
-        h.record(v);
-    }
+    with_store(|store| {
+        let h = store.report.histograms.entry(name).or_default();
+        for &v in values {
+            h.record(v);
+        }
+    });
 }
 
 /// Strip the run-varying `timings_ns` section from a rendered
@@ -262,28 +230,12 @@ pub fn strip_timings(json: &str) -> String {
 }
 
 #[cfg(test)]
-pub(crate) static TEST_LOCK: Mutex<()> = Mutex::new(());
-
-#[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Serialize tests touching the global recorder.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Turn every sink off, discarding pending state from earlier tests.
-    fn all_off() {
-        let _ = take_report();
-        let _ = take_trace();
-        set_trace(false);
-    }
+    use std::collections::BTreeMap;
 
     #[test]
     fn disabled_recorder_is_a_no_op() {
-        let _l = lock();
-        all_off();
         assert!(take_report().is_none());
         counter("x", 5);
         observe("h", 3);
@@ -301,8 +253,6 @@ mod tests {
     /// someone re-introducing unconditional lock traffic.
     #[test]
     fn disabled_event_sites_stay_cheap() {
-        let _l = lock();
-        all_off();
         instant("solver.restart", || panic!("label built with journal disabled"));
         {
             let _s = span_with("generate/solve", || panic!("label built with sinks disabled"));
@@ -324,8 +274,6 @@ mod tests {
 
     #[test]
     fn counters_and_histograms_round_trip() {
-        let _l = lock();
-        all_off();
         install();
         counter("a.b", 2);
         counter("a.b", 3);
@@ -348,8 +296,6 @@ mod tests {
 
     #[test]
     fn observe_all_matches_repeated_observe() {
-        let _l = lock();
-        all_off();
         install();
         observe_all("bulk", &[0, 1, 1, 1024]);
         observe_all("bulk", &[]);
@@ -364,8 +310,6 @@ mod tests {
 
     #[test]
     fn spans_aggregate_by_path() {
-        let _l = lock();
-        all_off();
         install();
         {
             let _outer = span("gen");
@@ -381,8 +325,6 @@ mod tests {
 
     #[test]
     fn json_is_stable_and_strippable() {
-        let _l = lock();
-        all_off();
         install();
         counter("b", 1);
         counter("a", 2);
@@ -412,24 +354,51 @@ mod tests {
 
     #[test]
     fn cross_thread_spans_merge() {
-        let _l = lock();
-        all_off();
         install();
+        let rec = Recorder::current().expect("install binds a recorder");
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
+                    let _bound = rec.bind();
                     let _w = span("gen/solve");
                 });
             }
         });
         let r = take_report().expect("installed");
         assert_eq!(r.spans["gen/solve"].count, 4);
+        assert!(Recorder::current().is_none(), "taking the last sink unbinds the recorder");
+    }
+
+    /// Two threads each install a recorder and, recording at the same
+    /// time, take back only their own events.
+    #[test]
+    fn each_thread_takes_back_only_its_own_run() {
+        let barrier = std::sync::Barrier::new(2);
+        let run = |name: &'static str, path: &'static str| {
+            install();
+            install_trace();
+            barrier.wait();
+            for _ in 0..3 {
+                let _s = span(path);
+                counter(name, 1);
+            }
+            barrier.wait();
+            let report = take_report().expect("installed");
+            assert_eq!(report.counters, BTreeMap::from([(name, 3)]));
+            assert_eq!(report.spans.keys().collect::<Vec<_>>(), [path]);
+            assert_eq!(
+                take_trace().expect("installed").to_structure(),
+                format!("trace-structure v1\nspan {path} [] x3\ncounter {name} @{path} x3 sum=3\n")
+            );
+        };
+        std::thread::scope(|s| {
+            s.spawn(|| run("a", "phase/a"));
+            s.spawn(|| run("b", "phase/b"));
+        });
     }
 
     #[test]
     fn preseed_creates_stable_key_set() {
-        let _l = lock();
-        all_off();
         install();
         preseed();
         let r = take_report().expect("installed");
@@ -448,8 +417,6 @@ mod tests {
     /// scoped to the same run, so taking the report must reset both.
     #[test]
     fn take_report_resets_stderr_trace_flag() {
-        let _l = lock();
-        all_off();
         install();
         set_trace(true);
         assert!(trace_enabled());
@@ -464,8 +431,6 @@ mod tests {
 
     #[test]
     fn journal_round_trips_spans_instants_counters_flows() {
-        let _l = lock();
-        all_off();
         install_trace();
         {
             let _outer = span_with("generate", String::new);
@@ -520,8 +485,6 @@ mod tests {
 
     #[test]
     fn journal_runs_do_not_bleed_into_each_other() {
-        let _l = lock();
-        all_off();
         install_trace();
         {
             let _s = span_with("generate", String::new);

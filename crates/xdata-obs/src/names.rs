@@ -145,16 +145,19 @@ pub const FLOW_NAMES: &[&str] = &["target"];
 /// when a stable report schema matters (the CLI does); without it the
 /// report contains only the keys the run actually touched.
 pub fn preseed() {
-    for &name in ALL_COUNTERS {
-        crate::counter(name, 0);
+    if !crate::enabled() {
+        return;
     }
-    if crate::enabled() {
-        let mut hists = crate::HISTS.lock().expect("obs hists");
-        for &name in ALL_HISTOGRAMS {
-            hists.entry(name).or_default();
+    crate::recorder::with_store(|store| {
+        let report = &mut store.report;
+        for &name in ALL_COUNTERS {
+            report.counters.entry(name).or_insert(0);
         }
-    }
-    for path in PHASE_SPANS {
-        crate::span::preseed_span(path);
-    }
+        for &name in ALL_HISTOGRAMS {
+            report.histograms.entry(name).or_default();
+        }
+        for &path in PHASE_SPANS {
+            report.spans.entry(path.to_string()).or_default();
+        }
+    });
 }

@@ -1,22 +1,9 @@
-//! Span guards, the thread-local span buffer, and stderr trace output.
+//! Span guards and stderr trace output.
 
-use std::cell::RefCell;
 use std::time::Instant;
 
-thread_local! {
-    static LOCAL: RefCell<LocalBuf> =
-        const { RefCell::new(LocalBuf { depth: 0, done: Vec::new(), lines: String::new() }) };
-}
-
-/// Per-thread buffer of finished spans and pending stderr trace lines.
-/// Both merge out when the thread's outermost span closes, so nested spans
-/// (one per solve target, say) cost a `Vec::push`, not a lock acquisition
-/// — and trace lines from different threads never interleave mid-block.
-struct LocalBuf {
-    depth: u32,
-    done: Vec<(&'static str, u64)>,
-    lines: String,
-}
+use crate::journal::{now_ns, thread_ordinal, JEvent};
+use crate::recorder::{sinks, with_local, JOURNAL, METRICS, STDERR};
 
 /// Open a span at `path`. Paths are explicit `/`-separated hierarchies
 /// (`"generate/solve"` is a child of `"generate"`) so parenthood survives
@@ -34,30 +21,32 @@ pub fn span(path: &'static str) -> SpanGuard {
 /// per-item, the report aggregates per path).
 #[inline]
 pub fn span_with(path: &'static str, label: impl FnOnce() -> String) -> SpanGuard {
-    let s = crate::state();
+    let s = sinks();
     if s == 0 {
         return SpanGuard { path, start: None, label: String::new(), journaled: false };
     }
-    LOCAL.with(|l| l.borrow_mut().depth += 1);
-    let label = if s & (crate::STDERR | crate::JOURNAL) != 0 { label() } else { String::new() };
-    let journaled = s & crate::JOURNAL != 0;
-    if journaled {
-        crate::journal::begin(path, label.clone());
-    }
+    let label = if s & (STDERR | JOURNAL) != 0 { label() } else { String::new() };
+    let journaled = s & JOURNAL != 0;
+    with_local(|l| {
+        l.depth += 1;
+        if journaled {
+            l.events.push(JEvent::Begin { path, label: label.clone(), ts: now_ns() });
+        }
+    });
     SpanGuard { path, start: Some(Instant::now()), label, journaled }
 }
 
 /// An open span; closes when dropped.
 pub struct SpanGuard {
     path: &'static str,
-    /// `None` when the span was opened with every sink off (fully inert
+    /// `None` when the span was opened with no recorder bound (fully inert
     /// guard).
     start: Option<Instant>,
     label: String,
     /// Whether a journal `Begin` was recorded at open — if so the matching
-    /// `End` is recorded at drop even if the journal was disabled in
-    /// between, keeping the journal's depth tracking balanced (the stale
-    /// events themselves are discarded at flush).
+    /// `End` is recorded at drop even if the journal was taken in between,
+    /// keeping the buffer's depth tracking balanced (the stale events
+    /// themselves are dropped at flush).
     journaled: bool,
 }
 
@@ -65,62 +54,31 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let dur_ns = start.elapsed().as_nanos() as u64;
-        if self.journaled {
-            crate::journal::end(self.path);
-        }
-        let stderr_line = crate::trace_enabled();
-        LOCAL.with(|l| {
-            let mut buf = l.borrow_mut();
-            if stderr_line {
+        let s = sinks();
+        with_local(|l| {
+            if self.journaled {
+                l.events.push(JEvent::End { path: self.path, ts: now_ns() });
+            }
+            if s & STDERR != 0 {
                 let label = if self.label.is_empty() {
                     String::new()
                 } else {
                     format!(" — {}", self.label)
                 };
-                buf.lines.push_str(&format!(
+                l.lines.push_str(&format!(
                     "[xdata-trace t{}] {} {:.3}ms{label}\n",
-                    crate::journal::thread_ordinal(),
+                    thread_ordinal(),
                     self.path,
                     dur_ns as f64 / 1e6
                 ));
             }
-            buf.done.push((self.path, dur_ns));
-            buf.depth = buf.depth.saturating_sub(1);
-            if buf.depth == 0 {
-                let done = std::mem::take(&mut buf.done);
-                let lines = std::mem::take(&mut buf.lines);
-                drop(buf);
-                flush(done, lines);
+            if s & METRICS != 0 {
+                l.spans.push((self.path, dur_ns));
+            }
+            l.depth = l.depth.saturating_sub(1);
+            if l.depth == 0 {
+                l.flush();
             }
         });
     }
-}
-
-/// Merge a thread's finished spans into the global aggregate and write its
-/// buffered trace lines as one block. The span merge is a no-op when the
-/// recorder was uninstalled while the spans were open (their timings would
-/// belong to a run that already took its report).
-fn flush(done: Vec<(&'static str, u64)>, lines: String) {
-    if !lines.is_empty() {
-        // One write for the whole block: lines from concurrently-flushing
-        // threads stay contiguous per thread instead of interleaving
-        // record-by-record.
-        eprint!("{lines}");
-    }
-    if !crate::enabled() {
-        return;
-    }
-    let mut spans = crate::SPANS.lock().expect("obs spans");
-    for (path, dur_ns) in done {
-        spans.entry(path.to_string()).or_default().merge_one(dur_ns);
-    }
-}
-
-/// Pre-register span `path` with a zero count, giving reports a stable key
-/// set whether or not the phase ran.
-pub(crate) fn preseed_span(path: &str) {
-    if !crate::enabled() {
-        return;
-    }
-    crate::SPANS.lock().expect("obs spans").entry(path.to_string()).or_default();
 }

@@ -20,6 +20,10 @@
 //! every `jobs`, provided `f` is a pure function of its arguments.
 //! Nothing about scheduling order can leak into the result vector.
 //!
+//! Workers bind the `xdata-obs` recorder of the thread that called
+//! [`par_map_cancel`], so what `f` records lands in the caller's report at
+//! every `jobs` value.
+//!
 //! The [`cancel`] module provides the pipeline's cooperative
 //! [`CancelToken`] (atomic flag + optional deadline); once it trips,
 //! workers stop claiming items, and the unprocessed slots come back as
@@ -101,6 +105,7 @@ where
             })
             .collect();
     }
+    let recorder = xdata_obs::Recorder::current();
     let cursor = AtomicUsize::new(0);
     // A panic in `f` is caught at the item, recorded with its index, and
     // re-raised on the caller's thread with the payload *and* the input
@@ -113,6 +118,7 @@ where
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 s.spawn(|| {
+                    let _bound = recorder.as_ref().map(xdata_obs::Recorder::bind);
                     let mut out = Vec::new();
                     loop {
                         if poisoned.load(Ordering::Relaxed) || cancel.is_cancelled() {
@@ -312,6 +318,28 @@ mod tests {
         }
         assert!(completed >= 1, "the cancelling task itself completed");
         assert!(completed < items.len(), "cancellation must abandon some items");
+    }
+
+    /// What workers record lands in the caller's report, the same at
+    /// every `jobs` value; a thread the caller spawns itself records
+    /// nothing.
+    #[test]
+    fn workers_record_into_the_callers_run() {
+        let items: Vec<u64> = (0..16).collect();
+        let report = |jobs: usize| {
+            xdata_obs::install();
+            map_all(jobs, &items, |_, &x| {
+                let _s = xdata_obs::span("par/item");
+                xdata_obs::counter("par.test.sum", x);
+            });
+            let bare = std::thread::spawn(|| xdata_obs::counter("par.test.sum", 1000));
+            bare.join().expect("spawned thread");
+            xdata_obs::take_report().expect("installed").to_json_stripped()
+        };
+        let inline = report(1);
+        assert!(inline.contains("\"par.test.sum\": 120"), "{inline}");
+        assert!(inline.contains("\"par/item\": {\"count\": 16}"), "{inline}");
+        assert_eq!(report(4), inline);
     }
 
     #[test]

@@ -306,8 +306,8 @@ fn snapshot_serve_counters(shared: &Shared) {
     xdata_obs::counter("serve.warm.memo_entries", shared.warm.len() as u64);
 }
 
-/// The full request lifecycle: stats, deadline mapping, the metrics gate,
-/// the unwind barrier, and response assembly.
+/// The full request lifecycle: stats, deadline mapping, the per-request
+/// recorder, the unwind barrier, and response assembly.
 pub(crate) fn handle_request(
     shared: &Shared,
     conn_cancel: &CancelToken,
@@ -343,34 +343,23 @@ pub(crate) fn handle_request(
     }
     let cancel = conn_cancel.child_for_deadline_ms(deadline);
 
-    let result;
-    let mut metrics_json = None;
-    let mut trace_json = None;
-    if req.metrics || req.trace {
-        // Exclusive: the obs recorder is process-global, so a per-request
-        // report must not see any other request's increments.
-        let _g = shared.gate.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let _ = xdata_obs::take_report(); // drop any stale state
-        let _ = xdata_obs::take_trace();
-        if req.metrics {
-            xdata_obs::install();
-            xdata_obs::preseed();
-        }
-        if req.trace {
-            xdata_obs::install_trace();
-        }
-        result = run_catching(shared, &req, &cancel);
-        if req.metrics {
-            snapshot_serve_counters(shared);
-            metrics_json = xdata_obs::take_report().map(|r| r.to_json());
-        }
-        if req.trace {
-            trace_json = xdata_obs::take_trace().map(|t| t.to_chrome_json());
-        }
-    } else {
-        let _g = shared.gate.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-        result = run_catching(shared, &req, &cancel);
+    // The recorder binds to this thread and its pool workers, so the report
+    // and trace hold this request's events only.
+    if req.metrics {
+        xdata_obs::install();
+        xdata_obs::preseed();
     }
+    if req.trace {
+        xdata_obs::install_trace();
+    }
+    let result = run_catching(shared, &req, &cancel);
+    let metrics_json = if req.metrics {
+        snapshot_serve_counters(shared);
+        xdata_obs::take_report().map(|r| r.to_json())
+    } else {
+        None
+    };
+    let trace_json = xdata_obs::take_trace().map(|t| t.to_chrome_json());
 
     match result {
         Ok(output) => Response::ok(

@@ -31,12 +31,13 @@
 //!
 //! ## Metrics
 //!
-//! The `xdata-obs` recorder is process-global, so per-request reports need
-//! exclusivity: a request with `metrics`/`trace` set takes the write side
-//! of an in-flight RwLock (waiting out concurrent requests), installs the
-//! recorder, runs, and embeds the report in its response. `serve.*`
-//! counters in such a report are daemon-lifetime totals snapshotted at
-//! response time; every other key is request-scoped. See OPERATIONS.md.
+//! A request with `metrics`/`trace` set installs the `xdata-obs` recorder
+//! on the worker thread serving it, runs, and embeds the report in its
+//! response. The recorder is bound to that thread and to the pipeline's
+//! `xdata-par` workers, so the report holds this request's events only and
+//! other requests run on beside it. `serve.*` counters in such a report
+//! are daemon-lifetime totals snapshotted at response time; every other
+//! key is request-scoped. See OPERATIONS.md.
 
 mod handler;
 
@@ -46,7 +47,7 @@ use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use xdata_client::protocol::{ErrorCode, Request, Response};
@@ -102,9 +103,6 @@ pub(crate) struct Shared {
     /// Parsed schema scripts keyed by a two-seed hash of the script text
     /// (see `handler::script_key`).
     pub schemas: Mutex<std::collections::HashMap<(u64, u64), Arc<handler::ParsedScript>>>,
-    /// The per-request metrics exclusivity gate: normal requests hold the
-    /// read side, metrics/trace requests the write side.
-    pub gate: RwLock<()>,
     pub stats: ServeStats,
     pub shutdown: AtomicBool,
     /// Root of the cancellation tree; cancelled only by
@@ -135,7 +133,6 @@ impl Server {
             config,
             warm: WarmCache::new(),
             schemas: Mutex::new(std::collections::HashMap::new()),
-            gate: RwLock::new(()),
             stats: ServeStats::default(),
             shutdown: AtomicBool::new(false),
             root_cancel: CancelToken::new(),

@@ -14,7 +14,7 @@ use crate::eval::{eval, forall_violation};
 use crate::formula::Formula;
 use crate::ids::{ArrayId, ArraySpec, QVarId, VarTable};
 use crate::nnf::to_nnf;
-use crate::search::{dpll_ground, solve_ground_cancel, GroundResult, GroundSolver};
+use crate::search::{dpll_ground, solve_ground_cancel, GroundResult, GroundSolver, SearchStats};
 use crate::unfold::unfold;
 
 /// Quantifier-handling strategy.
@@ -117,6 +117,36 @@ pub struct SolverStats {
     pub instantiations: u64,
     /// Atom count of the final ground formula.
     pub ground_atoms: usize,
+}
+
+impl SolverStats {
+    /// Add one ground search's counters.
+    pub(crate) fn add_search(&mut self, s: &SearchStats) {
+        self.decisions += s.decisions;
+        self.conflicts += s.conflicts;
+        self.theory_relaxations += s.theory_relaxations;
+        self.propagations += s.propagations;
+        self.unknown_exits += s.unknown_exits;
+        self.learned_clauses += s.learned_clauses;
+        self.restarts += s.restarts;
+        self.cancel_checks += s.cancel_checks;
+    }
+
+    /// Add another solve's counters. `ground_atoms` keeps the larger
+    /// formula, as the last round of a lazy solve does.
+    pub fn add(&mut self, o: &SolverStats) {
+        self.decisions += o.decisions;
+        self.conflicts += o.conflicts;
+        self.theory_relaxations += o.theory_relaxations;
+        self.propagations += o.propagations;
+        self.unknown_exits += o.unknown_exits;
+        self.learned_clauses += o.learned_clauses;
+        self.restarts += o.restarts;
+        self.cancel_checks += o.cancel_checks;
+        self.ground_solves += o.ground_solves;
+        self.instantiations += o.instantiations;
+        self.ground_atoms = self.ground_atoms.max(o.ground_atoms);
+    }
 }
 
 /// A constraint problem under construction.
@@ -237,14 +267,7 @@ impl Problem {
         xdata_obs::counter("solver.ground_solves", 1);
         xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
         let (res, s) = ground_solver(&ground, vars, limit, cancel);
-        stats.decisions = s.decisions;
-        stats.conflicts = s.conflicts;
-        stats.theory_relaxations = s.theory_relaxations;
-        stats.propagations = s.propagations;
-        stats.unknown_exits = s.unknown_exits;
-        stats.learned_clauses = s.learned_clauses;
-        stats.restarts = s.restarts;
-        stats.cancel_checks = s.cancel_checks;
+        stats.add_search(&s);
         (outcome_from_ground(res, vars), stats)
     }
 
@@ -284,14 +307,7 @@ impl Problem {
             xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
             let (res, s) =
                 solve_ground_cancel(&ground, vars, limit.saturating_sub(stats.decisions), cancel);
-            stats.decisions += s.decisions;
-            stats.conflicts += s.conflicts;
-            stats.theory_relaxations += s.theory_relaxations;
-            stats.propagations += s.propagations;
-            stats.unknown_exits += s.unknown_exits;
-            stats.learned_clauses += s.learned_clauses;
-            stats.restarts += s.restarts;
-            stats.cancel_checks += s.cancel_checks;
+            stats.add_search(&s);
             let model = match res {
                 GroundResult::Unsat => return (SolveOutcome::Unsat, stats),
                 GroundResult::Unknown => return (SolveOutcome::Unknown, stats),

@@ -404,11 +404,11 @@ pub fn solve_ground_cancel(
     (result, stats)
 }
 
-/// Wire one ground solve's stats into the global recorder (a no-op unless a
-/// metrics sink is installed). Recorded once per ground solve, not per
-/// decision, so the instrumented hot path stays hot. Shared between the
-/// ground solvers here and the incremental session, which bypasses
-/// [`solve_ground_cancel`].
+/// Wire one ground solve's stats into the calling thread's recorder (a
+/// no-op unless a metrics sink is installed). Recorded once per ground
+/// solve, not per decision, so the instrumented hot path stays hot. Shared
+/// between the ground solvers here and the incremental session, which
+/// bypasses [`solve_ground_cancel`].
 pub(crate) fn record_search_obs(
     result: &GroundResult,
     stats: &SearchStats,

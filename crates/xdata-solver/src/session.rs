@@ -180,22 +180,15 @@ impl SolveSession {
         );
 
         let s = *self.core.stats();
-        let stats = SolverStats {
-            decisions: s.decisions,
-            conflicts: s.conflicts,
-            theory_relaxations: s.theory_relaxations,
-            propagations: s.propagations,
-            unknown_exits: s.unknown_exits,
-            learned_clauses: s.learned_clauses,
-            restarts: s.restarts,
-            cancel_checks: s.cancel_checks,
+        let mut stats = SolverStats {
             ground_solves: 1,
-            instantiations: 0,
             // Sessions report the engine's cumulative interned-atom count
             // (the formula grows by one guard per target); one-shot solves
             // report the per-target ground formula's atom count.
             ground_atoms: self.core.atom_count(),
+            ..SolverStats::default()
         };
+        stats.add_search(&s);
         record_search_obs(&result, &s, self.core.backjumps(), self.core.lbds(), cancel);
         xdata_obs::counter("solver.ground_solves", 1);
         xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);

@@ -42,10 +42,25 @@ cargo test -q --release --offline --manifest-path ledger/Cargo.toml
 # bare URLs and other rustdoc lints fail the build.
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 
-# Metrics-schema gate: the library-level tests assert every canonical
-# counter/histogram/span key is present and that the timing-stripped
-# report is byte-identical across --jobs values.
-cargo test -q --offline --test metrics_schema
+# Recorder-isolation gate: the tests of these six binaries record metrics
+# and traces, and run daemons, side by side in one process with default
+# test threads. Each run records into the recorder bound to its own
+# thread; twenty runs in a row give a leak between concurrent runs twenty
+# chances to show. Among them, metrics_schema asserts every canonical key
+# and the --jobs-independent stripped report.
+tmpfiles ISOLATION_LOG
+i=0
+while [ $i -lt 20 ]; do
+    cargo test -q --offline --features chaos --test serve --test chaos \
+        --test metrics_schema --test trace_export --test warm_cache \
+        --test parallel_determinism > "$ISOLATION_LOG" 2>&1 || {
+        cat "$ISOLATION_LOG" >&2
+        echo "ci: recorder-isolation run $((i + 1)) of 20 failed" >&2
+        exit 1
+    }
+    i=$((i + 1))
+done
+echo "ci: recorder isolation (six test binaries, 20 runs) OK"
 
 # Chaos gate: deterministic fault injection (injected panics, forced
 # Unknown exits, synthetic deadline expiry) must yield byte-identical

@@ -276,7 +276,7 @@ fn run() -> Result<(), String> {
         return trace_cmd(&args);
     }
     if args.metrics_json.is_some() {
-        // Install the global recorder with the full canonical key set, so
+        // Install the recorder with the full canonical key set, so
         // the report schema is identical whatever phases the command runs.
         xdata_obs::install();
         xdata_obs::preseed();

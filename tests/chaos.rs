@@ -12,12 +12,8 @@
 //!   [`SkipReason`] — nothing is silently dropped;
 //! * kill evaluation still runs over the surviving datasets (no poisoned
 //!   lock or wedged memo slot survives a panicked solve).
-//!
-//! The recorder is process-global, so tests share a lock.
 
 #![cfg(feature = "chaos")]
-
-use std::sync::{Mutex, MutexGuard};
 
 use xdata::core::{FaultPlan, SkipReason};
 use xdata::obs;
@@ -26,12 +22,6 @@ use xdata::XData;
 
 const QUERY: &str =
     "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000";
-
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn university() -> XData {
     XData::new(xdata::catalog::university::schema())
@@ -65,7 +55,6 @@ fn chaos_evaluate(jobs: usize, faults: FaultPlan) -> (String, String, usize, usi
 /// the *same* stripped metrics whatever the thread count.
 #[test]
 fn fault_sweep_is_deterministic_across_jobs() {
-    let _g = lock();
     let (suite1, metrics1, killed1, uneval1) = chaos_evaluate(1, plan());
     for jobs in [4] {
         let (suite_n, metrics_n, killed_n, uneval_n) = chaos_evaluate(jobs, plan());
@@ -88,7 +77,6 @@ fn fault_sweep_is_deterministic_across_jobs() {
 /// reason — a skipped target is attributed, never silent.
 #[test]
 fn every_fault_is_attributed() {
-    let _g = lock();
     let xd = university().with_faults(plan());
     let run = xd.generate_for(QUERY).expect("chaos run still completes");
     let suite = &run.suite;
@@ -135,7 +123,6 @@ fn every_fault_is_attributed() {
 /// session still produce datasets.
 #[test]
 fn mid_session_expiry_is_deterministic_across_jobs() {
-    let _g = lock();
     let faults = FaultPlan {
         expire_targets: vec!["dataset with `>`".into(), "eq-class".into()],
         ..FaultPlan::default()
@@ -172,7 +159,6 @@ fn mid_session_expiry_is_deterministic_across_jobs() {
 /// the other targets — including ones sharing solver state — complete.
 #[test]
 fn panic_does_not_poison_the_pipeline() {
-    let _g = lock();
     let faulted = university()
         .with_jobs(4)
         .with_faults(FaultPlan {
@@ -193,7 +179,6 @@ fn panic_does_not_poison_the_pipeline() {
 /// datasets, every miss attributed, dataset+skip count equal to the plan.
 #[test]
 fn tiny_deadline_yields_well_formed_partial_suite() {
-    let _g = lock();
     use xdata::catalog::{Attribute, Relation, Schema, SplitMix64, SqlType};
 
     let mut rng = SplitMix64::new(0xc4a05);
@@ -257,9 +242,6 @@ fn tiny_deadline_yields_well_formed_partial_suite() {
 fn chaos_batch_grade_is_deterministic_across_jobs() {
     use xdata::core::GenOptions;
     use xdata::engine::JoinStrategy;
-    // Grading records into the process-wide recorder another test here may
-    // have installed; the lock keeps its counters out of that report.
-    let _g = lock();
     let reference = "SELECT i.name, t.course_id FROM instructor i, teaches t WHERE i.id = t.id";
     let candidates: Vec<String> = [
         reference,

@@ -1,8 +1,7 @@
 //! Integration tests for the `xdata` binary: argument parsing, error
 //! reporting, and the `--metrics-json`/`--trace` observability flags.
 //!
-//! Each test spawns the compiled binary (`CARGO_BIN_EXE_xdata`), so the
-//! global metrics recorder is per-process and the tests are independent.
+//! Each test spawns the compiled binary (`CARGO_BIN_EXE_xdata`).
 
 use std::path::PathBuf;
 use std::process::{Command, Output};

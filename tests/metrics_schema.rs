@@ -10,23 +10,12 @@
 //!    runs and commits.
 //! 2. **Determinism** — the timing-stripped report is byte-identical
 //!    whatever `--jobs` value produced it.
-//!
-//! The recorder is process-global, so the tests share a lock and each
-//! re-installs the recorder from scratch.
-
-use std::sync::{Mutex, MutexGuard};
 
 use xdata::obs;
 use xdata::relalg::mutation::MutationOptions;
 use xdata::XData;
 
 const QUERY: &str = "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000";
-
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn university() -> XData {
     XData::new(xdata::catalog::university::schema())
@@ -44,7 +33,6 @@ fn evaluate_with_jobs(jobs: usize) -> obs::MetricsReport {
 
 #[test]
 fn report_contains_every_canonical_key() {
-    let _g = lock();
     let report = evaluate_with_jobs(1);
     let json = report.to_json();
 
@@ -71,7 +59,6 @@ fn report_contains_every_canonical_key() {
 /// the recorded key set cannot silently desynchronize in either direction.
 #[test]
 fn recorded_keys_are_all_canonical() {
-    let _g = lock();
     let report = evaluate_with_jobs(1);
     for name in report.counters.keys() {
         assert!(
@@ -99,7 +86,6 @@ fn recorded_keys_are_all_canonical() {
 
 #[test]
 fn pipeline_actually_records() {
-    let _g = lock();
     let report = evaluate_with_jobs(1);
 
     // The plan→solve phase ran and did real work.
@@ -144,7 +130,6 @@ fn pipeline_actually_records() {
 
 #[test]
 fn generate_only_report_has_kill_keys_at_zero() {
-    let _g = lock();
     obs::install();
     obs::preseed();
     let xd = university();
@@ -156,7 +141,6 @@ fn generate_only_report_has_kill_keys_at_zero() {
 
 #[test]
 fn stripped_report_is_identical_across_jobs() {
-    let _g = lock();
     let baseline = evaluate_with_jobs(1).to_json_stripped();
     for jobs in [2, 4] {
         let report = evaluate_with_jobs(jobs).to_json_stripped();
@@ -170,9 +154,6 @@ fn stripped_report_is_identical_across_jobs() {
 
 #[test]
 fn uninstalled_recorder_yields_no_report() {
-    let _g = lock();
-    // Make sure a previous test's recorder isn't lingering.
-    let _ = obs::take_report();
     let xd = university();
     xd.generate_for(QUERY).expect("paper example generates");
     assert!(obs::take_report().is_none(), "no report without install()");

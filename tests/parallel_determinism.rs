@@ -3,22 +3,12 @@
 //! Table I chain-join workload and Table II-style selection/aggregation
 //! queries, with jobs ∈ {1, 2, 8}, plus the sessions-off configurations
 //! (`Mode::Lazy` and §VI-A input databases).
-//!
-//! The metrics recorder is process-global, so the tests share a lock.
-
-use std::sync::{Mutex, MutexGuard};
 
 use xdata::catalog::university;
 use xdata::obs;
 use xdata::relalg::mutation::MutationOptions;
 use xdata::solver::Mode;
 use xdata::XData;
-
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// Table I: pure join chains over 2..=4 relations, all relevant FKs kept.
 fn table1_queries() -> Vec<(String, xdata::catalog::Schema)> {
@@ -57,7 +47,6 @@ fn table2_queries() -> Vec<(String, xdata::catalog::Schema)> {
 
 #[test]
 fn suites_and_kill_matrices_identical_across_thread_counts() {
-    let _g = lock();
     let mopts =
         MutationOptions { include_full: false, tree_limit: 2_000, ..Default::default() };
     let mut queries = table1_queries();
@@ -101,7 +90,6 @@ fn suites_and_kill_matrices_identical_across_thread_counts() {
 /// must not depend on `--jobs`.
 #[test]
 fn sessions_off_generation_identical_across_thread_counts() {
-    let _g = lock();
     let queries = [
         "SELECT i.name FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000",
         "SELECT dept_id, SUM(salary) FROM instructor GROUP BY dept_id",

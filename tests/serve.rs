@@ -11,15 +11,18 @@
 //! frames), and deadline expiry degrades a response exactly like the
 //! batch CLI degrades a run.
 //!
-//! Per-request metrics are checked in `serve_metrics.rs`, a test binary of
-//! their own: the metrics recorder is process-global, so a daemon that
-//! another test in this binary runs would leak into the report.
+//! Per-request metrics and traces run here beside the other daemons: a
+//! request's recorder is bound to the thread serving it and to that
+//! thread's pool workers, so no other daemon, request or in-process run
+//! leaks into its report.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 
 use xdata::client::{
-    Client, ErrorCode, GenerateParams, GradeBatchParams, Request, RequestBody, Response,
+    Client, ErrorCode, GenerateParams, GradeBatchParams, Payload, Request, RequestBody, Response,
     WireOptions,
 };
 use xdata::relalg::mutation::MutationOptions;
@@ -30,6 +33,9 @@ const SCHEMA: &str = include_str!("../examples/university.sql");
 const QUERY: &str = "SELECT name FROM instructor WHERE salary > 75000";
 const JOIN_QUERY: &str =
     "SELECT i.name, t.course_id FROM instructor i, teaches t WHERE i.id = t.id";
+/// Plans targets in two skeleton classes, so `jobs: 2` solves them on two
+/// pool workers.
+const AGG_QUERY: &str = "SELECT dept_id, SUM(salary) FROM instructor GROUP BY dept_id";
 
 fn spawn_default() -> xdata::serve::ServerHandle {
     Server::bind(ServerConfig::default()).expect("bind ephemeral port").spawn().expect("spawn")
@@ -52,6 +58,18 @@ fn send_line(addr: std::net::SocketAddr, line: &str) -> Response {
     let mut resp = String::new();
     r.read_line(&mut resp).expect("read");
     Response::decode(resp.trim_end()).expect("responses are valid frames")
+}
+
+/// A `generate` request body for `query` on `SCHEMA`.
+fn generate(query: &str, options: WireOptions) -> RequestBody {
+    let (schema, query) = (SCHEMA.to_string(), query.to_string());
+    RequestBody::Generate(GenerateParams { schema, query, options })
+}
+
+/// A timing-stripped report without its `serve.*` lines, which carry
+/// daemon-lifetime totals by design.
+fn drop_serve_lines(report: &str) -> String {
+    report.lines().filter(|l| !l.contains("\"serve.")).collect::<Vec<_>>().join("\n")
 }
 
 fn mopts() -> MutationOptions {
@@ -181,6 +199,107 @@ fn concurrent_clients_on_one_tenant_are_deterministic() {
         h.join().expect("client thread");
     }
     server.shutdown().expect("clean shutdown");
+}
+
+/// A request with `metrics` set gets a per-request report whose
+/// timing-stripped bytes match the in-process recorder's — modulo the
+/// `serve.*` lines, which carry daemon-lifetime totals by design.
+#[test]
+fn first_request_metrics_match_in_process_modulo_serve_counters() {
+    let server = spawn_default();
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let req = client.build(generate(QUERY, WireOptions::default())).with_metrics();
+    let payload = client.request(&req).expect("generate ok");
+    let wire_metrics = payload.metrics_json.expect("metrics requested");
+    server.shutdown().expect("clean shutdown");
+
+    xdata::obs::install();
+    xdata::obs::preseed();
+    in_process(1).generate_for(QUERY).expect("in-process generate");
+    let local = xdata::obs::take_report().expect("recorder installed");
+
+    assert_eq!(
+        drop_serve_lines(&xdata::obs::strip_timings(&wire_metrics)),
+        drop_serve_lines(&local.to_json_stripped()),
+        "wire metrics diverged from the in-process recorder"
+    );
+    // And the serve.* totals themselves are the fresh-daemon values.
+    assert!(wire_metrics.contains("\"serve.requests\": 1"), "lifetime totals missing");
+}
+
+/// Observed runs record only their own events. Two daemons answer
+/// metrics-on `generate` requests, and one of them a trace-on request,
+/// each on a fresh tenant; a third client keeps one daemon busy with
+/// unobserved requests; and this thread records in-process runs all the
+/// while. Every report (less its `serve.*` lines) and the trace's
+/// structure equal the same run recorded alone.
+#[test]
+fn concurrent_observed_runs_record_only_their_own_events() {
+    const ROUNDS: usize = 6;
+    let local_report = || {
+        xdata::obs::install();
+        xdata::obs::preseed();
+        in_process(2).generate_for(AGG_QUERY).expect("in-process generate");
+        drop_serve_lines(&xdata::obs::take_report().expect("recorder installed").to_json_stripped())
+    };
+    let solo_report = &local_report();
+    xdata::obs::install_trace();
+    in_process(2).generate_for(AGG_QUERY).expect("in-process generate");
+    let solo_trace = &xdata::obs::take_trace().expect("journal installed").to_structure();
+
+    let observed = |addr, tenant: &str, metrics: bool| -> Payload {
+        let mut client = Client::connect(addr).expect("connect").with_tenant(tenant);
+        let req = client.build(generate(AGG_QUERY, WireOptions { jobs: 2, ..Default::default() }));
+        let req = if metrics { req.with_metrics() } else { req.with_trace() };
+        client.request(&req).expect("observed generate")
+    };
+    let servers = [spawn_default(), spawn_default()];
+    // Observed and unobserved traffic start together.
+    let started = &Barrier::new(4);
+    let done = AtomicBool::new(false);
+    // Daemon `i`'s observed runs: metrics on, and on daemon 1 a trace on.
+    let observe_daemon = |i: usize| {
+        let addr = servers[i].addr();
+        started.wait();
+        for round in 0..ROUNDS {
+            let wire = observed(addr, &format!("m{i}-{round}"), true).metrics_json;
+            let wire = xdata::obs::strip_timings(&wire.expect("metrics requested"));
+            assert_eq!(&drop_serve_lines(&wire), solo_report, "server {i}, round {round}");
+            if i == 1 && round == ROUNDS / 2 {
+                let trace = observed(addr, "traced", false).trace_json.expect("trace requested");
+                let trace = xdata::obs::parse_chrome_trace(&trace).expect("the trace parses");
+                assert_eq!(&trace.to_structure(), solo_trace);
+            }
+        }
+    };
+    std::thread::scope(|s| {
+        // Bounded, so a failed assertion below cannot leave it running.
+        let background = s.spawn(|| {
+            let mut client =
+                Client::connect(servers[0].addr()).expect("connect").with_tenant("background");
+            started.wait();
+            for _ in 0..1_000 {
+                if done.load(Ordering::Relaxed) {
+                    break;
+                }
+                client.generate(SCHEMA, JOIN_QUERY, WireOptions::default()).expect("generate");
+                client.evaluate(SCHEMA, QUERY, WireOptions::default()).expect("evaluate");
+            }
+        });
+        let clients = [s.spawn(|| observe_daemon(0)), s.spawn(|| observe_daemon(1))];
+        started.wait();
+        for round in 0..ROUNDS {
+            assert_eq!(&local_report(), solo_report, "in-process round {round}");
+        }
+        for client in clients {
+            client.join().expect("observed client");
+        }
+        done.store(true, Ordering::Relaxed);
+        background.join().expect("background client");
+    });
+    for server in servers {
+        server.shutdown().expect("clean shutdown");
+    }
 }
 
 /// Framing edges: junk JSON gets a typed `bad_request` (with best-effort

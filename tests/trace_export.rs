@@ -11,11 +11,6 @@
 //!   trace-level analogue of the metrics determinism gate.
 //! * The critical path extracted from a captured trace tiles the root
 //!   span exactly: segment durations sum to the root span duration.
-//!
-//! The journal is process-global, so tests share a lock and each installs
-//! a fresh journal run.
-
-use std::sync::{Mutex, MutexGuard};
 
 use xdata::core::FaultPlan;
 use xdata::obs;
@@ -24,12 +19,6 @@ use xdata::XData;
 
 const QUERY: &str =
     "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000";
-
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn university() -> XData {
     XData::new(xdata::catalog::university::schema())
@@ -56,7 +45,6 @@ fn traced_evaluate(jobs: usize, faults: FaultPlan) -> obs::TraceLog {
 
 #[test]
 fn chaos_partial_run_exports_valid_chrome_trace_across_jobs() {
-    let _g = lock();
     let mut structures: Vec<(usize, String)> = Vec::new();
     for jobs in [1, 2, 8] {
         let log = traced_evaluate(jobs, faults());
@@ -116,7 +104,6 @@ fn chaos_partial_run_exports_valid_chrome_trace_across_jobs() {
 
 #[test]
 fn clean_run_trace_has_target_flows_and_registered_names() {
-    let _g = lock();
     let log = traced_evaluate(2, FaultPlan::default());
     let structure = log.to_structure();
     assert!(structure.contains("flow target start"), "target flow starts missing:\n{structure}");
@@ -147,7 +134,6 @@ fn clean_run_trace_has_target_flows_and_registered_names() {
 
 #[test]
 fn critical_path_tiles_the_root_span_on_a_real_trace() {
-    let _g = lock();
     let log = traced_evaluate(4, FaultPlan::default());
     let analysis = log.analyze(10);
     let total: u64 = analysis.critical_path.iter().map(|s| s.dur_ns).sum();

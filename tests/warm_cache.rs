@@ -1,12 +1,10 @@
-//! The warm cache holds memoized solves and nothing else, in a test binary
-//! of its own because it reads the process-wide metrics recorder.
+//! The warm cache holds memoized solves and nothing else.
 //!
 //! * Repeating a complete warm run replays every solve: no memo miss and
 //!   no solver call at all, so no lane builds a session.
 //! * A run that ends with a `Timeout` skip commits nothing, and the next
 //!   uncancelled run on the same namespace returns the cold bytes.
 
-use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use xdata::catalog::{university, DomainCatalog, Schema};
@@ -16,12 +14,6 @@ use xdata::core::{
 use xdata::obs;
 use xdata::relalg::{normalize, NormQuery};
 use xdata::solver::Mode;
-
-static RECORDER_LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> MutexGuard<'static, ()> {
-    RECORDER_LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 struct Case {
     query: NormQuery,
@@ -64,7 +56,6 @@ fn timed_out(suite: &TestSuite) -> bool {
 /// with sessions on and off.
 #[test]
 fn repeated_complete_warm_run_solves_nothing() {
-    let _g = lock();
     let cases = [
         case("SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000"),
         case("SELECT name FROM instructor WHERE salary > 75000"),
@@ -102,7 +93,6 @@ fn repeated_complete_warm_run_solves_nothing() {
 /// namespace solves from scratch and returns the cold bytes.
 #[test]
 fn timed_out_run_commits_nothing() {
-    let _g = lock();
     let c = case("SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000");
     let opts = GenOptions::default();
     let started = Instant::now();
