@@ -7,12 +7,14 @@
 //! * `table2` — selection/aggregation query mix (Table II);
 //! * `inputdb` — the §VI-C.3 input-database experiment;
 //! * `baseline_cmp` — the §VI-C.1 comparison against reference \[14\]'s
-//!   approach.
+//!   approach;
+//! * `serve_sweep` — the daemon over loopback TCP at 1–8 clients.
 //!
-//! Micro/ablation benches live in `benches/` as `harness = false` timing
-//! binaries over [`median_time`] (warmup + median-of-N on
-//! `std::time::Instant`) — no external bench framework, so everything
-//! builds offline.
+//! Times are medians over [`median_time`] (warmup + median-of-N on
+//! `std::time::Instant`). The library also holds the workload generators
+//! ([`chain_sql`], [`star_sql`], [`random_join_cases`], the Table I/II
+//! lists) that the integration tests and the `ledger` whole-pipeline
+//! benchmark import.
 
 use std::time::{Duration, Instant};
 

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use xdata_catalog::{Dataset, Domain, DomainCatalog, Schema, SqlType, Value};
+use xdata_catalog::{Dataset, Domain, DomainCatalog, Schema, Value};
 use xdata_relalg::{AttrRef, NormQuery, Operand, Pred, SubCond, SubPred, SubqueryKind};
 use xdata_sql::CompareOp;
 use xdata_solver::{membership_formula, ArrayId, Atom, Formula, LikePattern, Problem, RelOp, Term};
@@ -775,17 +775,6 @@ impl<'a> ConstraintBuilder<'a> {
     /// total slots)` of a relation.
     pub fn slots_of(&self, rel: &str) -> (u32, u32) {
         self.slot_info[rel]
-    }
-
-    /// The aggregated attribute's term in copy `c` (Algorithm 4 helper).
-    pub fn agg_term(&self, a: AttrRef, copy: u32) -> Term {
-        self.cvc_map(a, copy)
-    }
-
-    /// Attribute type lookup for an occurrence attribute.
-    pub fn attr_type(&self, a: AttrRef) -> SqlType {
-        let base = &self.query.occurrences[a.occ].base;
-        self.schema.relation(base).expect("occurrence base").attr(a.col).ty
     }
 }
 

@@ -465,24 +465,6 @@ struct Lane<'g, 'a> {
     memo: HashMap<(u64, u64), MemoValue>,
 }
 
-/// Outcome of one targeted constraint set.
-enum Target {
-    Dataset(GeneratedDataset),
-    Equivalent,
-    /// The decision budget ran out before a verdict.
-    GaveUp { decisions: u64 },
-    /// The cancellation token tripped before a verdict.
-    TimedOut,
-}
-
-/// Outcome of one solve attempt (one ladder of repair capacities).
-enum SolveRes {
-    Dataset(GeneratedDataset),
-    Unsat,
-    GaveUp { decisions: u64 },
-    TimedOut,
-}
-
 impl<'a> Gen<'a> {
     // ----- Phase 1: planning --------------------------------------------
 
@@ -1193,15 +1175,7 @@ impl<'a> Lane<'_, 'a> {
             if let TargetSpec::Aggregate { a, .. } = spec {
                 return self.solve_aggregate(label, *a, &token);
             }
-            let target = self.solve_target(label, &token, &|b| gen.assert_spec(b, spec))?;
-            Ok(match target {
-                Target::Dataset(d) => ItemOutcome::Dataset(d),
-                Target::Equivalent => ItemOutcome::Skipped(SkipReason::Equivalent),
-                Target::GaveUp { decisions } => {
-                    ItemOutcome::Skipped(SkipReason::Budget { decisions })
-                }
-                Target::TimedOut => ItemOutcome::Skipped(SkipReason::Timeout),
-            })
+            self.solve_target(label, &token, &|b| gen.assert_spec(b, spec))
         }));
         match attempt {
             Ok(outcome) => outcome,
@@ -1237,26 +1211,17 @@ impl<'a> Lane<'_, 'a> {
         // third value).
         let mut enabled = [true; 5]; // [POS_STRONG, POS_WEAK, S3, S1, S2]
         loop {
-            let target = self.solve_target(label, cancel, &|b| {
+            let outcome = self.solve_target(label, cancel, &|b| {
                 gen.assert_aggregate_conds(b, group_by, having, a, copies, enabled)
             })?;
-            match target {
-                Target::Dataset(d) => return Ok(ItemOutcome::Dataset(d)),
-                Target::GaveUp { decisions } => {
-                    // The budget would only exhaust again on the relaxed
-                    // (larger-feasible-space) retries: report it now.
-                    return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions }));
-                }
-                // No time left for the relaxation ladder either.
-                Target::TimedOut => return Ok(ItemOutcome::Skipped(SkipReason::Timeout)),
-                Target::Equivalent => {
-                    // Relax the next enabled optional set.
-                    if let Some(i) = enabled.iter().position(|e| *e) {
-                        enabled[i] = false;
-                    } else {
-                        return Ok(ItemOutcome::Skipped(SkipReason::Equivalent));
-                    }
-                }
+            let equivalent = matches!(outcome, ItemOutcome::Skipped(SkipReason::Equivalent));
+            match enabled.iter().position(|e| *e) {
+                // Relax the next enabled optional set.
+                Some(i) if equivalent => enabled[i] = false,
+                // A dataset, nothing left to relax, or a budget or time
+                // that would only run out again on the relaxed
+                // (larger-feasible-space) retries.
+                _ => return Ok(outcome),
             }
         }
     }
@@ -1308,7 +1273,7 @@ impl<'a> Lane<'_, 'a> {
         label: &str,
         cancel: &CancelToken,
         f: &dyn Fn(&mut ConstraintBuilder<'_>) -> Result<(), GenError>,
-    ) -> Result<Target, GenError> {
+    ) -> Result<ItemOutcome, GenError> {
         if self.gen.opts.input_db.is_some() {
             // The input-constrained attempt gets a tighter decision budget:
             // proving UNSAT under tuple-pinning can be expensive, and the
@@ -1316,19 +1281,13 @@ impl<'a> Lane<'_, 'a> {
             // removing these constraints" anyway — so both Unsat and a
             // blown budget fall through to the unconstrained attempt.
             match self.solve_once(label, cancel, f, true)? {
-                SolveRes::Dataset(ds) => return Ok(Target::Dataset(ds)),
-                // A tripped token is latched: the unconstrained attempt
-                // would exit immediately too, so report the timeout now.
-                SolveRes::TimedOut => return Ok(Target::TimedOut),
-                SolveRes::Unsat | SolveRes::GaveUp { .. } => {}
+                ItemOutcome::Skipped(SkipReason::Equivalent | SkipReason::Budget { .. }) => {}
+                // A dataset, or a timeout: a tripped token is latched, so
+                // the unconstrained attempt would exit immediately too.
+                outcome => return Ok(outcome),
             }
         }
-        match self.solve_once(label, cancel, f, false)? {
-            SolveRes::Dataset(ds) => Ok(Target::Dataset(ds)),
-            SolveRes::Unsat => Ok(Target::Equivalent),
-            SolveRes::GaveUp { decisions } => Ok(Target::GaveUp { decisions }),
-            SolveRes::TimedOut => Ok(Target::TimedOut),
-        }
+        self.solve_once(label, cancel, f, false)
     }
 
     /// Solve with the memo: a key this lane or — on a warm run — the
@@ -1379,18 +1338,18 @@ impl<'a> Lane<'_, 'a> {
         cancel: &CancelToken,
         f: &dyn Fn(&mut ConstraintBuilder<'_>) -> Result<(), GenError>,
         use_input: bool,
-    ) -> Result<SolveRes, GenError> {
+    ) -> Result<ItemOutcome, GenError> {
         let gen = self.gen;
         // Iterative deepening over the repair-slot capacity: most targets
         // need at most one repair tuple per relation, so small tuple arrays
         // are tried first (exponentially smaller search); only an UNSAT at
         // full capacity means "no such dataset" (equivalent mutants).
         let mut agg_stats = SolverStats::default();
-        for (rung, &cap) in crate::builder::REPAIR_LADDER.iter().enumerate() {
+        for cap in crate::builder::REPAIR_LADDER {
             // Between rungs is the natural bail-out point: skeleton cloning
             // and constraint building are wasted work once the token trips.
             if cancel.is_cancelled() {
-                return Ok(SolveRes::TimedOut);
+                return Ok(ItemOutcome::Skipped(SkipReason::Timeout));
             }
             let b = if use_input {
                 // Input constraints must precede gen_db_constraints (they
@@ -1424,25 +1383,24 @@ impl<'a> Lane<'_, 'a> {
             match out {
                 SolveOutcome::Sat(model) => {
                     let dataset = materialize(&b, &model, label);
-                    return Ok(SolveRes::Dataset(GeneratedDataset {
+                    return Ok(ItemOutcome::Dataset(GeneratedDataset {
                         dataset,
                         label: label.to_string(),
                         stats: agg_stats,
                     }));
                 }
                 SolveOutcome::Unsat => {
-                    if rung + 1 == crate::builder::REPAIR_LADDER.len() {
-                        return Ok(SolveRes::Unsat);
-                    }
                     // Widen and retry: the UNSAT may be a capacity artifact.
                 }
                 SolveOutcome::Unknown => {
-                    return Ok(SolveRes::GaveUp { decisions: agg_stats.decisions })
+                    let decisions = agg_stats.decisions;
+                    return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions }));
                 }
-                SolveOutcome::Cancelled => return Ok(SolveRes::TimedOut),
+                SolveOutcome::Cancelled => return Ok(ItemOutcome::Skipped(SkipReason::Timeout)),
             }
         }
-        Ok(SolveRes::Unsat)
+        // UNSAT at full capacity: no such dataset.
+        Ok(ItemOutcome::Skipped(SkipReason::Equivalent))
     }
 }
 

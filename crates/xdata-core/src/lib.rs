@@ -51,9 +51,7 @@ pub use grade::{
     CandidateVerdict, GradeError,
 };
 pub use minimize::minimize_suite;
-pub use suite::{
-    FaultPlan, GenOptions, GeneratedDataset, SkipReason, SkippedTarget, SuiteStats, TestSuite,
-};
+pub use suite::{FaultPlan, GenOptions, GeneratedDataset, SkipReason, SkippedTarget, TestSuite};
 pub use warm::WarmCache;
 pub use xdata_par::CancelToken;
 

@@ -9,7 +9,7 @@
 //! exact on every workload in the evaluation.
 
 use xdata_catalog::Schema;
-use xdata_engine::kill::execute_mutant;
+use xdata_engine::kill::prepare_mutant;
 use xdata_engine::{execute_query, EngineError};
 use xdata_relalg::{MutationSpace, NormQuery};
 
@@ -24,13 +24,16 @@ pub fn minimize_suite(
     schema: &Schema,
 ) -> Result<TestSuite, EngineError> {
     let mutants: Vec<_> = space.iter().collect();
+    // Each mutant's query-level rewrite is applied once, outside the
+    // dataset loop.
+    let prepared: Vec<_> = mutants.iter().map(|m| prepare_mutant(query, m)).collect();
     // Kill matrix: per dataset, the set of killed mutant indices.
     let mut kills: Vec<Vec<usize>> = Vec::with_capacity(suite.datasets.len());
     for d in &suite.datasets {
         let original = execute_query(query, &d.dataset, schema)?;
         let mut killed = Vec::new();
-        for (mi, m) in mutants.iter().enumerate() {
-            let mutated = execute_mutant(query, m, &d.dataset, schema)?;
+        for (mi, m) in prepared.iter().enumerate() {
+            let mutated = m.execute(query, &d.dataset, schema)?;
             if mutated != original {
                 killed.push(mi);
             }

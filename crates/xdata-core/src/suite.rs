@@ -194,17 +194,6 @@ impl fmt::Display for SkipReason {
     }
 }
 
-/// Aggregated statistics for a generation run.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SuiteStats {
-    pub datasets: usize,
-    pub skipped: usize,
-    pub solver_decisions: u64,
-    pub solver_conflicts: u64,
-    pub ground_solves: u64,
-    pub instantiations: u64,
-}
-
 /// The generated test suite.
 #[derive(Debug, Clone, Default)]
 pub struct TestSuite {
@@ -213,21 +202,6 @@ pub struct TestSuite {
 }
 
 impl TestSuite {
-    pub fn stats(&self) -> SuiteStats {
-        let mut s = SuiteStats {
-            datasets: self.datasets.len(),
-            skipped: self.skipped.len(),
-            ..SuiteStats::default()
-        };
-        for d in &self.datasets {
-            s.solver_decisions += d.stats.decisions;
-            s.solver_conflicts += d.stats.conflicts;
-            s.ground_solves += d.stats.ground_solves;
-            s.instantiations += d.stats.instantiations;
-        }
-        s
-    }
-
     /// Just the datasets, borrowed (for feeding the kill checker).
     pub fn data(&self) -> Vec<&Dataset> {
         self.datasets.iter().map(|d| &d.dataset).collect()

@@ -47,7 +47,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace --offline
 # test threads. Each run records into the recorder bound to its own
 # thread; twenty runs in a row give a leak between concurrent runs twenty
 # chances to show. Among them, metrics_schema asserts every canonical key
-# and the --jobs-independent stripped report.
+# and the --jobs-independent stripped report, and the chaos feature's
+# deterministic fault injection (injected panics, forced Unknown exits,
+# synthetic deadline expiry) must yield byte-identical partial suites and
+# stripped metrics across --jobs values, with every skip attributed.
 tmpfiles ISOLATION_LOG
 i=0
 while [ $i -lt 20 ]; do
@@ -61,26 +64,6 @@ while [ $i -lt 20 ]; do
     i=$((i + 1))
 done
 echo "ci: recorder isolation (six test binaries, 20 runs) OK"
-
-# Chaos gate: deterministic fault injection (injected panics, forced
-# Unknown exits, synthetic deadline expiry) must yield byte-identical
-# partial suites and stripped metrics across --jobs values, with every
-# skip attributed. The serve binary's chaos test checks that an expired
-# target becomes an `Unevaluated` verdict over the wire.
-cargo test -q --offline --features chaos --test chaos --test serve
-
-# Grading-sweep smoke gate: the batch grader over a tiny synthetic
-# submission pile. The binary asserts hash/nested verdict parity
-# (byte-identical rendered reports), per-candidate agreement between the
-# amortized batch and the independent per-candidate loop, and bulk-join
-# result parity, before it prints a single timing.
-tmpfiles GRADE_OUT
-CLEANUP="$CLEANUP $GRADE_OUT.trace.json"
-XDATA_GRADE_CANDIDATES=60 XDATA_JOIN_ROWS=64 \
-    XDATA_SWEEP_OUT="$GRADE_OUT" \
-    cargo run -q --release --offline -p xdata-bench --bin grading_sweep \
-    > /dev/null
-echo "ci: grading_sweep smoke (batch/independent + hash/nested parity) OK"
 
 # Doc-link gate: every backticked metric key named in DESIGN.md must
 # exist in the canonical registry (crates/xdata-obs/src/names.rs), so

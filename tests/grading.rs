@@ -156,9 +156,12 @@ fn batch_agrees_with_single_grade() {
             CandidateOutcome::Pass => {
                 assert!(x.grade(REFERENCE, sql).unwrap().passed(), "{sql}");
             }
-            CandidateOutcome::Fail { .. } => {
-                assert!(!x.grade(REFERENCE, sql).unwrap().passed(), "{sql}");
-            }
+            CandidateOutcome::Fail { first_dataset, .. } => match x.grade(REFERENCE, sql) {
+                Ok(Grade::Different { dataset_index, .. }) => {
+                    assert_eq!(*first_dataset, dataset_index, "first witness of {sql}");
+                }
+                g => panic!("batch FAIL but single grade {g:?} for {sql}"),
+            },
             CandidateOutcome::Invalid { .. } => assert!(x.grade(REFERENCE, sql).is_err()),
             o => panic!("unexpected outcome {o:?} for {sql}"),
         }

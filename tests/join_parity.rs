@@ -101,7 +101,8 @@ fn extended_class_corpus_parity() {
 
 /// Hand-built datasets that stress hash-key edge cases the generator may
 /// not produce: NULL join keys, duplicate keys on both sides, Int/Double
-/// mixed-type key equality, and empty inputs.
+/// mixed-type key equality, and empty inputs. The second dataset is bulk
+/// data, hundreds of rows per side, where generated suites hold a handful.
 #[test]
 fn hand_built_edge_case_parity() {
     use xdata::catalog::{Dataset, Value};
@@ -142,6 +143,19 @@ fn hand_built_edge_case_parity() {
     d.push("b", vec![Value::Null, Value::Int(6)]);
     d.push("b", vec![Value::Int(3), Value::Int(7)]);
 
+    // Bulk: 200 rows per side plus three NULL keys each. Every key of `b`
+    // sits in two rows, a third of them miss `a` and most keys of `a` miss
+    // `b`, so the outer joins pad on both sides.
+    let mut bulk = Dataset::new();
+    for i in 0..200i64 {
+        bulk.push("a", vec![Value::Int(i), Value::Double((i % 23) as f64)]);
+        bulk.push("b", vec![Value::Int(i % 100 * 3), Value::Int(i % 29)]);
+    }
+    for i in 0..3i64 {
+        bulk.push("a", vec![Value::Null, Value::Double(i as f64)]);
+        bulk.push("b", vec![Value::Null, Value::Int(i + 5)]);
+    }
+
     for sql in [
         "SELECT * FROM a, b WHERE a.id = b.id",
         "SELECT * FROM a LEFT OUTER JOIN b ON a.id = b.id",
@@ -163,9 +177,11 @@ fn hand_built_edge_case_parity() {
         "SELECT * FROM a WHERE a.id IN (SELECT id FROM b WHERE b.w > a.v)",
     ] {
         let q = normalize(&parse_query(sql).unwrap(), &schema).unwrap();
-        let h = execute_query_strategy(&q, &d, &schema, JoinStrategy::Hash).unwrap();
-        let n = execute_query_strategy(&q, &d, &schema, JoinStrategy::NestedLoop).unwrap();
-        assert_eq!(h.rows(), n.rows(), "`{sql}`");
+        for (name, data) in [("small", &d), ("bulk", &bulk)] {
+            let h = execute_query_strategy(&q, data, &schema, JoinStrategy::Hash).unwrap();
+            let n = execute_query_strategy(&q, data, &schema, JoinStrategy::NestedLoop).unwrap();
+            assert_eq!(h.rows(), n.rows(), "`{sql}` on the {name} dataset");
+        }
     }
 }
 
