@@ -19,10 +19,10 @@
 use std::time::{Duration, Instant};
 
 use xdata_catalog::{university, Attribute, DomainCatalog, Relation, Schema, SplitMix64, SqlType};
-use xdata_core::{generate, GenOptions};
-use xdata_engine::kill::kill_report;
+use xdata_core::{generate, GenOptions, TestSuite};
+use xdata_engine::kill::{kill_report, KillReport};
 use xdata_relalg::mutation::{mutation_space, MutationOptions};
-use xdata_relalg::{normalize, NormQuery};
+use xdata_relalg::{normalize, MutationSpace, NormQuery};
 use xdata_solver::Mode;
 use xdata_sql::parse_query;
 
@@ -311,38 +311,56 @@ fn bench_query(sql: &str, schema: &Schema) -> NormQuery {
     normalize(&parse_query(sql).expect("bench SQL parses"), schema).expect("bench SQL normalizes")
 }
 
+/// One query run through the §VI-C loop.
+pub struct Evaluation {
+    pub query: NormQuery,
+    pub suite: TestSuite,
+    pub space: MutationSpace,
+    pub report: KillReport,
+}
+
+impl Evaluation {
+    /// The counts of the query's table row.
+    pub fn row(&self) -> EvalRow {
+        // Raw counting: join mutants occupy the first `space.join.len()`
+        // indices of the report, each weighted by its multiplicity.
+        let join = &self.space.join;
+        let mut killed_raw = 0usize;
+        for (i, k) in self.report.killed_by.iter().enumerate() {
+            if k.is_none() {
+                continue;
+            }
+            killed_raw += if i < join.len() { join[i].multiplicity } else { 1 };
+        }
+        EvalRow {
+            // The paper's dataset counts exclude the original-query dataset.
+            datasets: self.suite.datasets.len().saturating_sub(1),
+            skipped: self.suite.skipped.len(),
+            mutants: self.space.len(),
+            killed: self.report.killed_count(),
+            killed_raw,
+        }
+    }
+}
+
 /// Run the §VI-C loop for one query: generate with quantifier unfolding,
 /// then check kills (mutation space excludes full-outer mutations, as the
 /// paper's evaluation does).
-pub fn evaluate_query(sql: &str, schema: &Schema, tree_limit: usize) -> EvalRow {
-    let q = bench_query(sql, schema);
+pub fn evaluate(sql: &str, schema: &Schema, tree_limit: usize) -> Evaluation {
+    let query = bench_query(sql, schema);
     let domains = DomainCatalog::defaults(schema);
     let suite =
-        generate(&q, schema, &domains, &bench_opts(Mode::Unfold)).expect("generation succeeds");
-
+        generate(&query, schema, &domains, &bench_opts(Mode::Unfold)).expect("generation succeeds");
     let mopts = MutationOptions { include_full: false, include_extensions: false, tree_limit };
-    let space = mutation_space(&q, mopts);
+    let space = mutation_space(&query, mopts);
     let report =
-        kill_report(&q, &space, &suite.data(), schema).expect("kill checking succeeds");
+        kill_report(&query, &space, &suite.data(), schema).expect("kill checking succeeds");
+    Evaluation { query, suite, space, report }
+}
 
-    // Raw counting: join mutants occupy the first `space.join.len()`
-    // indices of the report, each weighted by its multiplicity.
-    let mut killed_raw = 0usize;
-    for (i, k) in report.killed_by.iter().enumerate() {
-        if k.is_none() {
-            continue;
-        }
-        killed_raw += if i < space.join.len() { space.join[i].multiplicity } else { 1 };
-    }
-
-    EvalRow {
-        // The paper's dataset counts exclude the original-query dataset.
-        datasets: suite.datasets.len().saturating_sub(1),
-        skipped: suite.skipped.len(),
-        mutants: space.len(),
-        killed: report.killed_count(),
-        killed_raw,
-    }
+/// The table row of [`evaluate`].
+pub fn evaluate_query(sql: &str, schema: &Schema, tree_limit: usize) -> EvalRow {
+    evaluate(sql, schema, tree_limit).row()
 }
 
 /// Median wall time of generating `sql`'s suite in `mode` (one warm-up

@@ -9,7 +9,7 @@
 //! exact on every workload in the evaluation.
 
 use xdata_catalog::Schema;
-use xdata_engine::kill::prepare_mutant;
+use xdata_engine::kill::{certify_on_suite, prepare_mutant};
 use xdata_engine::{execute_query, EngineError};
 use xdata_relalg::{MutationSpace, NormQuery};
 
@@ -24,18 +24,25 @@ pub fn minimize_suite(
     schema: &Schema,
 ) -> Result<TestSuite, EngineError> {
     let mutants: Vec<_> = space.iter().collect();
-    // Each mutant's query-level rewrite is applied once, outside the
+    // A certified mutant's kill column is empty by proof, so it is not run.
+    // Each other mutant's query-level rewrite is applied once, outside the
     // dataset loop.
-    let prepared: Vec<_> = mutants.iter().map(|m| prepare_mutant(query, m)).collect();
+    let certs = certify_on_suite(query, space, &suite.data(), schema);
+    let prepared: Vec<_> = mutants
+        .iter()
+        .enumerate()
+        .filter(|&(mi, _)| certs[mi].is_none())
+        .map(|(mi, m)| (mi, prepare_mutant(query, m)))
+        .collect();
     // Kill matrix: per dataset, the set of killed mutant indices.
     let mut kills: Vec<Vec<usize>> = Vec::with_capacity(suite.datasets.len());
     for d in &suite.datasets {
         let original = execute_query(query, &d.dataset, schema)?;
         let mut killed = Vec::new();
-        for (mi, m) in prepared.iter().enumerate() {
+        for (mi, m) in &prepared {
             let mutated = m.execute(query, &d.dataset, schema)?;
             if mutated != original {
-                killed.push(mi);
+                killed.push(*mi);
             }
         }
         kills.push(killed);

@@ -2,20 +2,27 @@
 //!
 //! "A mutant query is said to be killed by a test case when the execution
 //! of the mutant on a test case produces a different result than the
-//! execution of the original query" (§I).
+//! execution of the original query" (§I). Join mutants that a certificate
+//! proves equivalent on the suite's data ([`certify_on_suite`]) are not
+//! executed: no dataset can kill them.
 
-use xdata_catalog::{Dataset, Schema};
+use std::collections::HashMap;
+
+use xdata_catalog::{Dataset, ForeignKey, Schema, Value};
 use xdata_par::CancelToken;
+use xdata_relalg::certify::{certify_join_mutants, Rule};
 use xdata_relalg::mutation::{
     apply_agg_mutant, apply_cmp_mutant, apply_distinct_mutant, apply_having_agg_mutant,
     apply_having_cmp_mutant, apply_like_mutant, apply_null_check_mutant, apply_sub_mutant,
 };
 use xdata_relalg::tree::JoinTree;
-use xdata_relalg::{Mutant, MutationSpace, NormQuery};
+use xdata_relalg::{Certificate, Mutant, MutationSpace, NormQuery};
+use xdata_sql::{AggOp, CompareOp};
 
 use crate::error::EngineError;
 use crate::exec::{
-    execute_query, execute_query_strategy, execute_with_tree_strategy, JoinStrategy,
+    cmp_truth, execute_query, execute_query_strategy, execute_with_tree_strategy, key_part,
+    JoinStrategy, KeyPart,
 };
 use crate::result::ResultSet;
 
@@ -108,6 +115,12 @@ impl KillReport {
         self.killed_by.iter().filter(|k| k.is_some()).count()
     }
 
+    /// Whether mutant `mi` has no verdict because the run was cancelled
+    /// (`unevaluated` is ascending, so this is a binary search).
+    pub fn is_unevaluated(&self, mi: usize) -> bool {
+        self.unevaluated.binary_search(&mi).is_ok()
+    }
+
     /// Mutants that were evaluated against every dataset and killed by
     /// none — the equivalence candidates (unevaluated mutants are not
     /// survivors; they simply have no verdict).
@@ -115,9 +128,88 @@ impl KillReport {
         self.killed_by
             .iter()
             .enumerate()
-            .filter(|(i, k)| k.is_none() && !self.unevaluated.contains(i))
+            .filter(|&(i, k)| k.is_none() && !self.is_unevaluated(i))
             .map(|(i, _)| i)
     }
+}
+
+/// Equivalence certificates of the mutants of `space` (indexed like
+/// `space.iter()`; only join mutants get one) that hold on every dataset
+/// of `suite`. A certified mutant can be killed by no dataset of the
+/// suite, so [`kill_report_cancel`] and `minimize_suite` skip executing it.
+///
+/// `kill_report` accepts any dataset, legal or not, so the certificates
+/// are checked on the data, in linear time and with the executor's own
+/// equality. A foreign-key certificate is kept only if every dataset
+/// satisfies each key it names. SUM adds in i64 only while every value is
+/// an INT: a float stored in a summed column makes it add in row order,
+/// which a mutant's tree may change, and then no certificate is kept.
+pub fn certify_on_suite(
+    q: &NormQuery,
+    space: &MutationSpace,
+    suite: &[&Dataset],
+    schema: &Schema,
+) -> Vec<Option<Certificate>> {
+    let mut certs = certify_join_mutants(q, schema, &space.join);
+    if sums_stored_float(q, suite) {
+        certs.fill(None);
+    }
+    let mut holds: Vec<Option<bool>> = vec![None; schema.foreign_keys().len()];
+    for cert in &mut certs {
+        let void = cert.as_ref().is_some_and(|c| {
+            !c.foreign_keys().all(|fk| {
+                *holds[fk].get_or_insert_with(|| {
+                    suite.iter().all(|db| fk_holds(&schema.foreign_keys()[fk], db))
+                })
+            })
+        });
+        if void {
+            *cert = None;
+        }
+    }
+    certs.resize(space.len(), None);
+    certs
+}
+
+/// Whether some summed column of `q` holds a float on a dataset of `suite`.
+fn sums_stored_float(q: &NormQuery, suite: &[&Dataset]) -> bool {
+    let mut summed = q.aggregates().filter(|(f, _)| f.op == AggOp::Sum).filter_map(|(_, a)| a);
+    summed.any(|a| {
+        suite.iter().any(|db| {
+            let tuples = db.relation(&q.occurrences[a.occ].base).unwrap_or(&[]);
+            tuples.iter().any(|t| matches!(t.get(a.col), Some(Value::Double(_))))
+        })
+    })
+}
+
+/// Whether every tuple of `fk.from` in `db` matches a tuple of `fk.to` the
+/// way the hash join matches them: same key bucket, and every column pair
+/// equal under the executor's comparison (a NULL matches nothing).
+fn fk_holds(fk: &ForeignKey, db: &Dataset) -> bool {
+    let from = db.relation(&fk.from).unwrap_or(&[]);
+    if from.is_empty() {
+        return true;
+    }
+    let key = |t: &[Value], cols: &[usize]| -> Option<Vec<KeyPart>> {
+        cols.iter().map(|&c| key_part(t.get(c)?.clone())).collect()
+    };
+    let mut index: HashMap<Vec<KeyPart>, Vec<&[Value]>> = HashMap::new();
+    for u in db.relation(&fk.to).unwrap_or(&[]) {
+        if let Some(k) = key(u, &fk.to_cols) {
+            index.entry(k).or_default().push(u);
+        }
+    }
+    from.iter().all(|t| {
+        let Some(bucket) = key(t, &fk.from_cols).and_then(|k| index.get(&k)) else {
+            return false;
+        };
+        bucket.iter().any(|u| {
+            fk.from_cols
+                .iter()
+                .zip(&fk.to_cols)
+                .all(|(&f, &c)| cmp_truth(&t[f], CompareOp::Eq, &u[c]).is_true())
+        })
+    })
 }
 
 /// Mutant-class tag used in trace span labels and verdict events; matches
@@ -157,7 +249,9 @@ pub fn kill_report(
 /// identical for every `jobs` value. When `cancel` trips (a pipeline-level
 /// deadline expired), mutants without a verdict yet land in
 /// [`KillReport::unevaluated`] instead of blocking the report. Verdicts
-/// already computed are kept — cancellation never invalidates them.
+/// already computed are kept — cancellation never invalidates them. A
+/// mutant certified by [`certify_on_suite`] survives without being
+/// prepared or executed.
 pub fn kill_report_cancel(
     q: &NormQuery,
     space: &MutationSpace,
@@ -172,35 +266,53 @@ pub fn kill_report_cancel(
         suite.iter().map(|db| execute_query(q, db, schema)).collect::<Result<_, _>>()?
     };
     let mutants: Vec<_> = space.iter().collect();
+    let certs = certify_on_suite(q, space, suite, schema);
     let verdicts = xdata_par::par_map_cancel(jobs, &mutants, cancel, |mi, m| {
         // The class tag in the label is what lets `xdata trace` break
         // evaluation time down per mutant class offline.
         let _shard_span = xdata_obs::span_with("kill/mutant", || {
             format!("#{mi} {} [{}]", m.describe(q), class_name(m))
         });
-        // The query-level rewrite is applied once here, outside the
-        // dataset loop — only execution repeats per dataset.
-        let prepared = prepare_mutant(q, m);
-        let verdict = (|| {
-            for (di, db) in suite.iter().enumerate() {
-                if cancel.is_cancelled() {
-                    return Err(None);
-                }
-                let mutated = match prepared.execute(q, db, schema) {
-                    Ok(r) => r,
-                    Err(e) => return Err(Some(e)),
-                };
-                if mutated != originals[di] {
-                    return Ok(Some(di));
-                }
+        let cert = certs[mi].as_ref();
+        let verdict = if cert.is_some() {
+            // Survives by proof, without being prepared or executed; a
+            // tripped token leaves it unevaluated, as it would an executed
+            // mutant before its first dataset.
+            if !suite.is_empty() && cancel.is_cancelled() {
+                Err(None)
+            } else {
+                Ok(None)
             }
-            Ok(None)
-        })();
+        } else {
+            // The query-level rewrite is applied once here, outside the
+            // dataset loop — only execution repeats per dataset.
+            let prepared = prepare_mutant(q, m);
+            (|| {
+                for (di, db) in suite.iter().enumerate() {
+                    if cancel.is_cancelled() {
+                        return Err(None);
+                    }
+                    let mutated = match prepared.execute(q, db, schema) {
+                        Ok(r) => r,
+                        Err(e) => return Err(Some(e)),
+                    };
+                    if mutated != originals[di] {
+                        return Ok(Some(di));
+                    }
+                }
+                Ok(None)
+            })()
+        };
         if let Ok(v) = &verdict {
             let v = *v;
-            xdata_obs::instant("kill.verdict", || match v {
-                Some(di) => format!("#{mi} [{}] killed by dataset {di}", class_name(m)),
-                None => format!("#{mi} [{}] survived", class_name(m)),
+            xdata_obs::instant("kill.verdict", || match (v, cert) {
+                (Some(di), _) => format!("#{mi} [{}] killed by dataset {di}", class_name(m)),
+                (None, Some(c)) => format!(
+                    "#{mi} [{}] survived (equivalent: {})",
+                    class_name(m),
+                    c.describe(q, schema)
+                ),
+                (None, None) => format!("#{mi} [{}] survived", class_name(m)),
             });
         }
         verdict
@@ -220,15 +332,17 @@ pub fn kill_report_cancel(
             }
         }
     }
+    let report = KillReport { killed_by, unevaluated, total_mutants: space.len() };
     // Per-mutant-class tallies, recorded from the order-preserved verdicts
     // on the calling thread — deterministic for every `jobs` value.
     // Unevaluated mutants are neither killed nor survived: they count only
-    // toward `kill.unevaluated`.
+    // toward `kill.unevaluated`. Each survivor also counts the rule that
+    // certified it, or `kill.uncertified`.
     xdata_obs::counter("kill.datasets", suite.len() as u64);
     xdata_obs::counter("kill.mutants", mutants.len() as u64);
-    xdata_obs::counter("kill.unevaluated", unevaluated.len() as u64);
-    for (mi, (m, verdict)) in mutants.iter().zip(&killed_by).enumerate() {
-        if unevaluated.contains(&mi) {
+    xdata_obs::counter("kill.unevaluated", report.unevaluated.len() as u64);
+    for (mi, (m, verdict)) in mutants.iter().zip(&report.killed_by).enumerate() {
+        if report.is_unevaluated(mi) {
             continue;
         }
         let (killed_name, survived_name) = match m {
@@ -242,15 +356,27 @@ pub fn kill_report_cancel(
             Mutant::Like(_) => ("kill.killed.like", "kill.survived.like"),
             Mutant::NullCheck(_) => ("kill.killed.null_check", "kill.survived.null_check"),
         };
-        xdata_obs::counter(if verdict.is_some() { killed_name } else { survived_name }, 1);
+        if verdict.is_some() {
+            xdata_obs::counter(killed_name, 1);
+            continue;
+        }
+        xdata_obs::counter(survived_name, 1);
+        xdata_obs::counter(
+            match certs[mi].as_ref().map(Certificate::rule) {
+                Some(Rule::NullRejected) => "kill.certified.null_rejected",
+                Some(Rule::ForeignKey) => "kill.certified.foreign_key",
+                None => "kill.uncertified",
+            },
+            1,
+        );
     }
-    Ok(KillReport { killed_by, unevaluated, total_mutants: space.len() })
+    Ok(report)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xdata_catalog::{university, Value};
+    use xdata_catalog::university;
     use xdata_relalg::mutation::{mutation_space, MutationOptions};
     use xdata_relalg::normalize;
     use xdata_sql::parse_query;
@@ -396,11 +522,12 @@ mod tests {
         assert!(d.integrity_violations(&schema).is_empty());
         // The mutant that NULL-extends teaches-side rows (no matching
         // instructor) can never fire on a legal dataset.
+        let names = ["i".to_string(), "t".to_string()];
         for m in &space.join {
             let killed = kills(&q, &Mutant::Join(m.clone()), &d, &schema).unwrap();
             // Exactly the mutants that NULL-extend missing teaches rows
             // fire here (instructor 2 teaches nothing).
-            let t = m.tree.display_with(&["i".into(), "t".into()]).to_string();
+            let t = m.tree.display_with(&names).to_string();
             if killed {
                 assert!(
                     t.contains("(i LEFT-OUTER-JOIN t)")
@@ -409,6 +536,74 @@ mod tests {
                     "unexpected kill by {t}"
                 );
             }
+        }
+        // That mutant carries a certificate naming the FK.
+        let fk_mi = space
+            .join
+            .iter()
+            .position(|m| {
+                let t = m.tree.display_with(&names).to_string();
+                t == "(i RIGHT-OUTER-JOIN t)" || t == "(t LEFT-OUTER-JOIN i)"
+            })
+            .expect("the mutant padding instructor");
+        let certs = certify_on_suite(&q, &space, &[&d], &schema);
+        let cert = certs[fk_mi].as_ref().expect("FK certificate");
+        assert_eq!(cert.rule(), Rule::ForeignKey);
+        assert_eq!(
+            cert.describe(&q, &schema),
+            "i reached by foreign key teaches(id) -> instructor(id)"
+        );
+        assert_eq!(certs.iter().flatten().count(), 1, "no other mutant is certified");
+        // An orphan teaches row violates the FK: the certificate is void,
+        // so the mutant is executed and killed.
+        let mut orphan = d.clone();
+        let orphan_row = vec![Value::Int(9), Value::Int(101), Value::Int(1), Value::Int(2009)];
+        orphan.push("teaches", orphan_row);
+        assert!(certify_on_suite(&q, &space, &[&d, &orphan], &schema)[fk_mi].is_none());
+        let report = kill_report(&q, &space, &[&d, &orphan], &schema).unwrap();
+        assert_eq!(report.killed_by[fk_mi], Some(1));
+    }
+
+    #[test]
+    fn nullable_fk_column_gives_no_certificate() {
+        let sql = "SELECT * FROM instructor i, teaches t WHERE i.id = t.id";
+        for (marker, certified) in [("", 1), (" NULL", 0)] {
+            let (schema, _) = xdata_sql::parse_script(&format!(
+                "CREATE TABLE instructor (id INT PRIMARY KEY, name VARCHAR, dept_id INT,
+                     salary INT);
+                 CREATE TABLE teaches (id INT{marker}, course_id INT, sec_id INT, year INT,
+                     FOREIGN KEY (id) REFERENCES instructor (id));"
+            ))
+            .unwrap();
+            let q = normalize(&parse_query(sql).unwrap(), &schema).unwrap();
+            let space = mutation_space(&q, MutationOptions::default());
+            let certs = certify_on_suite(&q, &space, &[], &schema);
+            assert_eq!(certs.iter().flatten().count(), certified, "teaches.id INT{marker}");
+        }
+    }
+
+    /// AVG adds floats in row order, which a mutant's tree may change:
+    /// Example 3's null-rejected mutant is certified under SUM over an INT
+    /// column, and not under AVG, nor once a summed column stores a float.
+    #[test]
+    fn avg_query_gives_no_certificate() {
+        let sql = |agg: &str| {
+            format!(
+                "SELECT i.dept_id, {agg}(i.salary) FROM instructor i, teaches t, course c \
+                 WHERE i.id = t.id AND t.course_id = c.course_id GROUP BY i.dept_id"
+            )
+        };
+        let mut float_salary = Dataset::new();
+        let row = vec![Value::Int(1), Value::Str("A".into()), Value::Int(1), Value::Double(0.5)];
+        float_salary.push("instructor", row);
+        for (agg, suite, certified) in
+            [("SUM", vec![], true), ("AVG", vec![], false), ("SUM", vec![&float_salary], false)]
+        {
+            let (q, schema) = setup(&sql(agg));
+            let space = mutation_space(&q, MutationOptions::default());
+            let certs = certify_on_suite(&q, &space, &suite, &schema);
+            let any = certs.iter().any(Option::is_some);
+            assert_eq!(any, certified, "{agg} on {} datasets", suite.len());
         }
     }
 }

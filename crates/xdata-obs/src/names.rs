@@ -35,6 +35,8 @@ pub const ALL_COUNTERS: &[&str] = &[
     "engine.subquery.fallback_preds",
     "engine.subquery.hash_preds",
     "engine.subquery.probe_rows",
+    "kill.certified.foreign_key",
+    "kill.certified.null_rejected",
     "kill.datasets",
     "kill.killed.agg",
     "kill.killed.cmp",
@@ -55,6 +57,7 @@ pub const ALL_COUNTERS: &[&str] = &[
     "kill.survived.like",
     "kill.survived.null_check",
     "kill.survived.subquery",
+    "kill.uncertified",
     "kill.unevaluated",
     "serve.connections",
     "serve.deadline_clamped",
@@ -120,7 +123,8 @@ pub const PHASE_SPANS: &[&str] = &[
 /// * `core.target.skip` — a target resolved without a dataset; the label
 ///   carries the `SkipReason`.
 /// * `kill.verdict` — one mutant classified; the label carries
-///   `killed`/`survived` plus the mutant class.
+///   `killed`/`survived` plus the mutant class, and a certified survivor's
+///   certificate (`survived (equivalent: <certificate>)`).
 /// * `par.claim` — a pool worker claimed a work item; the label carries
 ///   the queue-wait since the batch was submitted. Scheduling-domain, so
 ///   excluded from the deterministic trace structure.

@@ -351,6 +351,16 @@ impl NormQuery {
         out
     }
 
+    /// Every aggregate of the select list and of HAVING, as `(function,
+    /// argument)`.
+    pub fn aggregates(&self) -> impl Iterator<Item = (AggFunc, Option<AttrRef>)> + '_ {
+        let (aggs, having): (&[AggSpec], &[HavingPred]) = match &self.select {
+            SelectSpec::Aggregation { aggs, having, .. } => (aggs, having),
+            _ => (&[], &[]),
+        };
+        aggs.iter().map(|a| (a.func, a.arg)).chain(having.iter().map(|h| (h.func, h.arg)))
+    }
+
     /// Selection predicates (single occurrence) of `preds`.
     pub fn selections(&self) -> impl Iterator<Item = (usize, &Pred)> {
         self.preds.iter().enumerate().filter(|(_, p)| p.is_selection())

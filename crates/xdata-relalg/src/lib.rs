@@ -25,7 +25,12 @@
 //!   is built only per distinct mutant; `canonical_key()` keys the one
 //!   written tree of an outer-join query and is the tests' oracle for the
 //!   mask keys.
+//! * [`certify::certify_join_mutants`] — equivalence certificates for join
+//!   mutants by the paper's Example 3 (a null-rejecting inner-join
+//!   ancestor) and Example 2 (NOT NULL foreign-key chains), each naming
+//!   its evidence.
 
+pub mod certify;
 pub mod decorrelate;
 pub mod enumerate;
 pub mod error;
@@ -35,6 +40,7 @@ pub mod mutation;
 pub mod normalize;
 pub mod tree;
 
+pub use certify::Certificate;
 pub use error::RelAlgError;
 pub use fingerprint::{canonical_form, structural_hash};
 pub use ir::{

@@ -51,7 +51,10 @@ impl JoinTree {
     /// Bitmask of occurrence indices (occurrence count ≤ 64 is enforced at
     /// normalization).
     pub fn leaf_mask(&self) -> u64 {
-        self.leaves().iter().fold(0u64, |m, i| m | (1 << i))
+        match self {
+            JoinTree::Leaf(i) => 1 << i,
+            JoinTree::Node { left, right, .. } => left.leaf_mask() | right.leaf_mask(),
+        }
     }
 
     /// Number of join nodes.

@@ -153,7 +153,7 @@ pub fn render_evaluate(
             Some(d) => {
                 let _ = writeln!(out, "  killed by #{d}: {desc}");
             }
-            None if report.unevaluated.contains(&mi) => {
+            None if report.is_unevaluated(mi) => {
                 let _ = writeln!(out, "  UNEVALUATED (deadline expired): {desc}");
             }
             None if partial => {

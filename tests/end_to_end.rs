@@ -8,7 +8,7 @@
 //! database instances.
 
 use xdata::catalog::{university, Dataset, Value};
-use xdata::engine::kill::execute_mutant;
+use xdata::engine::kill::{certify_on_suite, execute_mutant};
 use xdata::engine::execute_query;
 use xdata::relalg::mutation::MutationOptions;
 use xdata::relalg::{Mutant, NormQuery};
@@ -123,7 +123,9 @@ fn killable_by_exhaustion(
 }
 
 /// The core completeness check: generate, evaluate, and prove every
-/// surviving mutant equivalent (within the bounded search).
+/// surviving mutant equivalent (within the bounded search). The report
+/// never executes a mutant it certifies equivalent; each certified mutant
+/// must be a survivor, so the search covers it too.
 fn assert_complete(sql: &str, fks: usize) {
     let schema = university::schema_with_fk_count(fks);
     let xdata = XData::new(schema.clone());
@@ -140,7 +142,12 @@ fn assert_complete(sql: &str, fks: usize) {
         assert!(errs.is_empty(), "dataset `{}` illegal: {errs:?}", d.label);
     }
     let mutants: Vec<Mutant> = space.iter().collect();
-    for mi in report.surviving() {
+    let surviving: Vec<usize> = report.surviving().collect();
+    let certs = certify_on_suite(&run.query, &space, &run.suite.data(), &schema);
+    for (mi, _) in certs.iter().enumerate().filter(|(_, c)| c.is_some()) {
+        assert!(surviving.contains(&mi), "certified mutant #{mi} is not a survivor ({sql})");
+    }
+    for &mi in &surviving {
         let m = &mutants[mi];
         assert!(
             !killable_by_exhaustion(&run.query, m, &schema),

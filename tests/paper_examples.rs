@@ -3,6 +3,8 @@
 
 use xdata::catalog::{university, Dataset, Value};
 use xdata::engine::execute_query;
+use xdata::engine::kill::certify_on_suite;
+use xdata::relalg::certify::Rule;
 use xdata::relalg::mutation::MutationOptions;
 use xdata::relalg::normalize;
 use xdata::sql::parse_query;
@@ -60,9 +62,10 @@ fn example_1_propagation_to_root() {
 }
 
 /// Example 2: with the FK teaches.id → instructor.id the right-outer mutant
-/// is equivalent — but adding a selection on instructor revives it: the
-/// generator produces a dataset where the instructor matches the FK but
-/// fails the selection.
+/// is equivalent, and carries a certificate naming that key — but adding a
+/// selection on instructor revives it: the generator produces a dataset
+/// where the instructor matches the FK but fails the selection, and the
+/// certificate is gone.
 #[test]
 fn example_2_selection_revives_mutant() {
     let schema = university::schema_with_fk_count(1);
@@ -76,6 +79,25 @@ fn example_2_selection_revives_mutant() {
         plain.suite.skipped.iter().any(|s| s.label.contains("i.id")),
         "{:?}",
         plain.suite.skipped
+    );
+    // The mutant that pads instructor is proved by the foreign key.
+    let pads_instructor = |run: &xdata::Run| {
+        let space = run.mutants(MutationOptions::default());
+        let certs = certify_on_suite(&run.query, &space, &run.suite.data(), &schema);
+        let names: Vec<String> = run.query.occurrences.iter().map(|o| o.name.clone()).collect();
+        let mi = space
+            .join
+            .iter()
+            .position(|m| {
+                let t = m.tree.display_with(&names).to_string();
+                t == "(i RIGHT-OUTER-JOIN t)" || t == "(t LEFT-OUTER-JOIN i)"
+            })
+            .expect("the mutant padding instructor");
+        certs[mi].as_ref().map(|c| (c.rule(), c.describe(&run.query, &schema)))
+    };
+    assert_eq!(
+        pads_instructor(&plain),
+        Some((Rule::ForeignKey, "i reached by foreign key teaches(id) -> instructor(id)".into()))
     );
 
     // With a selection: Algorithm 3 generates the σ-violating dataset.
@@ -100,7 +122,9 @@ fn example_2_selection_revives_mutant() {
     });
     assert!(revived, "instructor matches FK but fails selection:\n{}", d.dataset);
 
-    // And that dataset indeed kills a right-outer-style mutant.
+    // The selection voids the certificate, and that dataset indeed kills
+    // a right-outer-style mutant.
+    assert_eq!(pads_instructor(&with_sel), None);
     let space = with_sel.mutants(MutationOptions::default());
     let report = xdata::engine::kill::kill_report(
         &with_sel.query,
@@ -114,8 +138,9 @@ fn example_2_selection_revives_mutant() {
 
 /// Example 3: mutating instructor ⋈ teaches to a left outer join inside
 /// (instructor ⋈ teaches) ⋈ course is EQUIVALENT: the NULL-extended row is
-/// filtered at the root. The kill report must show it surviving, and
-/// exhaustive execution on a hand-built dataset confirms equal results.
+/// filtered at the root. The kill report must show it surviving with a
+/// null-rejected certificate, and exhaustive execution on a hand-built
+/// dataset confirms equal results.
 #[test]
 fn example_3_masked_mutation_is_equivalent() {
     let schema = university::schema_with_fk_count(0);
@@ -124,10 +149,17 @@ fn example_3_masked_mutation_is_equivalent() {
                WHERE i.id = t.id AND t.course_id = c.course_id";
     let (run, space, report) = xdata.evaluate(sql, MutationOptions::default()).unwrap();
     let mutants: Vec<_> = space.iter().collect();
+    let certs = certify_on_suite(&run.query, &space, &run.suite.data(), &schema);
     let mut found = false;
     for mi in report.surviving() {
         let desc = mutants[mi].describe(&run.query);
         if desc.contains("(i LEFT-OUTER-JOIN t) JOIN c") {
+            let cert = certs[mi].as_ref().expect("Example 3's mutant is certified");
+            assert_eq!(cert.rule(), Rule::NullRejected);
+            assert_eq!(
+                cert.describe(&run.query, &schema),
+                "t null-rejected by t.course_id = c.course_id"
+            );
             found = true;
         }
     }

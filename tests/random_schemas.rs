@@ -110,6 +110,24 @@ fn random_schema_pipeline() {
         // Kill verdicts are sound.
         let data = run.suite.data();
         let mutants: Vec<_> = space.iter().collect();
+        // The report never executed a certified mutant: it must equal the
+        // original on every dataset.
+        let certs = xdata::engine::kill::certify_on_suite(&run.query, &space, &data, &schema);
+        for (mi, cert) in certs.iter().enumerate() {
+            let Some(cert) = cert else { continue };
+            for db in &data {
+                let a = xdata::engine::execute_query(&run.query, db, &schema).unwrap();
+                let b = xdata::engine::kill::execute_mutant(&run.query, &mutants[mi], db, &schema)
+                    .unwrap();
+                assert!(
+                    a == b,
+                    "certified mutant {} ({}) differs on `{}` ({sql})",
+                    mutants[mi].describe(&run.query),
+                    cert.describe(&run.query, &schema),
+                    db.label
+                );
+            }
+        }
         for (mi, k) in report.killed_by.iter().enumerate() {
             if let Some(di) = k {
                 let a = xdata::engine::execute_query(&run.query, data[*di], &schema).unwrap();
