@@ -15,18 +15,11 @@ use xdata_bench::{
 };
 use xdata_solver::Mode;
 
-fn main() {
-    // Tree enumeration cap for mutant counting: the space is exponential;
-    // beyond this we sample, as the paper did for 5+ relation queries.
-    let tree_limit: usize = std::env::var("XDATA_TREE_LIMIT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(20_000);
-    let max_joins: usize = std::env::var("XDATA_MAX_JOINS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(6);
+/// Tree enumeration cap for mutant counting: the space is exponential;
+/// beyond this we sample, as the paper did for 5+ relation queries.
+const TREE_LIMIT: usize = 20_000;
 
+fn main() {
     println!("Table I: results for inner join queries (cf. paper §VI-C.1)");
     println!(
         "{:>5} {:>8} {:>4} {:>10} {:>8} {:>9} {:>18} {:>16}",
@@ -46,10 +39,10 @@ fn main() {
     xdata_obs::install();
     xdata_obs::preseed();
     let mut json_rows: Vec<String> = Vec::new();
-    for (joins, n_fks) in table1_points().into_iter().filter(|&(j, _)| j <= max_joins) {
+    for (joins, n_fks) in table1_points() {
         let k = joins + 1; // relations
         let (sql, schema) = (chain_sql(k), chain_schema(k, n_fks));
-        let row = evaluate_query(&sql, &schema, tree_limit);
+        let row = evaluate_query(&sql, &schema, TREE_LIMIT);
         let lazy_ms = ms(generate_time(&sql, &schema, Mode::Lazy));
         let unfold_ms = ms(generate_time(&sql, &schema, Mode::Unfold));
         println!(
@@ -75,7 +68,7 @@ fn main() {
     let metrics = xdata_obs::take_report().expect("recorder installed").to_json();
     let mut json = String::from("{\n");
     json.push_str(&build_json_line());
-    json.push_str(&format!("  \"tree_limit\": {tree_limit},\n"));
+    json.push_str(&format!("  \"tree_limit\": {TREE_LIMIT},\n"));
     json.push_str("  \"workload\": \"Table I chain queries, FK sweep, lazy+unfold\",\n");
     json.push_str("  \"rows\": [\n");
     for (i, r) in json_rows.iter().enumerate() {
@@ -99,13 +92,13 @@ fn main() {
     // timed sweep above.
     write_trace_artifact(out, || {
         let schema = chain_schema(3, 0);
-        evaluate_query(&chain_sql(3), &schema, tree_limit);
+        evaluate_query(&chain_sql(3), &schema, TREE_LIMIT);
     });
 
     println!(
         "\nNotes: dataset counts exclude the original-query dataset (as in the \
          paper). Mutant counts use canonical-form dedup over enumerated join \
-         trees (limit {tree_limit}), full-outer mutations excluded (as in the \
+         trees (limit {TREE_LIMIT}), full-outer mutations excluded (as in the \
          paper's evaluation). Expected shape: more FKs => fewer datasets & \
          kills; unfolding dramatically faster than lazy instantiation."
     );

@@ -46,10 +46,6 @@ impl Dataset {
         self.relations.get(name).map(Vec::as_slice)
     }
 
-    pub fn relation_names(&self) -> impl Iterator<Item = &str> {
-        self.relations.keys().map(String::as_str)
-    }
-
     pub fn iter(&self) -> impl Iterator<Item = (&str, &[Tuple])> {
         self.relations.iter().map(|(k, v)| (k.as_str(), v.as_slice()))
     }

@@ -209,10 +209,6 @@ impl Schema {
         self.relations.get(name)
     }
 
-    pub fn relation_or_err(&self, name: &str) -> Result<&Relation, CatalogError> {
-        self.relation(name).ok_or_else(|| CatalogError::UnknownRelation(name.into()))
-    }
-
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
         self.relations.values()
     }
@@ -339,11 +335,6 @@ impl Schema {
             }
         }
         out
-    }
-
-    /// Foreign keys whose referencing relation is `rel`.
-    pub fn fks_from<'a>(&'a self, rel: &'a str) -> impl Iterator<Item = &'a ForeignKey> + 'a {
-        self.foreign_keys.iter().filter(move |fk| fk.from == rel)
     }
 
     /// Foreign keys whose referenced relation is `rel`.

@@ -40,7 +40,7 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::AssertUnwindSafe;
 
-use xdata_catalog::{DomainCatalog, Schema, Value};
+use xdata_catalog::{Domain, DomainCatalog, Schema, Value};
 use xdata_par::CancelToken;
 use xdata_relalg::{AttrRef, LikePred, NormQuery, Operand, SelectSpec, SubqueryKind};
 use xdata_sql::CompareOp;
@@ -213,7 +213,6 @@ fn generate_impl(
 /// (a selection like `salary > 50000` needs values on both sides of the
 /// constant, whatever the default range is).
 fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) -> DomainCatalog {
-    use xdata_catalog::Domain;
     let mut d = domains.clone();
     // String attributes linked by equi-joins or compared directly must
     // share one dictionary, or integer equality in the solver would not
@@ -252,18 +251,7 @@ fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) 
                 Operand::Const(Value::Str(s)) => {
                     d.ensure_string(base, attr.col, s);
                 }
-                Operand::Const(Value::Int(k)) => {
-                    if let Some(Domain::IntRange { lo, hi }) = d.get(base, attr.col) {
-                        let (lo, hi) = (*lo, *hi);
-                        // Room on both sides so `<`, `=` and `>` datasets
-                        // all exist.
-                        let new_lo = lo.min(k - 10);
-                        let new_hi = hi.max(k + 10);
-                        if new_lo != lo || new_hi != hi {
-                            d.set(base, attr.col, Domain::IntRange { lo: new_lo, hi: new_hi });
-                        }
-                    }
-                }
+                Operand::Const(Value::Int(k)) => widen_around(&mut d, base, attr.col, *k),
                 _ => {}
             }
         }
@@ -318,21 +306,23 @@ fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) 
                 Operand::Const(Value::Str(lit)) => {
                     d.ensure_string(&s.base, col, lit);
                 }
-                Operand::Const(Value::Int(k)) => {
-                    if let Some(Domain::IntRange { lo, hi }) = d.get(&s.base, col) {
-                        let (lo, hi) = (*lo, *hi);
-                        let new_lo = lo.min(k - 10);
-                        let new_hi = hi.max(k + 10);
-                        if new_lo != lo || new_hi != hi {
-                            d.set(&s.base, col, Domain::IntRange { lo: new_lo, hi: new_hi });
-                        }
-                    }
-                }
+                Operand::Const(Value::Int(k)) => widen_around(&mut d, &s.base, col, *k),
                 _ => {}
             }
         }
     }
     d
+}
+
+/// Widen an integer-range domain to reach 10 past `k` on both sides, so
+/// `<`, `=` and `>` datasets all exist.
+fn widen_around(d: &mut DomainCatalog, relation: &str, col: usize, k: i64) {
+    if let Some(&Domain::IntRange { lo, hi }) = d.get(relation, col) {
+        let (new_lo, new_hi) = (lo.min(k - 10), hi.max(k + 10));
+        if new_lo != lo || new_hi != hi {
+            d.set(relation, col, Domain::IntRange { lo: new_lo, hi: new_hi });
+        }
+    }
 }
 
 /// One unit of the generation plan: either a target to solve or a

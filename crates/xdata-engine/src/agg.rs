@@ -4,7 +4,9 @@
 //! depends on their fine points: `COUNT(*)` counts rows, every other
 //! aggregate skips NULLs, `DISTINCT` deduplicates before aggregating, an
 //! empty input yields one row of NULLs (0 for COUNT) when there is no
-//! GROUP BY and no rows at all, and NULL group keys form one group.
+//! GROUP BY and no rows at all, and NULL group keys form one group. Each
+//! aggregate depends only on the bag of rows in its group, never on the
+//! order a join tree emitted them in.
 
 use std::collections::BTreeMap;
 
@@ -90,8 +92,10 @@ fn agg_value(spec: &AggSpec, rows: &[Vec<Value>], layout: &Layout) -> Result<Val
     };
     let mut vals: Vec<Value> =
         rows.iter().map(|r| r[layout.pos(arg)].clone()).filter(|v| !v.is_null()).collect();
+    // Value order, not row order: SUM and AVG add floats in a fixed order,
+    // so every aggregate is a function of the bag of rows.
+    vals.sort();
     if spec.func.distinct {
-        vals.sort();
         vals.dedup();
     }
     match spec.func.op {
@@ -179,6 +183,23 @@ mod tests {
         assert_eq!(r.rows(), &[vec![Value::Double(400.0 / 3.0)]]);
         let rd = run("SELECT AVG(DISTINCT salary) FROM instructor WHERE dept_id = 1", &db());
         assert_eq!(rd.rows(), &[vec![Value::Double(150.0)]]);
+    }
+
+    /// Added in row order, 0.1 + 0.2 + 0.3 is 0.6000000000000001 and
+    /// 0.3 + 0.2 + 0.1 is 0.6; in value order both bags give one sum.
+    #[test]
+    fn float_sum_and_avg_ignore_row_order() {
+        let sums = |salaries: [f64; 3]| {
+            let mut d = Dataset::new();
+            for (id, sal) in (1..).zip(salaries) {
+                let name = Value::Str(format!("i{id}"));
+                d.push("instructor", vec![Value::Int(id), name, Value::Int(1), Value::Double(sal)]);
+            }
+            let r = run("SELECT SUM(salary), AVG(salary) FROM instructor", &d);
+            let bits = |v: &Value| v.as_f64().expect("numeric").to_bits();
+            (bits(&r.rows()[0][0]), bits(&r.rows()[0][1]))
+        };
+        assert_eq!(sums([0.1, 0.2, 0.3]), sums([0.3, 0.2, 0.1]));
     }
 
     #[test]

@@ -19,13 +19,12 @@ use crate::result::ResultSet;
 
 /// Physical join algorithm used at every `Node` of the join tree.
 ///
-/// Both strategies produce byte-identical [`ResultSet`]s — the hash path
-/// replays the nested-loop emission order exactly, which matters because
-/// float aggregation downstream is accumulation-order sensitive. The
-/// nested-loop path is kept only as the test oracle (as DPLL is for the
-/// solver): the CLI and `serve` always hash, and `tests/join_parity.rs`
-/// runs the whole tier-1 corpus through both and asserts identical
-/// results.
+/// Both strategies produce byte-identical [`ResultSet`]s: they join the
+/// same bag of rows, emitted in different orders, and a result is a sorted
+/// bag whose aggregates add in value order. The nested-loop path is kept
+/// only as the test oracle (as DPLL is for the solver): the CLI and
+/// `serve` always hash, and `tests/join_parity.rs` runs the whole tier-1
+/// corpus through both and asserts identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
     /// Build a hash index on the smaller input of each equality join node
@@ -261,9 +260,9 @@ fn equi_key_conds(conds: &[Pred], lmask: u64, rmask: u64) -> Vec<(&Operand, &Ope
 }
 
 /// Hash join: index the smaller side on its key columns, probe with the
-/// larger, then emit matches in the exact order [`join_nested`] would have
-/// produced them (left-major, right index ascending, NULL-extensions
-/// interleaved) so results stay byte-identical between strategies.
+/// larger, and emit the matches in probe order, then the NULL-extended
+/// rows the join kind keeps. The rows are [`join_nested`]'s as a bag;
+/// their order differs, and nothing downstream reads it.
 #[allow(clippy::too_many_arguments)]
 fn join_hash(
     kind: JoinKind,
@@ -295,11 +294,13 @@ fn join_hash(
             index.entry(key).or_default().push(bi);
         }
     }
-    // Probe, collecting matches as (li, ri, merged row). The hash key is a
-    // bucket filter, not the equality test: every condition — key
-    // equalities included — is re-evaluated on the merged row, which also
-    // handles residual non-equality conditions on the same node.
-    let mut matches: Vec<(usize, usize, Row)> = Vec::new();
+    // The hash key is a bucket filter, not the equality test: every
+    // condition — key equalities included — is re-evaluated on the merged
+    // row, which also handles residual non-equality conditions on the same
+    // node.
+    let mut out = Vec::new();
+    let mut lmatched = vec![false; lrows.len()];
+    let mut rmatched = vec![false; rrows.len()];
     for (pi, p) in probe.iter().enumerate() {
         let Some(bucket) = extract(p, !build_left).and_then(|key| index.get(&key)) else {
             continue;
@@ -308,35 +309,18 @@ fn join_hash(
             let (li, ri) = if build_left { (bi, pi) } else { (pi, bi) };
             let merged = merge(&lrows[li], &rrows[ri], lmask, rmask, layout);
             if conds.iter().all(|c| eval_pred(c, &merged, layout).is_true()) {
-                matches.push((li, ri, merged));
+                out.push(merged);
+                lmatched[li] = true;
+                rmatched[ri] = true;
             }
         }
     }
-    // Probing the left side yields matches already in nested-loop order;
-    // probing the right yields them right-major and they must be reordered.
-    if build_left {
-        matches.sort_unstable_by_key(|m| (m.0, m.1));
-    }
-    let mut out = Vec::with_capacity(matches.len());
-    let mut rmatched = vec![false; rrows.len()];
-    let mut mi = 0;
-    for (li, l) in lrows.iter().enumerate() {
-        let mut lmatch = false;
-        while mi < matches.len() && matches[mi].0 == li {
-            rmatched[matches[mi].1] = true;
-            out.push(std::mem::take(&mut matches[mi].2));
-            lmatch = true;
-            mi += 1;
-        }
-        if !lmatch && matches!(kind, JoinKind::Left | JoinKind::Full) {
-            out.push(l.clone()); // right side stays NULL
-        }
-    }
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, r) in rrows.iter().enumerate() {
-            if !rmatched[ri] {
-                out.push(r.clone()); // left side stays NULL
-            }
+    let keep_left = matches!(kind, JoinKind::Left | JoinKind::Full);
+    let keep_right = matches!(kind, JoinKind::Right | JoinKind::Full);
+    for (rows, matched, keep) in [(lrows, lmatched, keep_left), (rrows, rmatched, keep_right)] {
+        if keep {
+            // The other side stays NULL.
+            out.extend(rows.iter().zip(matched).filter(|(_, m)| !m).map(|(r, _)| r.clone()));
         }
     }
     out

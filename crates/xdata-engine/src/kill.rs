@@ -17,7 +17,7 @@ use xdata_relalg::mutation::{
 };
 use xdata_relalg::tree::JoinTree;
 use xdata_relalg::{Certificate, Mutant, MutationSpace, NormQuery};
-use xdata_sql::{AggOp, CompareOp};
+use xdata_sql::CompareOp;
 
 use crate::error::EngineError;
 use crate::exec::{
@@ -141,9 +141,7 @@ impl KillReport {
 /// `kill_report` accepts any dataset, legal or not, so the certificates
 /// are checked on the data, in linear time and with the executor's own
 /// equality. A foreign-key certificate is kept only if every dataset
-/// satisfies each key it names. SUM adds in i64 only while every value is
-/// an INT: a float stored in a summed column makes it add in row order,
-/// which a mutant's tree may change, and then no certificate is kept.
+/// satisfies each key it names.
 pub fn certify_on_suite(
     q: &NormQuery,
     space: &MutationSpace,
@@ -151,9 +149,6 @@ pub fn certify_on_suite(
     schema: &Schema,
 ) -> Vec<Option<Certificate>> {
     let mut certs = certify_join_mutants(q, schema, &space.join);
-    if sums_stored_float(q, suite) {
-        certs.fill(None);
-    }
     let mut holds: Vec<Option<bool>> = vec![None; schema.foreign_keys().len()];
     for cert in &mut certs {
         let void = cert.as_ref().is_some_and(|c| {
@@ -169,17 +164,6 @@ pub fn certify_on_suite(
     }
     certs.resize(space.len(), None);
     certs
-}
-
-/// Whether some summed column of `q` holds a float on a dataset of `suite`.
-fn sums_stored_float(q: &NormQuery, suite: &[&Dataset]) -> bool {
-    let mut summed = q.aggregates().filter(|(f, _)| f.op == AggOp::Sum).filter_map(|(_, a)| a);
-    summed.any(|a| {
-        suite.iter().any(|db| {
-            let tuples = db.relation(&q.occurrences[a.occ].base).unwrap_or(&[]);
-            tuples.iter().any(|t| matches!(t.get(a.col), Some(Value::Double(_))))
-        })
-    })
 }
 
 /// Whether every tuple of `fk.from` in `db` matches a tuple of `fk.to` the
@@ -582,28 +566,49 @@ mod tests {
         }
     }
 
-    /// AVG adds floats in row order, which a mutant's tree may change:
-    /// Example 3's null-rejected mutant is certified under SUM over an INT
-    /// column, and not under AVG, nor once a summed column stores a float.
+    /// Aggregates add in value order, so AVG and a SUM over stored floats
+    /// are certified like any other query: Example 3's null-rejected
+    /// mutant carries its certificate under both, and every certified
+    /// mutant returns the original's groups on fractional salaries.
     #[test]
-    fn avg_query_gives_no_certificate() {
-        let sql = |agg: &str| {
-            format!(
+    fn avg_and_float_sum_queries_are_certified() {
+        let s = |v: &str| Value::Str(v.into());
+        let mut d = Dataset::new();
+        d.push("department", vec![Value::Int(1), s("CS"), s("B"), Value::Int(9)]);
+        for course in [10, 20, 30] {
+            d.push("course", vec![Value::Int(course), s("C"), Value::Int(1), Value::Int(3)]);
+        }
+        // Instructors 4-6 teach nothing. With these sizes and this teaches
+        // order, some certified trees emit the salaries in another order
+        // than the query's tree, so sums in row order would differ.
+        for (id, salary) in (1..).zip([0.1, 0.2, 0.3, 0.7, 0.5, 0.5]) {
+            d.push("instructor", vec![Value::Int(id), s("I"), Value::Int(1), Value::Double(salary)]);
+        }
+        for course in [20, 10] {
+            for id in [3, 2, 1] {
+                d.push("teaches", [id, course, 1, 2009].map(Value::Int).to_vec());
+            }
+        }
+        for agg in ["AVG", "SUM"] {
+            let (q, schema) = setup(&format!(
                 "SELECT i.dept_id, {agg}(i.salary) FROM instructor i, teaches t, course c \
                  WHERE i.id = t.id AND t.course_id = c.course_id GROUP BY i.dept_id"
-            )
-        };
-        let mut float_salary = Dataset::new();
-        let row = vec![Value::Int(1), Value::Str("A".into()), Value::Int(1), Value::Double(0.5)];
-        float_salary.push("instructor", row);
-        for (agg, suite, certified) in
-            [("SUM", vec![], true), ("AVG", vec![], false), ("SUM", vec![&float_salary], false)]
-        {
-            let (q, schema) = setup(&sql(agg));
+            ));
+            assert!(d.integrity_violations(&schema).is_empty());
             let space = mutation_space(&q, MutationOptions::default());
-            let certs = certify_on_suite(&q, &space, &suite, &schema);
-            let any = certs.iter().any(Option::is_some);
-            assert_eq!(any, certified, "{agg} on {} datasets", suite.len());
+            let certs = certify_on_suite(&q, &space, &[&d], &schema);
+            assert!(
+                certs.iter().flatten().any(|c| c.rule() == Rule::NullRejected
+                    && c.describe(&q, &schema) == "t null-rejected by t.course_id = c.course_id"),
+                "{agg}: Example 3's certificate"
+            );
+            let original = execute_query(&q, &d, &schema).unwrap();
+            for (m, cert) in space.iter().zip(&certs) {
+                if cert.is_some() {
+                    let mutated = execute_mutant(&q, &m, &d, &schema).unwrap();
+                    assert_eq!(original, mutated, "{agg}: {}", m.describe(&q));
+                }
+            }
         }
     }
 }

@@ -23,13 +23,12 @@
 //!
 //! The second rule holds only on data that satisfies the keys it names, so
 //! a caller that accepts arbitrary datasets checks them there
-//! ([`Certificate::foreign_keys`]). Neither rule says anything about row
-//! order: a query that sums floats in row order (AVG, or SUM over a
-//! non-INT column, in SELECT or HAVING) gets no certificate, because a
-//! mutant's tree may emit the same rows in another order than the query's.
+//! ([`Certificate::foreign_keys`]). Both rules are about which rows a
+//! mutant returns, never their order, and the executor's results and
+//! aggregates depend on the bag of rows alone.
 
-use xdata_catalog::{ForeignKey, Schema, SqlType};
-use xdata_sql::{AggOp, CompareOp, JoinKind};
+use xdata_catalog::{ForeignKey, Schema};
+use xdata_sql::{CompareOp, JoinKind};
 
 use crate::ir::{AttrRef, NormQuery, Operand, Pred};
 use crate::mutation::JoinMutant;
@@ -154,35 +153,15 @@ fn fk_text(schema: &Schema, fk: &ForeignKey) -> String {
 }
 
 /// Certificates for `mutants` of `q`, in order: `None` where a padded side
-/// has no proof, and for every mutant of a query that sums floats in row
-/// order.
+/// has no proof.
 pub fn certify_join_mutants(
     q: &NormQuery,
     schema: &Schema,
     mutants: &[JoinMutant],
 ) -> Vec<Option<Certificate>> {
-    if sums_in_row_order(q, schema) {
-        return vec![None; mutants.len()];
-    }
     let selected = q.selections().flat_map(|(_, p)| p.occurrences()).fold(0, |m, o| m | (1 << o));
     let prover = Prover { q, schema, selected };
     mutants.iter().map(|m| prover.certify(m)).collect()
-}
-
-/// Whether `q` has AVG, or SUM over a non-INT column, in SELECT or HAVING:
-/// the executor adds those in f64 as the rows arrive.
-fn sums_in_row_order(q: &NormQuery, schema: &Schema) -> bool {
-    let int_column = |a: AttrRef| {
-        schema
-            .relation(&q.occurrences[a.occ].base)
-            .and_then(|r| r.attributes.get(a.col))
-            .is_some_and(|attr| attr.ty == SqlType::Int)
-    };
-    q.aggregates().any(|(f, arg)| match f.op {
-        AggOp::Avg => true,
-        AggOp::Sum => !arg.is_some_and(int_column),
-        _ => false,
-    })
 }
 
 /// `(left padded, right padded)` of a join kind.

@@ -312,16 +312,6 @@ pub struct NormQuery {
 }
 
 impl NormQuery {
-    /// Number of join nodes in the original tree.
-    pub fn join_count(&self) -> usize {
-        self.occurrences.len().saturating_sub(1)
-    }
-
-    /// The equivalence class containing `a`, if any.
-    pub fn eq_class_of(&self, a: AttrRef) -> Option<usize> {
-        self.eq_classes.iter().position(|c| c.contains(&a))
-    }
-
     /// All attributes of all occurrences used anywhere in the query
     /// (equivalence classes, predicates, select, group by, aggregates).
     pub fn used_attrs(&self) -> Vec<AttrRef> {
@@ -351,24 +341,9 @@ impl NormQuery {
         out
     }
 
-    /// Every aggregate of the select list and of HAVING, as `(function,
-    /// argument)`.
-    pub fn aggregates(&self) -> impl Iterator<Item = (AggFunc, Option<AttrRef>)> + '_ {
-        let (aggs, having): (&[AggSpec], &[HavingPred]) = match &self.select {
-            SelectSpec::Aggregation { aggs, having, .. } => (aggs, having),
-            _ => (&[], &[]),
-        };
-        aggs.iter().map(|a| (a.func, a.arg)).chain(having.iter().map(|h| (h.func, h.arg)))
-    }
-
     /// Selection predicates (single occurrence) of `preds`.
     pub fn selections(&self) -> impl Iterator<Item = (usize, &Pred)> {
         self.preds.iter().enumerate().filter(|(_, p)| p.is_selection())
-    }
-
-    /// Multi-relation non-equi predicates of `preds`.
-    pub fn join_preds(&self) -> impl Iterator<Item = (usize, &Pred)> {
-        self.preds.iter().enumerate().filter(|(_, p)| !p.is_selection())
     }
 
     /// Render an attribute as `binding.column` using the schema for column

@@ -45,7 +45,7 @@ pub use handler::render_evaluate;
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
@@ -205,7 +205,7 @@ impl ServerHandle {
     /// Graceful stop: stop accepting, let in-flight requests finish, join
     /// the acceptor. Equivalent to a `shutdown` request over the wire.
     pub fn shutdown(mut self) -> std::io::Result<()> {
-        begin_shutdown(&self.shared, self.addr);
+        begin_shutdown(&self.shared);
         match self.thread.take() {
             Some(t) => t.join().unwrap_or(Ok(())),
             None => Ok(()),
@@ -213,11 +213,13 @@ impl ServerHandle {
     }
 }
 
-/// Flip the shutdown flag and poke the acceptor loose from `accept()` with
-/// a throwaway connection.
-pub(crate) fn begin_shutdown(shared: &Shared, addr: SocketAddr) {
+/// Graceful shutdown, from [`ServerHandle::shutdown`] or a wire
+/// `shutdown` request: flip the flag, poke the acceptor loose from
+/// `accept()` with a throwaway connection to the bound address (which
+/// [`Server::bind`] wrote into `config.listen`), and wake idle workers.
+fn begin_shutdown(shared: &Shared) {
     shared.shutdown.store(true, Ordering::Release);
-    let _ = TcpStream::connect(addr);
+    let _ = TcpStream::connect(shared.config.listen.as_str());
     shared.queue_cv.notify_all();
 }
 
@@ -256,6 +258,26 @@ enum Frame {
     Oversized,
 }
 
+/// Wait until `reader` holds unread bytes or has hit EOF (an empty
+/// [`BufReader::buffer`]), retrying across read timeouts. `Ok(false)`
+/// means shutdown began while it waited.
+fn fill_polling(reader: &mut BufReader<TcpStream>, shutdown: &AtomicBool) -> std::io::Result<bool> {
+    loop {
+        match reader.fill_buf() {
+            Ok(_) => return Ok(true),
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                if shutdown.load(Ordering::Acquire) {
+                    return Ok(false);
+                }
+            }
+            Err(e) => return Err(e),
+        }
+    }
+}
+
 /// Read one `\n`-terminated frame, capped at `max` bytes, re-checking
 /// `shutdown` while blocked. An oversized line is consumed (so the error
 /// response is the only bytes the client sees for it) but the connection
@@ -266,87 +288,32 @@ fn read_frame(
     shutdown: &AtomicBool,
 ) -> std::io::Result<Frame> {
     let mut line: Vec<u8> = Vec::new();
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(Frame::Close);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
+    // Past the cap, keep consuming until the newline but stop buffering.
+    let mut oversized = false;
+    while fill_polling(reader, shutdown)? {
+        let buf = reader.buffer();
         if buf.is_empty() {
             // EOF. Mid-frame EOF with buffered bytes is a torn frame; treat
             // both cases as a close — there is no id to answer on anyway.
             return Ok(Frame::Close);
         }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                let over = line.len() + pos > max;
-                if !over {
-                    line.extend_from_slice(&buf[..pos]);
-                }
-                reader.consume(pos + 1);
-                if over {
-                    return Ok(Frame::Oversized);
-                }
-                let text = String::from_utf8(line)
-                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
-                return Ok(Frame::Line(text));
-            }
-            None => {
-                let n = buf.len();
-                if line.len() + n > max {
-                    // Keep consuming until the newline, but stop buffering.
-                    reader.consume(n);
-                    return discard_to_newline(reader, shutdown);
-                }
-                line.extend_from_slice(buf);
-                reader.consume(n);
-            }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let n = newline.unwrap_or(buf.len());
+        oversized |= line.len() + n > max;
+        if !oversized {
+            line.extend_from_slice(&buf[..n]);
         }
-    }
-}
-
-/// Swallow the rest of an oversized line so the connection can emit the
-/// `oversized_frame` response at a frame boundary.
-fn discard_to_newline(
-    reader: &mut BufReader<TcpStream>,
-    shutdown: &AtomicBool,
-) -> std::io::Result<Frame> {
-    loop {
-        let buf = match reader.fill_buf() {
-            Ok(b) => b,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(Frame::Close);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        if buf.is_empty() {
-            return Ok(Frame::Close);
-        }
-        match buf.iter().position(|&b| b == b'\n') {
-            Some(pos) => {
-                reader.consume(pos + 1);
+        reader.consume(newline.map_or(n, |pos| pos + 1));
+        if newline.is_some() {
+            if oversized {
                 return Ok(Frame::Oversized);
             }
-            None => {
-                let n = buf.len();
-                reader.consume(n);
-            }
+            let text = String::from_utf8(line)
+                .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+            return Ok(Frame::Line(text));
         }
     }
+    Ok(Frame::Close)
 }
 
 fn write_response(stream: &mut TcpStream, resp: &Response) -> std::io::Result<()> {
@@ -428,27 +395,10 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                     return;
                 }
                 if is_shutdown {
-                    begin_shutdown_from_request(shared);
+                    begin_shutdown(shared);
                     return;
                 }
             }
         }
     }
-}
-
-/// Graceful shutdown initiated over the wire: the listen address is
-/// re-resolved from config (port 0 configs were rewritten at bind time by
-/// `xdata serve`; in-process servers use [`ServerHandle::shutdown`]).
-fn begin_shutdown_from_request(shared: &Shared) {
-    shared.shutdown.store(true, Ordering::Release);
-    if let Some(addr) = shared
-        .config
-        .listen
-        .to_socket_addrs()
-        .ok()
-        .and_then(|mut a| a.next())
-    {
-        let _ = TcpStream::connect(addr);
-    }
-    shared.queue_cv.notify_all();
 }

@@ -115,31 +115,34 @@ if [ "$(strip_timings "$M1")" != "$(strip_timings "$M4")" ]; then
 fi
 echo "ci: metrics schema + determinism OK"
 
-# Certified-survivor leg: evaluate a self-join on the running example under
-# two thread counts. The listing and the timing-stripped metrics must be
-# byte-identical, and both certificate rules must fire: the
-# teaches(id) -> instructor(id) key proves the mutants that pad
-# instructor, and an inner-join ancestor that reads teaches rejects the
-# rows padded there.
-CQ='SELECT * FROM instructor i, teaches t, teaches u WHERE i.id = t.id AND t.course_id = u.course_id'
+# Certified-survivor leg: evaluate a self-join on the running example, as
+# written and as an AVG over it, under two thread counts. The listings and
+# the timing-stripped metrics must be byte-identical, and both certificate
+# rules must fire on each form: the teaches(id) -> instructor(id) key
+# proves the mutants that pad instructor, and an inner-join ancestor that
+# reads teaches rejects the rows padded there. AVG adds in value order, so
+# it leaves the certificates as they are.
+SJ='FROM instructor i, teaches t, teaches u WHERE i.id = t.id AND t.course_id = u.course_id'
 tmpfiles C1 C4 CM1 CM4
-./target/release/xdata evaluate --schema examples/university.sql \
-    --query "$CQ" --jobs 1 --metrics-json "$CM1" > "$C1"
-./target/release/xdata evaluate --schema examples/university.sql \
-    --query "$CQ" --jobs 4 --metrics-json "$CM4" > "$C4"
-if ! cmp -s "$C1" "$C4"; then
-    echo "ci: self-join evaluate output differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-if [ "$(strip_timings "$CM1")" != "$(strip_timings "$CM4")" ]; then
-    echo "ci: self-join timing-stripped metrics differ between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-for key in kill.certified.null_rejected kill.certified.foreign_key; do
-    grep -q "\"$key\": *[1-9]" "$CM1" || {
-        echo "ci: $key is zero on the self-join example" >&2
+for CQ in "SELECT * $SJ" "SELECT i.dept_id, AVG(i.salary) $SJ GROUP BY i.dept_id"; do
+    ./target/release/xdata evaluate --schema examples/university.sql \
+        --query "$CQ" --jobs 1 --metrics-json "$CM1" > "$C1"
+    ./target/release/xdata evaluate --schema examples/university.sql \
+        --query "$CQ" --jobs 4 --metrics-json "$CM4" > "$C4"
+    if ! cmp -s "$C1" "$C4"; then
+        echo "ci: evaluate output differs between --jobs 1 and --jobs 4: $CQ" >&2
         exit 1
-    }
+    fi
+    if [ "$(strip_timings "$CM1")" != "$(strip_timings "$CM4")" ]; then
+        echo "ci: timing-stripped metrics differ between --jobs 1 and --jobs 4: $CQ" >&2
+        exit 1
+    fi
+    for key in kill.certified.null_rejected kill.certified.foreign_key; do
+        grep -q "\"$key\": *[1-9]" "$CM1" || {
+            echo "ci: $key is zero on: $CQ" >&2
+            exit 1
+        }
+    done
 done
 echo "ci: certified survivors (both rules + jobs determinism) OK"
 

@@ -6,9 +6,9 @@
 //! mutant — and the [`ResultSet`]s must be identical, row for row.
 //!
 //! Identical means `==` on the sorted bags AND the same projected row
-//! content; because the hash path replays the nested-loop emission order,
-//! even order-sensitive float aggregation (`SUM`/`AVG` accumulation)
-//! cannot diverge.
+//! content. The two paths emit the same rows in different orders; results
+//! are sorted bags and `SUM`/`AVG` add in value order, so neither the
+//! listing nor a float aggregate can diverge.
 
 use xdata::catalog::{Attribute, Relation, Schema, SplitMix64, SqlType};
 use xdata::engine::exec::{execute_query_strategy, JoinStrategy};

@@ -4,7 +4,8 @@
 //! extension classes) → kill report, and its counts must match the file.
 //! The kill report skips executing the join mutants it certifies
 //! equivalent; every row runs each of them anyway and requires it to equal
-//! the original on every dataset of its suite.
+//! the original on every dataset of its suite, and every join survivor of
+//! every row must carry a certificate.
 
 use xdata::catalog::Schema;
 use xdata::engine::execute_query;
@@ -33,9 +34,9 @@ fn num(cell: &str) -> usize {
 }
 
 /// Execute every certified mutant of `e` on every suite dataset and
-/// require the original's result. Returns the number of join survivors
-/// without a certificate.
-fn uncertified_join_survivors(e: &Evaluation, schema: &Schema, row: &str) -> usize {
+/// require the original's result, and require a certificate on every join
+/// survivor.
+fn check_certificates(e: &Evaluation, schema: &Schema, row: &str) {
     let data = e.suite.data();
     let certs = certify_on_suite(&e.query, &e.space, &data, schema);
     let mutants: Vec<Mutant> = e.space.iter().collect();
@@ -53,7 +54,9 @@ fn uncertified_join_survivors(e: &Evaluation, schema: &Schema, row: &str) -> usi
             );
         }
     }
-    e.report.surviving().filter(|&mi| mi < e.space.join.len() && certs[mi].is_none()).count()
+    let uncertified =
+        e.report.surviving().filter(|&mi| mi < e.space.join.len() && certs[mi].is_none()).count();
+    assert_eq!(uncertified, 0, "{row}: uncertified join survivors");
 }
 
 #[test]
@@ -71,9 +74,7 @@ fn table1_rows_reproduce() {
             (num(&r[3]), num(&r[4]), num(&r[5])),
             "Table I, {joins} joins, {fks} FKs: (datasets, killed, killed raw)"
         );
-        let row = format!("Table I, {joins} joins, {fks} FKs");
-        let uncertified = uncertified_join_survivors(&e, &schema, &row);
-        assert_eq!(uncertified, 0, "{row}: uncertified join survivors");
+        check_certificates(&e, &schema, &format!("Table I, {joins} joins, {fks} FKs"));
     }
 }
 
@@ -95,6 +96,6 @@ fn table2_rows_reproduce() {
             (num(&r[4]), num(&r[5])),
             "Table II, query {id}: (datasets, killed)"
         );
-        uncertified_join_survivors(&e, &schema, &format!("Table II, query {id}"));
+        check_certificates(&e, &schema, &format!("Table II, query {id}"));
     }
 }
