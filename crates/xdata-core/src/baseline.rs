@@ -12,7 +12,6 @@
 
 use xdata_catalog::{Dataset, Schema, Truth, Tuple, Value};
 use xdata_relalg::{NormQuery, Operand, Pred};
-use xdata_sql::CompareOp;
 
 use crate::suite::{GeneratedDataset, TestSuite};
 
@@ -33,7 +32,6 @@ pub fn baseline_generate(query: &NormQuery, schema: &Schema, input: &Dataset) ->
     suite.datasets.push(GeneratedDataset {
         dataset: original,
         label: "baseline: original query witness".into(),
-        stats: Default::default(),
     });
     // Per occurrence: empty that relation, keep the rest.
     for skip in 0..query.occurrences.len() {
@@ -46,7 +44,7 @@ pub fn baseline_generate(query: &NormQuery, schema: &Schema, input: &Dataset) ->
             }
         }
         ds.dedup_primary_keys(schema);
-        suite.datasets.push(GeneratedDataset { dataset: ds, label, stats: Default::default() });
+        suite.datasets.push(GeneratedDataset { dataset: ds, label });
     }
     suite
 }
@@ -132,15 +130,5 @@ fn eval_pred(p: &Pred, pools: &[&[Tuple]], chosen: &[usize]) -> bool {
     };
     let l = operand(&p.lhs);
     let r = operand(&p.rhs);
-    match l.sql_cmp(&r) {
-        None => false,
-        Some(ord) => match p.op {
-            CompareOp::Eq => ord == std::cmp::Ordering::Equal,
-            CompareOp::Ne => ord != std::cmp::Ordering::Equal,
-            CompareOp::Lt => ord == std::cmp::Ordering::Less,
-            CompareOp::Le => ord != std::cmp::Ordering::Greater,
-            CompareOp::Gt => ord == std::cmp::Ordering::Greater,
-            CompareOp::Ge => ord != std::cmp::Ordering::Less,
-        },
-    }
+    l.sql_cmp(&r).is_some_and(|ord| p.op.holds(ord))
 }

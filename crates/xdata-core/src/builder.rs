@@ -270,7 +270,8 @@ impl<'a> ConstraintBuilder<'a> {
         }
     }
 
-    fn relop(op: CompareOp) -> RelOp {
+    /// The solver relation for a SQL comparison.
+    pub(crate) fn relop(op: CompareOp) -> RelOp {
         match op {
             CompareOp::Eq => RelOp::Eq,
             CompareOp::Ne => RelOp::Ne,
@@ -850,7 +851,7 @@ mod tests {
         let ec = q.eq_classes[0].clone();
         let f = b.eq_conds(&ec, 0);
         b.problem.assert(f);
-        let (out, _) = b.problem.solve_checked(Mode::Unfold);
+        let out = b.problem.solve_checked(Mode::Unfold);
         assert!(out.is_sat());
     }
 
@@ -871,7 +872,7 @@ mod tests {
         let t0 = b.cvc_map(AttrRef::new(0, 1), 0);
         let t1 = b.cvc_map(AttrRef::new(1, 1), 0);
         b.problem.assert(Formula::Atom(Atom::new(t0, RelOp::Ne, t1)));
-        let (out, _) = b.problem.solve(Mode::Unfold);
+        let out = b.problem.solve(Mode::Unfold);
         assert!(matches!(out, SolveOutcome::Unsat));
     }
 
@@ -887,7 +888,7 @@ mod tests {
         let teaches_id = b.cvc_map(AttrRef::new(1, 0), 0);
         let f = b.not_exists_value(AttrRef::new(0, 0), teaches_id);
         b.problem.assert(f);
-        let (out, _) = b.problem.solve(Mode::Unfold);
+        let out = b.problem.solve(Mode::Unfold);
         assert!(matches!(out, SolveOutcome::Unsat));
     }
 
@@ -900,7 +901,7 @@ mod tests {
         let teaches_id = b.cvc_map(AttrRef::new(1, 0), 0);
         let f = b.not_exists_value(AttrRef::new(0, 0), teaches_id);
         b.problem.assert(f);
-        let (out, _) = b.problem.solve_checked(Mode::Unfold);
+        let out = b.problem.solve_checked(Mode::Unfold);
         assert!(out.is_sat());
     }
 
@@ -933,7 +934,7 @@ mod tests {
         let mut b = ConstraintBuilder::new(&schema, &q, &domains, 1).unwrap();
         b.gen_db_constraints();
         b.gen_input_db_constraints(&input).unwrap();
-        let (out, _) = b.problem.solve(Mode::Unfold);
+        let out = b.problem.solve(Mode::Unfold);
         match out {
             SolveOutcome::Sat(m) => {
                 let arr = b.array("advisor");

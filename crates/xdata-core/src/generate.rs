@@ -30,11 +30,11 @@
 //! On top of the skeleton cache sits a cross-target **solve memo**: solve
 //! calls are keyed by a structural hash of the complete problem (array
 //! specs, solve mode, skeleton class, decision budget, and the ordered
-//! constraint list) and their outcome — model values, verdict and solver
-//! stats — is reused for any later target of the lane that builds the
-//! byte-identical problem. The common case is a comparison target whose
-//! forced operator *is* the predicate's original operator: its constraint
-//! set reproduces the original-query target's exactly. A warm run also
+//! constraint list) and their outcome — verdict and model values — is
+//! reused for any later target of the lane that builds the byte-identical
+//! problem. The common case is a comparison target whose forced operator
+//! *is* the predicate's original operator: its constraint set reproduces
+//! the original-query target's exactly. A warm run also
 //! looks keys up in a process-long [`WarmCache`] (see [`crate::warm`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -44,15 +44,13 @@ use xdata_catalog::{Domain, DomainCatalog, Schema, Value};
 use xdata_par::CancelToken;
 use xdata_relalg::{AttrRef, LikePred, NormQuery, Operand, SelectSpec, SubqueryKind};
 use xdata_sql::CompareOp;
-use xdata_solver::{
-    Atom, Formula, Mode, Problem, RelOp, SolveOutcome, SolveSession, SolverStats, Term,
-};
+use xdata_solver::{Atom, Formula, Mode, Problem, RelOp, SolveOutcome, SolveSession, Term};
 
 use crate::builder::ConstraintBuilder;
 use crate::error::GenError;
 use crate::materialize::materialize;
 use crate::suite::{GenOptions, GeneratedDataset, SkipReason, SkippedTarget, TestSuite};
-use crate::warm::{context_salt, memo_key, sessions_enabled, MemoOutcome, MemoValue, WarmCache};
+use crate::warm::{context_salt, memo_key, sessions_enabled, MemoOutcome, WarmCache};
 
 /// Generate the complete test suite for `query` (Algorithm 1):
 /// a dataset for the original query, then datasets killing equivalence-class
@@ -89,8 +87,8 @@ pub fn generate_cancellable(
 
 /// A reference solver standing in for the production search on every
 /// target of a [`generate_with_oracle`] run: problem, decision budget,
-/// token in; verdict and stats out.
-pub type Oracle = dyn Fn(&Problem, u64, &CancelToken) -> (SolveOutcome, SolverStats) + Sync;
+/// token in; verdict out.
+pub type Oracle = dyn Fn(&Problem, u64, &CancelToken) -> SolveOutcome + Sync;
 
 /// [`generate`] with incremental sessions turned off and every target
 /// solved by `oracle`. The parity tests hold the production suite against
@@ -452,7 +450,7 @@ struct Lane<'g, 'a> {
     /// (see [`SolveSession`]). Dropped with the lane.
     sessions: BTreeMap<u32, SolveSession>,
     /// The solves this lane computed, keyed by [`memo_key`].
-    memo: HashMap<(u64, u64), MemoValue>,
+    memo: HashMap<(u64, u64), MemoOutcome>,
 }
 
 impl<'a> Gen<'a> {
@@ -1156,7 +1154,7 @@ impl<'a> Lane<'_, 'a> {
         if gen.opts.faults.should_unknown(label) {
             // A forced Unknown exit takes the same road a blown decision
             // budget takes, without spending any decisions.
-            return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions: 0 }));
+            return Ok(ItemOutcome::Skipped(SkipReason::Budget));
         }
         let attempt = std::panic::catch_unwind(AssertUnwindSafe(|| {
             if gen.opts.faults.should_panic(label) {
@@ -1271,7 +1269,7 @@ impl<'a> Lane<'_, 'a> {
             // removing these constraints" anyway — so both Unsat and a
             // blown budget fall through to the unconstrained attempt.
             match self.solve_once(label, cancel, f, true)? {
-                ItemOutcome::Skipped(SkipReason::Equivalent | SkipReason::Budget { .. }) => {}
+                ItemOutcome::Skipped(SkipReason::Equivalent | SkipReason::Budget) => {}
                 // A dataset, or a timeout: a tripped token is latched, so
                 // the unconstrained attempt would exit immediately too.
                 outcome => return Ok(outcome),
@@ -1281,8 +1279,8 @@ impl<'a> Lane<'_, 'a> {
     }
 
     /// Solve with the memo: a key this lane or — on a warm run — the
-    /// cache already holds replays the stored verdict, model values and
-    /// stats; otherwise the lane solves and remembers the outcome. A
+    /// cache already holds replays the stored verdict and model values;
+    /// otherwise the lane solves and remembers the outcome. A
     /// [`SolveOutcome::Cancelled`] result is **never stored**: it is a
     /// withdrawn time budget, not a verdict, and caching it would poison
     /// structurally identical targets that still have time.
@@ -1292,7 +1290,7 @@ impl<'a> Lane<'_, 'a> {
         cap: u32,
         limit: u64,
         cancel: &CancelToken,
-    ) -> Result<(SolveOutcome, SolverStats), GenError> {
+    ) -> Result<SolveOutcome, GenError> {
         let gen = self.gen;
         let salt = gen.warm.map_or(0, |(_, salt)| salt);
         let key = memo_key(problem, gen.opts, self.copies, limit, salt);
@@ -1305,7 +1303,7 @@ impl<'a> Lane<'_, 'a> {
             return Ok(hit);
         }
         xdata_obs::counter("core.solve_memo.miss", 1);
-        let (out, stats) = match gen.oracle {
+        let out = match gen.oracle {
             Some(oracle) => oracle(problem, limit, cancel),
             // The incremental road: only this target's delta constraints
             // are lowered; the engine arrives warm with everything learned
@@ -1316,10 +1314,9 @@ impl<'a> Lane<'_, 'a> {
             None => problem.solve_cancel(gen.opts.mode, limit, cancel),
         };
         if !matches!(out, SolveOutcome::Cancelled) {
-            let value = MemoValue { outcome: MemoOutcome::capture(&out), stats };
-            self.memo.insert(key, value);
+            self.memo.insert(key, MemoOutcome::capture(&out));
         }
-        Ok((out, stats))
+        Ok(out)
     }
 
     fn solve_once(
@@ -1334,7 +1331,6 @@ impl<'a> Lane<'_, 'a> {
         // need at most one repair tuple per relation, so small tuple arrays
         // are tried first (exponentially smaller search); only an UNSAT at
         // full capacity means "no such dataset" (equivalent mutants).
-        let mut agg_stats = SolverStats::default();
         for cap in crate::builder::REPAIR_LADDER {
             // Between rungs is the natural bail-out point: skeleton cloning
             // and constraint building are wasted work once the token trips.
@@ -1368,24 +1364,16 @@ impl<'a> Lane<'_, 'a> {
             } else {
                 gen.opts.decision_limit
             };
-            let (out, stats) = self.solve_memoized(&b.problem, cap, limit, cancel)?;
-            agg_stats.add(&stats);
-            match out {
+            match self.solve_memoized(&b.problem, cap, limit, cancel)? {
                 SolveOutcome::Sat(model) => {
                     let dataset = materialize(&b, &model, label);
-                    return Ok(ItemOutcome::Dataset(GeneratedDataset {
-                        dataset,
-                        label: label.to_string(),
-                        stats: agg_stats,
-                    }));
+                    let label = label.to_string();
+                    return Ok(ItemOutcome::Dataset(GeneratedDataset { dataset, label }));
                 }
                 SolveOutcome::Unsat => {
                     // Widen and retry: the UNSAT may be a capacity artifact.
                 }
-                SolveOutcome::Unknown => {
-                    let decisions = agg_stats.decisions;
-                    return Ok(ItemOutcome::Skipped(SkipReason::Budget { decisions }));
-                }
+                SolveOutcome::Unknown => return Ok(ItemOutcome::Skipped(SkipReason::Budget)),
                 SolveOutcome::Cancelled => return Ok(ItemOutcome::Skipped(SkipReason::Timeout)),
             }
         }
@@ -1708,7 +1696,7 @@ mod tests {
         let budget_skips: Vec<&SkippedTarget> = starved
             .skipped
             .iter()
-            .filter(|s| matches!(s.reason, SkipReason::Budget { .. }))
+            .filter(|s| s.reason == SkipReason::Budget)
             .collect();
         assert!(!budget_skips.is_empty(), "expected budget skips:\n{starved}");
         for s in &budget_skips {
@@ -1722,8 +1710,10 @@ mod tests {
     fn comparison_with_original_op_reuses_original_model() {
         // `salary > 50000` with forced op `>` builds the byte-identical
         // constraint sequence as the original-query target; the solve memo
-        // must hand back the same model and the same stats.
+        // must hand back the same model instead of solving again.
+        xdata_obs::install();
         let (_, _, suite) = gen("SELECT * FROM instructor WHERE salary > 50000", 0);
+        let report = xdata_obs::take_report().expect("recorder installed");
         let orig = &suite.datasets[0];
         assert!(orig.label.contains("original"));
         let gt = suite
@@ -1736,9 +1726,7 @@ mod tests {
             orig.dataset.relation("instructor"),
             gt.dataset.relation("instructor"),
         );
-        assert_eq!(orig.stats.decisions, gt.stats.decisions);
-        assert_eq!(orig.stats.conflicts, gt.stats.conflicts);
-        assert_eq!(orig.stats.propagations, gt.stats.propagations);
+        assert_eq!(report.counter("core.solve_memo.hit"), 1);
     }
 
     #[test]
@@ -1823,7 +1811,7 @@ mod tests {
             .iter()
             .find(|s| s.label.contains("dataset with `>`"))
             .expect("unknown target skipped");
-        assert_eq!(hit.reason, SkipReason::Budget { decisions: 0 });
+        assert_eq!(hit.reason, SkipReason::Budget);
         assert!(suite.is_partial());
     }
 

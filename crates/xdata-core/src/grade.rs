@@ -26,7 +26,6 @@
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
-use std::time::Instant;
 
 use xdata_catalog::{DomainCatalog, Schema};
 use xdata_engine::exec::{execute_query_strategy, JoinStrategy};
@@ -160,10 +159,6 @@ pub struct BatchGradeReport {
     pub dedup_hits: usize,
     /// Per-candidate verdicts, in input order.
     pub verdicts: Vec<CandidateVerdict>,
-    /// Wall-clock nanoseconds of executed grid cells, per class (index =
-    /// class id). Dedup-hit candidates cost none of this — the per-class
-    /// view is what the throughput benches report percentiles over.
-    pub class_eval_ns: Vec<u64>,
 }
 
 impl BatchGradeReport {
@@ -346,16 +341,14 @@ fn grade_batch_impl(
     let cells = {
         let _grid_span = xdata_obs::span("grade/grid");
         par_map_cancel(opts.jobs, &grid, cancel, |_, &(ci, di)| {
-            let start = Instant::now();
-            let verdict = execute_query_strategy(
+            execute_query_strategy(
                 &class_queries[ci],
                 &suite.datasets[di].dataset,
                 schema,
                 strategy,
             )
             .map(|got| got != expected[di])
-            .map_err(|e| e.to_string());
-            (verdict, start.elapsed().as_nanos() as u64)
+            .map_err(|e| e.to_string())
         })
     };
 
@@ -363,18 +356,16 @@ fn grade_batch_impl(
     // datasets under a deadline gives no evidence at all — that is
     // Unevaluated, not Pass.
     let mut class_outcomes: Vec<CandidateOutcome> = Vec::with_capacity(class_queries.len());
-    let mut class_eval_ns = vec![0u64; class_queries.len()];
     for ci in 0..class_queries.len() {
         let row = &cells[ci * datasets..(ci + 1) * datasets];
-        class_eval_ns[ci] = row.iter().flatten().map(|(_, ns)| ns).sum();
         let outcome = if row.iter().any(|c| c.is_none()) || (datasets == 0 && suite.is_partial())
         {
             CandidateOutcome::Unevaluated
-        } else if let Some((Err(e), _)) = row.iter().flatten().find(|(v, _)| v.is_err()) {
+        } else if let Some(Err(e)) = row.iter().flatten().find(|v| v.is_err()) {
             CandidateOutcome::ExecError { message: e.clone() }
         } else {
             let killed_by: Vec<bool> =
-                row.iter().flatten().map(|(v, _)| *v.as_ref().unwrap_or(&false)).collect();
+                row.iter().flatten().map(|v| *v.as_ref().unwrap_or(&false)).collect();
             match killed_by.iter().position(|&k| k) {
                 None => CandidateOutcome::Pass,
                 Some(first_dataset) => {
@@ -413,6 +404,5 @@ fn grade_batch_impl(
         classes: class_queries.len(),
         dedup_hits,
         verdicts,
-        class_eval_ns,
     })
 }

@@ -68,24 +68,13 @@ fn feasible_with(h: &HavingPred, cmp: CompareOp, k: u32) -> bool {
     let k = k as i64;
     let c = h.value;
     match h.func.op {
-        AggOp::Count => cmp_holds(k, cmp, c),
+        AggOp::Count => cmp.holds(k.cmp(&c)),
         AggOp::Sum => match cmp {
             // All copies share value v: SUM = k·v. Equality needs k | c.
             CompareOp::Eq => c % k == 0,
             _ => true, // a suitable v always exists in ℤ (domain may refuse — solver decides)
         },
         AggOp::Avg | AggOp::Min | AggOp::Max => true,
-    }
-}
-
-fn cmp_holds(a: i64, cmp: CompareOp, b: i64) -> bool {
-    match cmp {
-        CompareOp::Eq => a == b,
-        CompareOp::Ne => a != b,
-        CompareOp::Lt => a < b,
-        CompareOp::Le => a <= b,
-        CompareOp::Gt => a > b,
-        CompareOp::Ge => a >= b,
     }
 }
 
@@ -223,7 +212,7 @@ fn assert_conjunct(
                 b.problem.assert(Formula::Atom(Atom::new(v0, op, Term::Const(val))));
             };
             if h.func.op == AggOp::Avg {
-                assert_v(b, cmp_to_relop(cmp), c);
+                assert_v(b, ConstraintBuilder::relop(cmp), c);
             } else {
                 // SUM = k·v cmp c ⇒ bounds on v over the integers.
                 match cmp {
@@ -245,17 +234,6 @@ fn bound_rest(is_min: bool) -> RelOp {
         RelOp::Ge // other copies ≥ the pinned minimum
     } else {
         RelOp::Le // other copies ≤ the pinned maximum
-    }
-}
-
-fn cmp_to_relop(cmp: CompareOp) -> RelOp {
-    match cmp {
-        CompareOp::Eq => RelOp::Eq,
-        CompareOp::Ne => RelOp::Ne,
-        CompareOp::Lt => RelOp::Lt,
-        CompareOp::Le => RelOp::Le,
-        CompareOp::Gt => RelOp::Gt,
-        CompareOp::Ge => RelOp::Ge,
     }
 }
 

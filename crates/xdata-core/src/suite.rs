@@ -3,7 +3,7 @@
 use std::fmt;
 
 use xdata_catalog::Dataset;
-use xdata_solver::{Mode, SolverStats};
+use xdata_solver::Mode;
 
 /// Options controlling generation.
 #[derive(Debug, Clone)]
@@ -122,8 +122,6 @@ pub struct GeneratedDataset {
     pub dataset: Dataset,
     /// What this dataset targets, e.g. `nullify teaches.id (eq-class 0)`.
     pub label: String,
-    /// Solver statistics for this dataset's constraint set.
-    pub stats: SolverStats,
 }
 
 /// A targeted constraint set that was unsatisfiable — the signature of an
@@ -146,10 +144,7 @@ pub enum SkipReason {
     /// The solver exhausted [`GenOptions::decision_limit`] without a
     /// verdict. Unlike the two equivalence reasons this says nothing about
     /// the mutants — the target needs a bigger budget, not a shrug.
-    Budget {
-        /// Decisions spent before giving up (summed over the repair ladder).
-        decisions: u64,
-    },
+    Budget,
     /// The wall-clock deadline ([`GenOptions::deadline_ms`] or
     /// [`GenOptions::per_target_deadline_ms`]) expired before the target's
     /// solve finished. Like [`SkipReason::Budget`] this says nothing about
@@ -175,7 +170,7 @@ impl SkipReason {
     pub fn is_degradation(&self) -> bool {
         matches!(
             self,
-            SkipReason::Budget { .. } | SkipReason::Timeout | SkipReason::Fault { .. }
+            SkipReason::Budget | SkipReason::Timeout | SkipReason::Fault { .. }
         )
     }
 }
@@ -185,9 +180,7 @@ impl fmt::Display for SkipReason {
         match self {
             SkipReason::Equivalent => write!(f, "constraints unsatisfiable (equivalent mutants)"),
             SkipReason::EmptyP => write!(f, "empty retained set P (equivalent mutants)"),
-            SkipReason::Budget { decisions } => {
-                write!(f, "solver gave up after {decisions} decisions (budget exhausted)")
-            }
+            SkipReason::Budget => write!(f, "solver gave up (decision budget exhausted)"),
             SkipReason::Timeout => write!(f, "deadline expired before a verdict (timeout)"),
             SkipReason::Fault { message } => write!(f, "solve panicked: {message}"),
         }

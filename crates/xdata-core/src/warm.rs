@@ -8,9 +8,9 @@
 //! map. A batch run drops all of that when it returns. A warm run does
 //! too, except for one thing: [`WarmCache`], a map from a 128-bit
 //! structural problem hash (context salt, mode, skeleton class, budget,
-//! array specs, ordered constraints) to the verdict, model values and
-//! solver stats. Entries are owned data, so they outlive the
-//! query/schema/domain borrows of the request that produced them.
+//! array specs, ordered constraints) to the verdict and model values.
+//! Entries are owned data, so they outlive the query/schema/domain borrows
+//! of the request that produced them.
 //!
 //! A warm lane looks a key up in its own map first, then in the cache.
 //! When it finishes without a `Timeout` skip it copies the entries it
@@ -57,25 +57,9 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use xdata_relalg::fingerprint::structural_hash;
 use xdata_relalg::NormQuery;
-use xdata_solver::{Mode, Model, Problem, SolveOutcome, SolverStats};
+use xdata_solver::{Mode, Model, Problem, SolveOutcome};
 
 use crate::suite::GenOptions;
-
-/// A memoized solve: verdict (with model values) plus the solver stats of
-/// the solve that produced it.
-#[derive(Clone)]
-pub(crate) struct MemoValue {
-    pub(crate) outcome: MemoOutcome,
-    pub(crate) stats: SolverStats,
-}
-
-impl MemoValue {
-    /// The stored verdict against `problem`, which must be structurally
-    /// identical to the one that produced it.
-    pub(crate) fn replay(&self, problem: &Problem) -> (SolveOutcome, SolverStats) {
-        (self.outcome.replay(problem), self.stats)
-    }
-}
 
 /// [`SolveOutcome`] with the model flattened to raw values so it can be
 /// stored and replayed against any structurally identical problem.
@@ -98,7 +82,9 @@ impl MemoOutcome {
         }
     }
 
-    fn replay(&self, problem: &Problem) -> SolveOutcome {
+    /// The stored verdict against `problem`, which must be structurally
+    /// identical to the one that produced it.
+    pub(crate) fn replay(&self, problem: &Problem) -> SolveOutcome {
         match self {
             MemoOutcome::Sat(values) => {
                 SolveOutcome::Sat(Model::from_values(values.clone(), problem.var_table()))
@@ -174,7 +160,7 @@ pub(crate) fn context_salt(namespace: &str, query: &NormQuery, opts: &GenOptions
 /// the module docs.
 #[derive(Default)]
 pub struct WarmCache {
-    memo: Mutex<HashMap<(u64, u64), MemoValue>>,
+    memo: Mutex<HashMap<(u64, u64), MemoOutcome>>,
 }
 
 impl WarmCache {
@@ -193,16 +179,12 @@ impl WarmCache {
     }
 
     /// The stored outcome for `key`, replayed against `problem`.
-    pub(crate) fn replay(
-        &self,
-        key: (u64, u64),
-        problem: &Problem,
-    ) -> Option<(SolveOutcome, SolverStats)> {
+    pub(crate) fn replay(&self, key: (u64, u64), problem: &Problem) -> Option<SolveOutcome> {
         self.map().get(&key).map(|v| v.replay(problem))
     }
 
     /// Add a finished lane's entries.
-    pub(crate) fn commit(&self, entries: HashMap<(u64, u64), MemoValue>) {
+    pub(crate) fn commit(&self, entries: HashMap<(u64, u64), MemoOutcome>) {
         if !entries.is_empty() {
             self.map().extend(entries);
         }
@@ -210,7 +192,7 @@ impl WarmCache {
 
     /// Poison-tolerant: the map is only ever changed by whole-entry
     /// inserts, so a panic on another thread cannot leave it torn.
-    fn map(&self) -> MutexGuard<'_, HashMap<(u64, u64), MemoValue>> {
+    fn map(&self) -> MutexGuard<'_, HashMap<(u64, u64), MemoOutcome>> {
         self.memo.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
@@ -252,5 +234,18 @@ mod tests {
             context_salt("tenant-a", &q2, &fresh),
             "fresh solves are pure per problem: cross-query sharing is allowed"
         );
+    }
+
+    /// A daemon keeps one entry per solved target of every tenant, so an
+    /// entry holds the verdict and model values and nothing else: solver
+    /// counters go to the recorder, not into the cache.
+    #[test]
+    fn warm_entry_is_no_larger_than_its_model_values() {
+        fn value_size<K, V>(_: &HashMap<K, V>) -> usize {
+            std::mem::size_of::<V>()
+        }
+        let cache = WarmCache::new();
+        let size = value_size(&cache.map());
+        assert!(size <= std::mem::size_of::<Vec<i64>>(), "a warm entry's value is {size} bytes");
     }
 }

@@ -10,13 +10,13 @@
 
 use std::collections::BTreeMap;
 
-use xdata_catalog::{Truth, Tuple, Value};
+use xdata_catalog::{Tuple, Value};
 use xdata_relalg::ir::AggSpec;
 use xdata_relalg::{AttrRef, HavingPred, NormQuery};
-use xdata_sql::{AggOp, CompareOp};
+use xdata_sql::AggOp;
 
 use crate::error::EngineError;
-use crate::exec::Layout;
+use crate::exec::{cmp_truth, Layout};
 use crate::result::ResultSet;
 
 pub(crate) fn aggregate(
@@ -67,18 +67,7 @@ fn having_holds(
     for h in having {
         let spec = AggSpec { func: h.func, arg: h.arg };
         let actual = agg_value(&spec, rows, layout)?;
-        let truth = match actual.sql_cmp(&Value::Int(h.value)) {
-            None => Truth::Unknown,
-            Some(ord) => Truth::from_bool(match h.cmp {
-                CompareOp::Eq => ord == std::cmp::Ordering::Equal,
-                CompareOp::Ne => ord != std::cmp::Ordering::Equal,
-                CompareOp::Lt => ord == std::cmp::Ordering::Less,
-                CompareOp::Le => ord != std::cmp::Ordering::Greater,
-                CompareOp::Gt => ord == std::cmp::Ordering::Greater,
-                CompareOp::Ge => ord != std::cmp::Ordering::Less,
-            }),
-        };
-        if !truth.is_true() {
+        if !cmp_truth(&actual, h.cmp, &Value::Int(h.value)).is_true() {
             return Ok(false);
         }
     }

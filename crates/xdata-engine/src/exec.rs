@@ -368,17 +368,7 @@ pub(crate) fn eval_pred(p: &Pred, row: &Row, layout: &Layout) -> Truth {
 pub(crate) fn cmp_truth(l: &Value, op: CompareOp, r: &Value) -> Truth {
     match l.sql_cmp(r) {
         None => Truth::Unknown,
-        Some(ord) => {
-            let b = match op {
-                CompareOp::Eq => ord == std::cmp::Ordering::Equal,
-                CompareOp::Ne => ord != std::cmp::Ordering::Equal,
-                CompareOp::Lt => ord == std::cmp::Ordering::Less,
-                CompareOp::Le => ord != std::cmp::Ordering::Greater,
-                CompareOp::Gt => ord == std::cmp::Ordering::Greater,
-                CompareOp::Ge => ord != std::cmp::Ordering::Less,
-            };
-            Truth::from_bool(b)
-        }
+        Some(ord) => Truth::from_bool(op.holds(ord)),
     }
 }
 

@@ -196,19 +196,24 @@ fn fk_holds(fk: &ForeignKey, db: &Dataset) -> bool {
     })
 }
 
-/// Mutant-class tag used in trace span labels and verdict events; matches
-/// the `kill.killed.<class>` / `kill.survived.<class>` counter suffixes.
-fn class_name(m: &Mutant) -> &'static str {
+/// A mutant's class tag, used in trace span labels and verdict events,
+/// with its `kill.killed.<class>` and `kill.survived.<class>` counter names.
+fn class_names(m: &Mutant) -> (&'static str, &'static str, &'static str) {
+    macro_rules! names {
+        ($tag:literal) => {
+            ($tag, concat!("kill.killed.", $tag), concat!("kill.survived.", $tag))
+        };
+    }
     match m {
-        Mutant::Join(_) => "join",
-        Mutant::Cmp(_) => "cmp",
-        Mutant::Agg(_) => "agg",
-        Mutant::HavingCmp(_) => "having_cmp",
-        Mutant::HavingAgg(_) => "having_agg",
-        Mutant::Distinct(_) => "distinct",
-        Mutant::Sub(_) => "subquery",
-        Mutant::Like(_) => "like",
-        Mutant::NullCheck(_) => "null_check",
+        Mutant::Join(_) => names!("join"),
+        Mutant::Cmp(_) => names!("cmp"),
+        Mutant::Agg(_) => names!("agg"),
+        Mutant::HavingCmp(_) => names!("having_cmp"),
+        Mutant::HavingAgg(_) => names!("having_agg"),
+        Mutant::Distinct(_) => names!("distinct"),
+        Mutant::Sub(_) => names!("subquery"),
+        Mutant::Like(_) => names!("like"),
+        Mutant::NullCheck(_) => names!("null_check"),
     }
 }
 
@@ -255,7 +260,7 @@ pub fn kill_report_cancel(
         // The class tag in the label is what lets `xdata trace` break
         // evaluation time down per mutant class offline.
         let _shard_span = xdata_obs::span_with("kill/mutant", || {
-            format!("#{mi} {} [{}]", m.describe(q), class_name(m))
+            format!("#{mi} {} [{}]", m.describe(q), class_names(m).0)
         });
         let cert = certs[mi].as_ref();
         let verdict = if cert.is_some() {
@@ -290,13 +295,13 @@ pub fn kill_report_cancel(
         if let Ok(v) = &verdict {
             let v = *v;
             xdata_obs::instant("kill.verdict", || match (v, cert) {
-                (Some(di), _) => format!("#{mi} [{}] killed by dataset {di}", class_name(m)),
+                (Some(di), _) => format!("#{mi} [{}] killed by dataset {di}", class_names(m).0),
                 (None, Some(c)) => format!(
                     "#{mi} [{}] survived (equivalent: {})",
-                    class_name(m),
+                    class_names(m).0,
                     c.describe(q, schema)
                 ),
-                (None, None) => format!("#{mi} [{}] survived", class_name(m)),
+                (None, None) => format!("#{mi} [{}] survived", class_names(m).0),
             });
         }
         verdict
@@ -329,17 +334,7 @@ pub fn kill_report_cancel(
         if report.is_unevaluated(mi) {
             continue;
         }
-        let (killed_name, survived_name) = match m {
-            Mutant::Join(_) => ("kill.killed.join", "kill.survived.join"),
-            Mutant::Cmp(_) => ("kill.killed.cmp", "kill.survived.cmp"),
-            Mutant::Agg(_) => ("kill.killed.agg", "kill.survived.agg"),
-            Mutant::HavingCmp(_) => ("kill.killed.having_cmp", "kill.survived.having_cmp"),
-            Mutant::HavingAgg(_) => ("kill.killed.having_agg", "kill.survived.having_agg"),
-            Mutant::Distinct(_) => ("kill.killed.distinct", "kill.survived.distinct"),
-            Mutant::Sub(_) => ("kill.killed.subquery", "kill.survived.subquery"),
-            Mutant::Like(_) => ("kill.killed.like", "kill.survived.like"),
-            Mutant::NullCheck(_) => ("kill.killed.null_check", "kill.survived.null_check"),
-        };
+        let (_, killed_name, survived_name) = class_names(m);
         if verdict.is_some() {
             xdata_obs::counter(killed_name, 1);
             continue;

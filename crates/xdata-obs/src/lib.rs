@@ -17,11 +17,11 @@
 //!
 //! Instrumentation sites call [`counter`], [`observe`], [`span`],
 //! [`instant`] and [`flow`] unconditionally, and each records into the
-//! [`Recorder`] bound to the thread it runs on. [`install`] (metrics),
-//! [`install_trace`] (journal) and [`set_trace`] (stderr span lines) turn
-//! a sink on for the calling thread, binding a recorder first if none is
-//! bound; [`take_report`] and [`take_trace`] turn theirs off and return
-//! what the run recorded, unbinding the recorder once no sink is on.
+//! [`Recorder`] bound to the thread it runs on. A recorder has two sinks:
+//! [`install`] turns on metrics and [`install_trace`] the journal, for
+//! the calling thread, binding a recorder first if none is bound;
+//! [`take_report`] and [`take_trace`] turn theirs off and return what the
+//! run recorded, unbinding the recorder once no sink is on.
 //! `xdata-par` workers bind the recorder of the thread that started them,
 //! so a run's report covers its workers and no concurrent run on another
 //! thread. A thread with no recorder bound (the default) pays one
@@ -59,17 +59,10 @@
 //! (`"generate/solve"` is a child of `"generate"`), so parent links survive
 //! crossing the `xdata-par` thread pool — a worker thread opening
 //! `generate/solve` needs no span context from the coordinating thread.
-//! Finished spans, journal events and stderr trace lines accumulate in one
-//! per-thread buffer that flushes into the thread's recorder when its
-//! outermost span closes, keeping lock traffic at one acquisition per
-//! top-level span rather than one per span.
-//!
-//! With stderr tracing enabled ([`set_trace`]) every span close prints a
-//! `[xdata-trace tN]` line (thread ordinal, path, label, duration). Lines
-//! from one thread are flushed as a single write when its outermost span
-//! closes, so lines never interleave mid-record across threads; block
-//! order across threads still follows the schedule — it is a debugging
-//! aid, not an artifact.
+//! Finished spans and journal events accumulate in one per-thread buffer
+//! that flushes into the thread's recorder when its outermost span closes,
+//! keeping lock traffic at one acquisition per top-level span rather than
+//! one per span.
 
 mod journal;
 mod metrics;
@@ -89,7 +82,7 @@ pub use trace::{
 };
 
 use journal::{now_ns, JEvent};
-use recorder::{sinks, with_local, with_store, JOURNAL, METRICS, STDERR};
+use recorder::{sinks, with_local, with_store, JOURNAL, METRICS};
 
 /// Start a fresh metrics run on the calling thread's recorder: clears
 /// anything it collected before and enables collection. Call once per run
@@ -104,28 +97,9 @@ pub fn enabled() -> bool {
     sinks() & METRICS != 0
 }
 
-/// Enable or disable `[xdata-trace tN]` stderr output on span close for
-/// the calling thread's run. Independent of [`install`]: stderr tracing
-/// works with or without a report. [`take_report`] turns it back off
-/// together with collection, so one run's `--trace` cannot leak into the
-/// next run on the same thread.
-pub fn set_trace(on: bool) {
-    if on {
-        recorder::install(STDERR);
-    } else {
-        recorder::take(STDERR, 0, |_| ());
-    }
-}
-
-/// Whether stderr trace output is enabled on the calling thread.
-#[inline]
-pub fn trace_enabled() -> bool {
-    sinks() & STDERR != 0
-}
-
 /// Start a fresh journal run on the calling thread's recorder: discards
 /// any previously journaled events and enables event journaling. Call once
-/// per run (e.g. when `--trace-out` is requested).
+/// per run (e.g. when `--trace` or `--trace-out` is requested).
 pub fn install_trace() {
     recorder::install(JOURNAL);
 }
@@ -140,15 +114,14 @@ pub fn journal_enabled() -> bool {
 /// [`install_trace`] as a stable-ordered [`TraceLog`]. Returns `None` when
 /// the journal was never enabled.
 pub fn take_trace() -> Option<TraceLog> {
-    recorder::take(JOURNAL, JOURNAL, |store| std::mem::take(&mut store.chunks))
+    recorder::take(JOURNAL, |store| std::mem::take(&mut store.chunks))
         .map(journal::assemble)
 }
 
-/// Disable collection — and stderr tracing, which is scoped to the same
-/// run — and return everything recorded since [`install`]. Returns `None`
-/// when no recorder was installed (stderr tracing is still reset).
+/// Disable collection and return everything recorded since [`install`].
+/// Returns `None` when no recorder was installed.
 pub fn take_report() -> Option<MetricsReport> {
-    recorder::take(METRICS | STDERR, METRICS, |store| std::mem::take(&mut store.report))
+    recorder::take(METRICS, |store| std::mem::take(&mut store.report))
 }
 
 /// Add `delta` to counter `name` (creating it at 0 first). `delta == 0`
@@ -408,25 +381,6 @@ mod tests {
         for path in PHASE_SPANS {
             assert_eq!(r.spans[*path].count, 0, "{path}");
         }
-    }
-
-    /// Regression test for the flag-leak bug: a first run with `--trace`
-    /// used to leave the stderr-trace bit set after `take_report()`, so a
-    /// second, untraced run in the same process kept printing (and kept
-    /// paying for label construction). Collection and stderr tracing are
-    /// scoped to the same run, so taking the report must reset both.
-    #[test]
-    fn take_report_resets_stderr_trace_flag() {
-        install();
-        set_trace(true);
-        assert!(trace_enabled());
-        let _ = take_report().expect("installed");
-        assert!(!trace_enabled(), "take_report must reset set_trace state");
-        assert!(!enabled());
-        // And the reset happens even when nothing was installed.
-        set_trace(true);
-        assert!(take_report().is_none());
-        assert!(!trace_enabled());
     }
 
     #[test]

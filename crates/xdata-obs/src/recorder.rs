@@ -1,7 +1,7 @@
 //! The recorder behind every event site, its binding to threads, and each
-//! thread's buffer of spans, stderr lines and journal events (see the
-//! crate docs, "One recorder per run"). Counters and histograms skip the
-//! buffer and go straight to the recorder.
+//! thread's buffer of spans and journal events (see the crate docs, "One
+//! recorder per run"). Counters and histograms skip the buffer and go
+//! straight to the recorder.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
@@ -12,10 +12,8 @@ use crate::MetricsReport;
 
 /// Metrics collection is on ([`crate::install`] .. [`crate::take_report`]).
 pub(crate) const METRICS: u32 = 1 << 0;
-/// Span closes print `[xdata-trace tN]` lines to stderr ([`crate::set_trace`]).
-pub(crate) const STDERR: u32 = 1 << 1;
 /// The event journal is on ([`crate::install_trace`] .. [`crate::take_trace`]).
-pub(crate) const JOURNAL: u32 = 1 << 2;
+pub(crate) const JOURNAL: u32 = 1 << 1;
 
 /// What one run recorded.
 #[derive(Default)]
@@ -73,7 +71,6 @@ thread_local! {
             rec: None,
             depth: 0,
             spans: Vec::new(),
-            lines: String::new(),
             events: Vec::new(),
         })
     };
@@ -93,7 +90,6 @@ pub(crate) struct Local {
     pub depth: u32,
     /// Finished spans: path and duration in nanoseconds.
     pub spans: Vec<(&'static str, u64)>,
-    pub lines: String,
     pub events: Vec<JEvent>,
 }
 
@@ -106,15 +102,10 @@ impl Local {
         }
     }
 
-    /// Write the stderr lines as one block, so lines from threads flushing
-    /// together never interleave mid-record, and merge spans and journal
-    /// events into the bound recorder. What no sink of that recorder takes
-    /// (a run taken while its spans were open) is dropped.
+    /// Merge spans and journal events into the bound recorder. What no
+    /// sink of that recorder takes (a run taken while its spans were open)
+    /// is dropped.
     pub fn flush(&mut self) {
-        if !self.lines.is_empty() {
-            eprint!("{}", self.lines);
-            self.lines.clear();
-        }
         let events = std::mem::take(&mut self.events);
         if let Some(rec) = &self.rec {
             let mut store = lock(&rec.store);
@@ -177,14 +168,14 @@ pub(crate) fn install(bits: u32) {
     });
 }
 
-/// Turn `bits` off for the calling thread's recorder and, when the `data`
-/// sink was on, take what it recorded with `f`. A recorder left with no
-/// sink on is unbound.
-pub(crate) fn take<T>(bits: u32, data: u32, f: impl FnOnce(&mut Store) -> T) -> Option<T> {
+/// Turn sink `bit` off for the calling thread's recorder and, when it was
+/// on, take what it recorded with `f`. A recorder left with no sink on is
+/// unbound.
+pub(crate) fn take<T>(bit: u32, f: impl FnOnce(&mut Store) -> T) -> Option<T> {
     with_local(|l| {
         let rec = l.rec.as_mut()?;
-        let taken = (rec.sinks & data != 0).then(|| f(&mut lock(&rec.store)));
-        rec.sinks &= !bits;
+        let taken = (rec.sinks & bit != 0).then(|| f(&mut lock(&rec.store)));
+        rec.sinks &= !bit;
         SINKS.set(rec.sinks);
         if rec.sinks == 0 {
             l.rec = None;

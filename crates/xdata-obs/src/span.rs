@@ -1,9 +1,9 @@
-//! Span guards and stderr trace output.
+//! Span guards.
 
 use std::time::Instant;
 
-use crate::journal::{now_ns, thread_ordinal, JEvent};
-use crate::recorder::{sinks, with_local, JOURNAL, METRICS, STDERR};
+use crate::journal::{now_ns, JEvent};
+use crate::recorder::{sinks, with_local, JOURNAL, METRICS};
 
 /// Open a span at `path`. Paths are explicit `/`-separated hierarchies
 /// (`"generate/solve"` is a child of `"generate"`) so parenthood survives
@@ -15,25 +15,24 @@ pub fn span(path: &'static str) -> SpanGuard {
 }
 
 /// [`span`] with a lazily-built label (e.g. the solve target's
-/// description) for the journal and the stderr trace lines. The closure
-/// runs only when one of those sinks is on, so the label costs nothing
-/// otherwise; the label never enters the metrics report (labels are
-/// per-item, the report aggregates per path).
+/// description) for the journal. The closure runs only when the journal
+/// is on, so the label costs nothing otherwise; the label never enters the
+/// metrics report (labels are per-item, the report aggregates per path).
 #[inline]
 pub fn span_with(path: &'static str, label: impl FnOnce() -> String) -> SpanGuard {
     let s = sinks();
     if s == 0 {
-        return SpanGuard { path, start: None, label: String::new(), journaled: false };
+        return SpanGuard { path, start: None, journaled: false };
     }
-    let label = if s & (STDERR | JOURNAL) != 0 { label() } else { String::new() };
     let journaled = s & JOURNAL != 0;
+    let label = if journaled { label() } else { String::new() };
     with_local(|l| {
         l.depth += 1;
         if journaled {
-            l.events.push(JEvent::Begin { path, label: label.clone(), ts: now_ns() });
+            l.events.push(JEvent::Begin { path, label, ts: now_ns() });
         }
     });
-    SpanGuard { path, start: Some(Instant::now()), label, journaled }
+    SpanGuard { path, start: Some(Instant::now()), journaled }
 }
 
 /// An open span; closes when dropped.
@@ -42,7 +41,6 @@ pub struct SpanGuard {
     /// `None` when the span was opened with no recorder bound (fully inert
     /// guard).
     start: Option<Instant>,
-    label: String,
     /// Whether a journal `Begin` was recorded at open — if so the matching
     /// `End` is recorded at drop even if the journal was taken in between,
     /// keeping the buffer's depth tracking balanced (the stale events
@@ -58,19 +56,6 @@ impl Drop for SpanGuard {
         with_local(|l| {
             if self.journaled {
                 l.events.push(JEvent::End { path: self.path, ts: now_ns() });
-            }
-            if s & STDERR != 0 {
-                let label = if self.label.is_empty() {
-                    String::new()
-                } else {
-                    format!(" — {}", self.label)
-                };
-                l.lines.push_str(&format!(
-                    "[xdata-trace t{}] {} {:.3}ms{label}\n",
-                    thread_ordinal(),
-                    self.path,
-                    dur_ns as f64 / 1e6
-                ));
             }
             if s & METRICS != 0 {
                 l.spans.push((self.path, dur_ns));

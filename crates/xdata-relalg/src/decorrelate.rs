@@ -233,7 +233,7 @@ fn lower_one(
         let (col, offset, op, rhs, rty) = match (l, r) {
             (Side::Sub { col, offset }, Side::Outer(o, ty)) => (col, offset, c.op, o, ty),
             (Side::Outer(o, ty), Side::Sub { col, offset }) => {
-                (col, offset, mirror(c.op), o, ty)
+                (col, offset, c.op.mirror(), o, ty)
             }
             (Side::Sub { .. }, Side::Sub { .. }) => {
                 return Err(RelAlgError::Unsupported(format!(
@@ -258,17 +258,6 @@ fn lower_one(
     }
 
     Ok(SubPred { kind, negated, link, base: table, alias: binding, conds })
-}
-
-fn mirror(op: CompareOp) -> CompareOp {
-    match op {
-        CompareOp::Eq => CompareOp::Eq,
-        CompareOp::Ne => CompareOp::Ne,
-        CompareOp::Lt => CompareOp::Gt,
-        CompareOp::Gt => CompareOp::Lt,
-        CompareOp::Le => CompareOp::Ge,
-        CompareOp::Ge => CompareOp::Le,
-    }
 }
 
 /// Type rules mirroring the normalizer's: no string↔number comparison, and

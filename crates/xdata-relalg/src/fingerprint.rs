@@ -17,8 +17,6 @@
 //! of the same base relation keep their written order rather than trying
 //! all permutations.
 
-use xdata_sql::CompareOp;
-
 use crate::ir::{AttrRef, NormQuery, Operand, Pred, SelectSpec, SubPred};
 use crate::tree::JoinTree;
 
@@ -196,17 +194,6 @@ fn render_operand(o: &Operand, remap: &impl Fn(AttrRef) -> AttrRef) -> String {
     }
 }
 
-fn mirror(op: CompareOp) -> CompareOp {
-    match op {
-        CompareOp::Eq => CompareOp::Eq,
-        CompareOp::Ne => CompareOp::Ne,
-        CompareOp::Lt => CompareOp::Gt,
-        CompareOp::Gt => CompareOp::Lt,
-        CompareOp::Le => CompareOp::Ge,
-        CompareOp::Ge => CompareOp::Le,
-    }
-}
-
 fn render_pred(p: &Pred, remap: &impl Fn(AttrRef) -> AttrRef) -> String {
     let a = format!(
         "{} {} {}",
@@ -217,7 +204,7 @@ fn render_pred(p: &Pred, remap: &impl Fn(AttrRef) -> AttrRef) -> String {
     let b = format!(
         "{} {} {}",
         render_operand(&p.rhs, remap),
-        mirror(p.op).sql_symbol(),
+        p.op.mirror().sql_symbol(),
         render_operand(&p.lhs, remap)
     );
     // `x > 5` and `5 < x` are one predicate; pick the smaller rendering.

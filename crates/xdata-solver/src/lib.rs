@@ -89,8 +89,17 @@ pub mod unfold;
 pub use atom::{Atom, RelOp, Term};
 pub use formula::Formula;
 pub use ids::{ArrayId, ArraySpec, QVarId, VarId, VarTable};
-pub use problem::{solve_dpll, Mode, Model, Problem, SolveOutcome, SolverStats};
+pub use problem::{solve_dpll, Mode, Model, Problem, SolveOutcome};
 pub use search::{CANCEL_CHECK_INTERVAL, DEFAULT_DECISION_LIMIT};
 pub use session::SolveSession;
 pub use strings::{membership_formula, LikePattern};
 pub use xdata_par::CancelToken;
+
+/// Run `f` under a fresh metrics recorder on this thread and return its
+/// result with what the recorder collected.
+#[cfg(test)]
+pub(crate) fn recorded<T>(f: impl FnOnce() -> T) -> (T, xdata_obs::MetricsReport) {
+    xdata_obs::install();
+    let out = f();
+    (out, xdata_obs::take_report().expect("recorder installed"))
+}

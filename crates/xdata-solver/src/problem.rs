@@ -14,7 +14,7 @@ use crate::eval::{eval, forall_violation};
 use crate::formula::Formula;
 use crate::ids::{ArrayId, ArraySpec, QVarId, VarTable};
 use crate::nnf::to_nnf;
-use crate::search::{dpll_ground, solve_ground_cancel, GroundResult, GroundSolver, SearchStats};
+use crate::search::{dpll_ground, solve_ground_cancel, GroundResult, GroundSolver};
 use crate::unfold::unfold;
 
 /// Quantifier-handling strategy.
@@ -94,61 +94,6 @@ pub(crate) fn outcome_from_ground(res: GroundResult, vars: &VarTable) -> SolveOu
     }
 }
 
-/// Counters for one solve call.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct SolverStats {
-    pub decisions: u64,
-    pub conflicts: u64,
-    pub theory_relaxations: u64,
-    /// Unit propagations (forced decisions) across all ground solves.
-    pub propagations: u64,
-    /// Ground solves that exhausted their decision budget and returned
-    /// `Unknown`.
-    pub unknown_exits: u64,
-    /// Clauses learned by CDCL conflict analysis (0 under the DPLL core).
-    pub learned_clauses: u64,
-    /// CDCL restarts (0 under the DPLL core).
-    pub restarts: u64,
-    /// Cooperative cancellation checks in the hot loops.
-    pub cancel_checks: u64,
-    /// Ground sub-solves (1 in `Unfold` mode, ≥1 in `Lazy`).
-    pub ground_solves: u64,
-    /// Quantifier instances added by lazy instantiation.
-    pub instantiations: u64,
-    /// Atom count of the final ground formula.
-    pub ground_atoms: usize,
-}
-
-impl SolverStats {
-    /// Add one ground search's counters.
-    pub(crate) fn add_search(&mut self, s: &SearchStats) {
-        self.decisions += s.decisions;
-        self.conflicts += s.conflicts;
-        self.theory_relaxations += s.theory_relaxations;
-        self.propagations += s.propagations;
-        self.unknown_exits += s.unknown_exits;
-        self.learned_clauses += s.learned_clauses;
-        self.restarts += s.restarts;
-        self.cancel_checks += s.cancel_checks;
-    }
-
-    /// Add another solve's counters. `ground_atoms` keeps the larger
-    /// formula, as the last round of a lazy solve does.
-    pub fn add(&mut self, o: &SolverStats) {
-        self.decisions += o.decisions;
-        self.conflicts += o.conflicts;
-        self.theory_relaxations += o.theory_relaxations;
-        self.propagations += o.propagations;
-        self.unknown_exits += o.unknown_exits;
-        self.learned_clauses += o.learned_clauses;
-        self.restarts += o.restarts;
-        self.cancel_checks += o.cancel_checks;
-        self.ground_solves += o.ground_solves;
-        self.instantiations += o.instantiations;
-        self.ground_atoms = self.ground_atoms.max(o.ground_atoms);
-    }
-}
-
 /// A constraint problem under construction.
 #[derive(Debug, Clone, Default)]
 pub struct Problem {
@@ -213,13 +158,13 @@ impl Problem {
     }
 
     /// Solve the asserted constraints.
-    pub fn solve(&self, mode: Mode) -> (SolveOutcome, SolverStats) {
+    pub fn solve(&self, mode: Mode) -> SolveOutcome {
         self.solve_with_limit(mode, crate::search::DEFAULT_DECISION_LIMIT)
     }
 
     /// [`Problem::solve`] with an explicit decision budget; exceeding it
     /// yields [`SolveOutcome::Unknown`] instead of running on.
-    pub fn solve_with_limit(&self, mode: Mode, limit: u64) -> (SolveOutcome, SolverStats) {
+    pub fn solve_with_limit(&self, mode: Mode, limit: u64) -> SolveOutcome {
         self.solve_cancel(mode, limit, &CancelToken::new())
     }
 
@@ -228,12 +173,7 @@ impl Problem {
     /// cancellation, and the lazy instantiation loop additionally checks
     /// the token between rounds. A tripped token yields
     /// [`SolveOutcome::Cancelled`].
-    pub fn solve_cancel(
-        &self,
-        mode: Mode,
-        limit: u64,
-        cancel: &CancelToken,
-    ) -> (SolveOutcome, SolverStats) {
+    pub fn solve_cancel(&self, mode: Mode, limit: u64, cancel: &CancelToken) -> SolveOutcome {
         let vars = self.var_table();
         match mode {
             Mode::Unfold => self.solve_unfold(&vars, limit, cancel, solve_ground_cancel),
@@ -243,15 +183,15 @@ impl Problem {
 
     /// Convenience: solve and verify the model against the original
     /// constraints (panics on solver bugs; used by tests).
-    pub fn solve_checked(&self, mode: Mode) -> (SolveOutcome, SolverStats) {
-        let (out, stats) = self.solve(mode);
+    pub fn solve_checked(&self, mode: Mode) -> SolveOutcome {
+        let out = self.solve(mode);
         if let SolveOutcome::Sat(m) = &out {
             let vars = self.var_table();
             for c in &self.constraints {
                 assert!(eval(c, m.values(), &vars), "model violates constraint {c}");
             }
         }
-        (out, stats)
+        out
     }
 
     fn solve_unfold(
@@ -260,24 +200,18 @@ impl Problem {
         limit: u64,
         cancel: &CancelToken,
         ground_solver: GroundSolver,
-    ) -> (SolveOutcome, SolverStats) {
+    ) -> SolveOutcome {
         let nf = Formula::and(self.constraints.iter().map(to_nnf));
         let ground = unfold(&nf, vars);
-        let mut stats = SolverStats { ground_solves: 1, ground_atoms: ground.atom_count(), ..SolverStats::default() };
         xdata_obs::counter("solver.ground_solves", 1);
-        xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
-        let (res, s) = ground_solver(&ground, vars, limit, cancel);
-        stats.add_search(&s);
-        (outcome_from_ground(res, vars), stats)
+        xdata_obs::observe("solver.ground_atoms", ground.atom_count() as u64);
+        let (res, _) = ground_solver(&ground, vars, limit, cancel);
+        outcome_from_ground(res, vars)
     }
 
-    fn solve_lazy(
-        &self,
-        vars: &VarTable,
-        limit: u64,
-        cancel: &CancelToken,
-    ) -> (SolveOutcome, SolverStats) {
-        let mut stats = SolverStats::default();
+    fn solve_lazy(&self, vars: &VarTable, limit: u64, cancel: &CancelToken) -> SolveOutcome {
+        // Decisions spent so far: every round draws on one shared budget.
+        let mut decisions = 0u64;
         let mut working: Vec<Formula> = Vec::new();
         // Pending quantified constraints with their instantiation history.
         struct Pending {
@@ -298,21 +232,17 @@ impl Problem {
             // The per-round check catches cancellation during the (possibly
             // large) unfold/instantiation work between ground solves.
             if cancel.is_cancelled() {
-                return (SolveOutcome::Cancelled, stats);
+                return SolveOutcome::Cancelled;
             }
-            stats.ground_solves += 1;
             let ground = Formula::and(working.iter().cloned());
-            stats.ground_atoms = ground.atom_count();
             xdata_obs::counter("solver.ground_solves", 1);
-            xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
+            xdata_obs::observe("solver.ground_atoms", ground.atom_count() as u64);
             let (res, s) =
-                solve_ground_cancel(&ground, vars, limit.saturating_sub(stats.decisions), cancel);
-            stats.add_search(&s);
+                solve_ground_cancel(&ground, vars, limit.saturating_sub(decisions), cancel);
+            decisions += s.decisions;
             let model = match res {
-                GroundResult::Unsat => return (SolveOutcome::Unsat, stats),
-                GroundResult::Unknown => return (SolveOutcome::Unknown, stats),
-                GroundResult::Cancelled => return (SolveOutcome::Cancelled, stats),
                 GroundResult::Sat(m) => m,
+                other => return outcome_from_ground(other, vars),
             };
             // One instantiation per round, as incremental quantifier
             // reasoning in CVC3-era solvers did: find the first violated
@@ -320,7 +250,7 @@ impl Problem {
             // what makes the "without unfolding" configuration pay a
             // ground-solve per instance (§VI-B's observed slowdown).
             let mut progressed = false;
-            let round_inst_start = stats.instantiations;
+            let mut instantiations = 0u64;
             let mut additions: Vec<Formula> = Vec::new();
             let mut new_pending: Vec<Formula> = Vec::new();
             for p in pending.iter_mut().filter(|p| !p.absorbed) {
@@ -336,7 +266,7 @@ impl Problem {
                         // Instantiate exactly the violated slice.
                         if let Some(i) = forall_violation(*qv, *array, body, &model, vars) {
                             if p.instantiated.insert(i) {
-                                stats.instantiations += 1;
+                                instantiations += 1;
                                 let inst = body.subst(*qv, i);
                                 if inst.has_quantifier() {
                                     new_pending.push(inst);
@@ -347,7 +277,7 @@ impl Problem {
                                 // Slice already instantiated but still
                                 // violated via nested structure: absorb
                                 // fully to guarantee progress.
-                                stats.instantiations += 1;
+                                instantiations += 1;
                                 additions.push(unfold(&p.formula, vars));
                                 p.absorbed = true;
                             }
@@ -356,16 +286,16 @@ impl Problem {
                     other => {
                         // Exists at top level, or quantifier nested under
                         // boolean structure: absorb the whole constraint.
-                        stats.instantiations += 1;
+                        instantiations += 1;
                         additions.push(unfold(other, vars));
                         p.absorbed = true;
                     }
                 }
             }
             if !progressed {
-                return (SolveOutcome::Sat(Model { values: model, vars: vars.clone() }), stats);
+                return SolveOutcome::Sat(Model { values: model, vars: vars.clone() });
             }
-            xdata_obs::counter("solver.instantiations", stats.instantiations - round_inst_start);
+            xdata_obs::counter("solver.instantiations", instantiations);
             working.extend(additions);
             pending.extend(new_pending.into_iter().map(|f| Pending {
                 formula: f,
@@ -379,11 +309,7 @@ impl Problem {
 /// Decide `problem` in [`Mode::Unfold`] with the chronological DPLL core
 /// instead of CDCL. This is the reference oracle the parity tests compare
 /// the production paths against; no production path calls it.
-pub fn solve_dpll(
-    problem: &Problem,
-    limit: u64,
-    cancel: &CancelToken,
-) -> (SolveOutcome, SolverStats) {
+pub fn solve_dpll(problem: &Problem, limit: u64, cancel: &CancelToken) -> SolveOutcome {
     problem.solve_unfold(&problem.var_table(), limit, cancel, dpll_ground)
 }
 
@@ -391,6 +317,7 @@ pub fn solve_dpll(
 mod tests {
     use super::*;
     use crate::atom::{RelOp, Term};
+    use crate::recorded;
 
     /// A miniature of the paper's running example: instructor ⋈ teaches
     /// with an FK from teaches.id to instructor.id, and a NOT EXISTS
@@ -441,10 +368,10 @@ mod tests {
     fn fk_satisfiable_both_modes() {
         for mode in [Mode::Unfold, Mode::Lazy] {
             let p = fk_problem(false);
-            let (out, stats) = p.solve_checked(mode);
+            let (out, report) = recorded(|| p.solve_checked(mode));
             assert!(out.is_sat(), "mode {mode:?}");
             if mode == Mode::Unfold {
-                assert_eq!(stats.ground_solves, 1);
+                assert_eq!(report.counter("solver.ground_solves"), 1);
             }
         }
     }
@@ -453,7 +380,7 @@ mod tests {
     fn fk_with_nullification_unsat_both_modes() {
         for mode in [Mode::Unfold, Mode::Lazy] {
             let p = fk_problem(true);
-            let (out, _) = p.solve(mode);
+            let out = p.solve(mode);
             assert!(matches!(out, SolveOutcome::Unsat), "mode {mode:?}");
         }
     }
@@ -463,7 +390,7 @@ mod tests {
         let mut p = Problem::new();
         let a = p.add_array("r", 1, 2);
         p.assert(Formula::atom(Term::field(a, 0, 1), RelOp::Eq, Term::Const(42)));
-        let (out, _) = p.solve(Mode::Unfold);
+        let out = p.solve(Mode::Unfold);
         match out {
             SolveOutcome::Sat(m) => assert_eq!(m.get(a, 0, 1), 42),
             o => panic!("unexpected {o:?}"),
@@ -473,11 +400,11 @@ mod tests {
     #[test]
     fn lazy_mode_instantiates_on_demand() {
         let p = fk_problem(false);
-        let (out, stats) = p.solve(Mode::Lazy);
+        let (out, report) = recorded(|| p.solve(Mode::Lazy));
         assert!(out.is_sat());
         // Either the first ground model satisfied the FK by luck, or
         // instantiation happened; both are legal, but ground_solves ≥ 1.
-        assert!(stats.ground_solves >= 1);
+        assert!(report.counter("solver.ground_solves") >= 1);
     }
 
     #[test]
@@ -494,7 +421,7 @@ mod tests {
         ));
         p.assert(Formula::atom(Term::field(r, 0, 0), RelOp::Lt, Term::Const(0)));
         for mode in [Mode::Unfold, Mode::Lazy] {
-            let (out, _) = p.solve(mode);
+            let out = p.solve(mode);
             assert!(matches!(out, SolveOutcome::Unsat), "mode {mode:?}");
         }
     }
@@ -502,7 +429,7 @@ mod tests {
     #[test]
     fn empty_problem_is_sat() {
         let p = Problem::new();
-        let (out, _) = p.solve(Mode::Unfold);
+        let out = p.solve(Mode::Unfold);
         assert!(out.is_sat());
     }
 
@@ -513,8 +440,8 @@ mod tests {
             let mut q = p.clone();
             q.inline_quantifiers();
             assert!(!q.constraints().iter().any(|c| c.has_quantifier()));
-            let (a, _) = p.solve(Mode::Unfold);
-            let (b, _) = q.solve(Mode::Unfold);
+            let a = p.solve(Mode::Unfold);
+            let b = q.solve(Mode::Unfold);
             assert_eq!(a.is_sat(), b.is_sat(), "nullify={nullify}");
             // The ground search sees the same unfolded structure, so the
             // model (when SAT) is identical too.
@@ -536,7 +463,7 @@ mod tests {
             inst,
             Formula::atom(Term::qfield(inst, q, 0), RelOp::Eq, Term::field(ArrayId(1), 0, 0)),
         ));
-        let (out, _) = p.solve(Mode::Unfold);
+        let out = p.solve(Mode::Unfold);
         assert!(matches!(out, SolveOutcome::Unsat));
     }
 }

@@ -42,7 +42,7 @@ use crate::cdcl::{lit, Cdcl, IF};
 use crate::formula::Formula;
 use crate::ids::VarTable;
 use crate::nnf::to_nnf;
-use crate::problem::{outcome_from_ground, Problem, SolveOutcome, SolverStats};
+use crate::problem::{outcome_from_ground, Problem, SolveOutcome};
 use crate::search::{record_search_obs, GroundResult};
 use crate::unfold::unfold;
 
@@ -112,9 +112,9 @@ impl SolveSession {
         problem: &Problem,
         limit: u64,
         cancel: &CancelToken,
-    ) -> (SolveOutcome, SolverStats) {
+    ) -> SolveOutcome {
         if cancel.is_cancelled() {
-            return (SolveOutcome::Cancelled, SolverStats::default());
+            return SolveOutcome::Cancelled;
         }
         debug_assert!(
             problem.specs().len() == self.vars.arrays().count()
@@ -132,10 +132,9 @@ impl SolveSession {
         if self.poisoned {
             // The skeleton itself was refuted: every target is Unsat. Keep
             // the per-solve counters flowing so reports stay summable.
-            let stats = SolverStats { ground_solves: 1, ..SolverStats::default() };
             xdata_obs::counter("solver.ground_solves", 1);
             xdata_obs::counter("solver.session.assumption_solves", 1);
-            return (SolveOutcome::Unsat, stats);
+            return SolveOutcome::Unsat;
         }
 
         // Register this target: lower its delta and guard it behind a
@@ -179,22 +178,16 @@ impl SolveSession {
             "assumption-rejected solve must carry a failed-assumption core"
         );
 
-        let s = *self.core.stats();
-        let mut stats = SolverStats {
-            ground_solves: 1,
-            // Sessions report the engine's cumulative interned-atom count
-            // (the formula grows by one guard per target); one-shot solves
-            // report the per-target ground formula's atom count.
-            ground_atoms: self.core.atom_count(),
-            ..SolverStats::default()
-        };
-        stats.add_search(&s);
-        record_search_obs(&result, &s, self.core.backjumps(), self.core.lbds(), cancel);
+        let core = &self.core;
+        record_search_obs(&result, core.stats(), core.backjumps(), core.lbds(), cancel);
         xdata_obs::counter("solver.ground_solves", 1);
-        xdata_obs::observe("solver.ground_atoms", stats.ground_atoms as u64);
+        // Sessions report the engine's cumulative interned-atom count (the
+        // formula grows by one guard per target); one-shot solves report
+        // the per-target ground formula's atom count.
+        xdata_obs::observe("solver.ground_atoms", core.atom_count() as u64);
         xdata_obs::counter("solver.session.assumption_solves", 1);
         xdata_obs::counter("solver.session.reused_clauses", reused);
-        (outcome_from_ground(result, &self.vars), stats)
+        outcome_from_ground(result, &self.vars)
     }
 }
 
@@ -204,6 +197,7 @@ mod tests {
     use crate::atom::{RelOp, Term};
     use crate::eval::eval;
     use crate::formula::Formula;
+    use crate::recorded;
 
     /// A small skeleton: one array of 2×2, all fields in [0, 100].
     fn skeleton() -> Problem {
@@ -232,7 +226,7 @@ mod tests {
             // Target k: r[0].0 = 10+k and r[1].0 ≠ r[0].0.
             p.assert(Formula::atom(fld(0, 0), RelOp::Eq, Term::Const(10 + k)));
             p.assert(Formula::atom(fld(1, 0), RelOp::Ne, fld(0, 0)));
-            let (out, stats) = session.solve_delta(&p, 1_000_000, &token);
+            let (out, report) = recorded(|| session.solve_delta(&p, 1_000_000, &token));
             let m = match out {
                 SolveOutcome::Sat(m) => m,
                 o => panic!("target {k}: expected sat, got {o:?}"),
@@ -241,7 +235,7 @@ mod tests {
             for c in p.constraints() {
                 assert!(eval(c, m.values(), &vars), "target {k}: model violates {c}");
             }
-            assert_eq!(stats.ground_solves, 1);
+            assert_eq!(report.counter("solver.ground_solves"), 1);
         }
         assert_eq!(session.targets_registered(), 6);
     }
@@ -254,17 +248,17 @@ mod tests {
         // Target 0: contradictory — field both above and below bounds.
         let mut bad = skel.clone();
         bad.assert(Formula::atom(fld(0, 0), RelOp::Gt, Term::Const(200)));
-        let (out, _) = session.solve_delta(&bad, 1_000_000, &token);
+        let out = session.solve_delta(&bad, 1_000_000, &token);
         assert!(matches!(out, SolveOutcome::Unsat), "got {out:?}");
         // Target 1: satisfiable — the session must recover.
         let mut ok = skel.clone();
         ok.assert(Formula::atom(fld(0, 0), RelOp::Eq, Term::Const(7)));
-        let (out, _) = session.solve_delta(&ok, 1_000_000, &token);
+        let out = session.solve_delta(&ok, 1_000_000, &token);
         assert!(out.is_sat(), "session poisoned by a target-local Unsat");
         // And an Unsat again, interleaved.
         let mut bad2 = skel.clone();
         bad2.assert(Formula::atom(fld(1, 1), RelOp::Lt, Term::Const(0)));
-        let (out, _) = session.solve_delta(&bad2, 1_000_000, &token);
+        let out = session.solve_delta(&bad2, 1_000_000, &token);
         assert!(matches!(out, SolveOutcome::Unsat), "got {out:?}");
     }
 
@@ -277,7 +271,7 @@ mod tests {
         for _ in 0..2 {
             let mut p = skel.clone();
             p.assert(Formula::atom(fld(1, 0), RelOp::Ge, Term::Const(1)));
-            let (out, _) = session.solve_delta(&p, 1_000_000, &token);
+            let out = session.solve_delta(&p, 1_000_000, &token);
             assert!(matches!(out, SolveOutcome::Unsat), "got {out:?}");
         }
     }
@@ -290,15 +284,16 @@ mod tests {
         expired.cancel();
         let mut p = skel.clone();
         p.assert(Formula::atom(fld(0, 0), RelOp::Eq, Term::Const(3)));
-        let (out, stats) = session.solve_delta(&p, 1_000_000, &expired);
+        let (out, report) = recorded(|| session.solve_delta(&p, 1_000_000, &expired));
         assert!(matches!(out, SolveOutcome::Cancelled), "got {out:?}");
-        assert_eq!(stats.decisions, 0);
+        assert_eq!(report.counter("solver.decisions"), 0);
+        assert_eq!(report.counter("solver.ground_solves"), 0);
         // No selector was registered: the expired target left no trace.
         assert_eq!(session.targets_registered(), 0);
         // A live solve afterwards behaves as if the cancelled one never
         // happened.
         let live = CancelToken::new();
-        let (out, _) = session.solve_delta(&p, 1_000_000, &live);
+        let out = session.solve_delta(&p, 1_000_000, &live);
         assert!(out.is_sat());
         assert_eq!(session.targets_registered(), 1);
     }
@@ -316,14 +311,20 @@ mod tests {
         let token = CancelToken::new();
         let mut p = skel.clone();
         p.assert(Formula::atom(fld(0, 0), RelOp::Gt, Term::Const(3)));
-        let (out, stats) = session.solve_delta(&p, 0, &token);
-        let (fresh_out, fresh_stats) = p.solve_with_limit(crate::Mode::Unfold, 0);
+        let (out, report) = recorded(|| session.solve_delta(&p, 0, &token));
+        let (fresh_out, fresh_report) = recorded(|| p.solve_with_limit(crate::Mode::Unfold, 0));
         assert_eq!(
             matches!(out, SolveOutcome::Unknown),
             matches!(fresh_out, SolveOutcome::Unknown),
             "session {out:?} vs fresh {fresh_out:?}"
         );
-        assert_eq!(stats.decisions, fresh_stats.decisions, "assumptions must not count");
+        assert_eq!(report.counter("solver.ground_solves"), 1);
+        assert_eq!(fresh_report.counter("solver.ground_solves"), 1);
+        assert_eq!(
+            report.counter("solver.decisions"),
+            fresh_report.counter("solver.decisions"),
+            "assumptions must not count"
+        );
     }
 
     #[test]
@@ -335,8 +336,8 @@ mod tests {
             let mut p = skel.clone();
             p.assert(Formula::atom(fld(0, 0), RelOp::Ge, Term::Const(k * 30)));
             p.assert(Formula::atom(fld(0, 1), RelOp::Ne, fld(0, 0)));
-            let (out, _) = session.solve_delta(&p, 1_000_000, &token);
-            let (fresh, _) = p.solve(crate::Mode::Unfold);
+            let out = session.solve_delta(&p, 1_000_000, &token);
+            let fresh = p.solve(crate::Mode::Unfold);
             assert_eq!(
                 out.is_sat(),
                 fresh.is_sat(),

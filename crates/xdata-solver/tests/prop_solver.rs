@@ -94,7 +94,7 @@ fn solver_matches_brute_force() {
         let f = random_formula(&mut rng, 3);
         let p = problem_for(&f);
         let vars = p.var_table();
-        let (out, _) = p.solve(Mode::Unfold);
+        let out = p.solve(Mode::Unfold);
         let oracle = brute_force_sat(&f, &vars);
         match out {
             SolveOutcome::Sat(m) => {
@@ -120,8 +120,8 @@ fn lazy_and_unfold_agree() {
     for case in 0..256 {
         let f = random_formula(&mut rng, 3);
         let p = problem_for(&f);
-        let (a, _) = p.solve(Mode::Unfold);
-        let (b, _) = p.solve(Mode::Lazy);
+        let a = p.solve(Mode::Unfold);
+        let b = p.solve(Mode::Lazy);
         assert_eq!(a.is_sat(), b.is_sat(), "case {case}: modes disagree on {f}");
     }
 }
@@ -153,7 +153,7 @@ fn quantified_pin_down() {
             p.assert(Formula::atom(Term::field(a, i as u32, 0), RelOp::Eq, Term::Const(*t)));
         }
         for mode in [Mode::Unfold, Mode::Lazy] {
-            let (out, _) = p.solve(mode);
+            let out = p.solve(mode);
             match out {
                 SolveOutcome::Sat(m) => {
                     for (i, t) in targets.iter().enumerate() {

@@ -5,6 +5,7 @@
 //! comparisons, unconstrained aggregation. `Display` renders back to SQL so
 //! mutants can be shown to users in the language they wrote.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use xdata_catalog::SqlType;
@@ -264,6 +265,30 @@ impl CompareOp {
             ">=" => CompareOp::Ge,
             _ => return None,
         })
+    }
+
+    /// The operator with its operands swapped: `a op b` ⇔ `b op.mirror() a`.
+    pub fn mirror(self) -> CompareOp {
+        match self {
+            CompareOp::Eq => CompareOp::Eq,
+            CompareOp::Ne => CompareOp::Ne,
+            CompareOp::Lt => CompareOp::Gt,
+            CompareOp::Gt => CompareOp::Lt,
+            CompareOp::Le => CompareOp::Ge,
+            CompareOp::Ge => CompareOp::Le,
+        }
+    }
+
+    /// Whether `a op b` holds when `a.cmp(&b)` is `ord`.
+    pub fn holds(self, ord: Ordering) -> bool {
+        match self {
+            CompareOp::Eq => ord == Ordering::Equal,
+            CompareOp::Ne => ord != Ordering::Equal,
+            CompareOp::Lt => ord == Ordering::Less,
+            CompareOp::Le => ord != Ordering::Greater,
+            CompareOp::Gt => ord == Ordering::Greater,
+            CompareOp::Ge => ord != Ordering::Less,
+        }
     }
 }
 

@@ -146,6 +146,34 @@ for CQ in "SELECT * $SJ" "SELECT i.dept_id, AVG(i.salary) $SJ GROUP BY i.dept_id
 done
 echo "ci: certified survivors (both rules + jobs determinism) OK"
 
+# Budget leg: evaluate the running example with a decision budget of 0
+# under two thread counts. Every target that needs a decision is skipped
+# with the budget reason. The listings and the timing-stripped metrics
+# must be byte-identical, and solver.unknown_exits, the recorder's count
+# of solves that ran out of budget, must be nonzero.
+tmpfiles B1 B4 BM1 BM4
+./target/release/xdata evaluate --schema examples/university.sql \
+    --query "$Q" --decision-limit 0 --jobs 1 --metrics-json "$BM1" > "$B1"
+./target/release/xdata evaluate --schema examples/university.sql \
+    --query "$Q" --decision-limit 0 --jobs 4 --metrics-json "$BM4" > "$B4"
+if ! cmp -s "$B1" "$B4"; then
+    echo "ci: budget-starved evaluate output differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+if [ "$(strip_timings "$BM1")" != "$(strip_timings "$BM4")" ]; then
+    echo "ci: budget-starved timing-stripped metrics differ between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+grep -q 'solver gave up (decision budget exhausted)' "$B1" || {
+    echo "ci: no budget-skip line at --decision-limit 0" >&2
+    exit 1
+}
+grep -q '"solver.unknown_exits": *[1-9]' "$BM1" || {
+    echo "ci: solver.unknown_exits is zero at --decision-limit 0" >&2
+    exit 1
+}
+echo "ci: budget skips (reason text + unknown exits + jobs determinism) OK"
+
 # Extended-class smoke leg (§V-H): generate + evaluate on the nullable
 # subquery example. The suite must plan a NULL-membership witness (the
 # `NOT IN` trap dataset), kill every subquery-connective mutant, count

@@ -40,7 +40,8 @@
 //!   --metrics-json F  write a metrics report (spans, counters, histograms)
 //!                     to F; everything except the timings_ns section is
 //!                     byte-identical across --jobs values
-//!   --trace           print `[xdata-trace tN]` span-close lines to stderr
+//!   --trace           journal the run and print one `[xdata-trace tN]` line
+//!                     per span to stderr at exit
 //!   --trace-out F     journal the run's event timeline and write it to F
 //!                     as Chrome trace-event JSON (open in Perfetto or
 //!                     chrome://tracing); analyze offline with `xdata trace`
@@ -281,15 +282,15 @@ fn run() -> Result<(), String> {
         xdata_obs::install();
         xdata_obs::preseed();
     }
-    if args.trace {
-        xdata_obs::set_trace(true);
-    }
-    if args.trace_out.is_some() {
+    if args.trace || args.trace_out.is_some() {
         xdata_obs::install_trace();
     }
     let result = dispatch(&args);
-    if let Some(path) = &args.trace_out {
-        if let Some(mut log) = xdata_obs::take_trace() {
+    if let Some(mut log) = xdata_obs::take_trace() {
+        if args.trace {
+            eprint!("{}", span_lines(&log));
+        }
+        if let Some(path) = &args.trace_out {
             log.meta.insert("features".to_string(), active_features().join(","));
             std::fs::write(path, log.to_chrome_json())
                 .map_err(|e| format!("writing {path}: {e}"))?;
@@ -302,6 +303,19 @@ fn run() -> Result<(), String> {
         }
     }
     result
+}
+
+/// `--trace` output: one `[xdata-trace tN] path X.XXXms — label` line per
+/// journaled span, grouped by thread ordinal and in close order within a
+/// thread.
+fn span_lines(log: &xdata_obs::TraceLog) -> String {
+    let mut out = String::new();
+    for s in log.span_instances() {
+        let label = if s.label.is_empty() { String::new() } else { format!(" — {}", s.label) };
+        let ms = (s.end_ns - s.start_ns) as f64 / 1e6;
+        out.push_str(&format!("[xdata-trace t{}] {} {ms:.3}ms{label}\n", s.tid, s.path));
+    }
+    out
 }
 
 /// The `xdata serve` subcommand: run the persistent daemon until a wire

@@ -77,7 +77,7 @@
 //! let (x, y) = (Term::field(r, 0, 0), Term::field(r, 0, 1));
 //! p.assert(Formula::Atom(Atom::new(x, RelOp::Lt, y)));
 //! p.assert(Formula::Atom(Atom::new(y, RelOp::Le, Term::Const(10))));
-//! match p.solve(Mode::Unfold).0 {
+//! match p.solve(Mode::Unfold) {
 //!     SolveOutcome::Sat(m) => assert!(m.get(r, 0, 0) < m.get(r, 0, 1)),
 //!     other => panic!("expected a model, got {other:?}"),
 //! }

@@ -99,7 +99,7 @@ fn every_fault_is_attributed() {
     let budget: Vec<_> = suite
         .skipped
         .iter()
-        .filter(|s| matches!(s.reason, SkipReason::Budget { .. }))
+        .filter(|s| matches!(s.reason, SkipReason::Budget))
         .collect();
     assert_eq!(budget.len(), 1, "exactly one forced-Unknown target");
     assert!(budget[0].label.contains("dataset with `>`"));

@@ -13,9 +13,9 @@
 
 use xdata::catalog::{university, DomainCatalog, Schema};
 use xdata::core::{generate, generate_with_oracle, GenOptions, Oracle, SkipReason, TestSuite};
-use xdata::solver::{solve_dpll, CancelToken, Mode, Problem, SolveOutcome, SolverStats};
+use xdata::solver::{solve_dpll, CancelToken, Mode, Problem, SolveOutcome};
 
-fn fresh_cdcl(p: &Problem, limit: u64, cancel: &CancelToken) -> (SolveOutcome, SolverStats) {
+fn fresh_cdcl(p: &Problem, limit: u64, cancel: &CancelToken) -> SolveOutcome {
     p.solve_cancel(Mode::Unfold, limit, cancel)
 }
 
@@ -164,16 +164,20 @@ fn star_and_random_shapes_keep_core_and_jobs_parity() {
 
 /// With a decision budget of 0 only propagation-solvable targets get
 /// through; everything else must surface as `SkipReason::Budget` — and
-/// *identically* so for all three solvers, decisions-spent field
-/// included. Assumption establishment in the session must not count
+/// *identically* so for all three solvers, none of which spends a
+/// decision. Assumption establishment in the session must not count
 /// against the budget, or this diverges from the fresh solves.
 #[test]
 fn tiny_budget_reports_identical_budget_skips() {
     let (sql, schema) = table1_queries().pop().unwrap();
     let opts = GenOptions { decision_limit: 0, ..GenOptions::default() };
+    xdata::obs::install();
     let suite = assert_parity(&schema, &sql, &opts);
+    let report = xdata::obs::take_report().expect("recorder installed");
+    assert!(report.counter("solver.unknown_exits") > 0, "no solve ran out of budget");
+    assert_eq!(report.counter("solver.decisions"), 0, "three solvers under a zero budget");
     assert!(
-        suite.skipped.iter().any(|s| matches!(s.reason, SkipReason::Budget { .. })),
+        suite.skipped.iter().any(|s| matches!(s.reason, SkipReason::Budget)),
         "a zero budget must starve some target: {:?}",
         suite.skipped
     );
