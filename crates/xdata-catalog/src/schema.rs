@@ -3,9 +3,9 @@
 //! Per assumption A1 of the paper, primary and foreign keys are the only
 //! integrity constraints. §V-B's preprocessing requires the *transitive
 //! closure* of foreign-key relationships (if `A.x → B.x` and `B.x → C.x`
-//! then also `A.x → C.x`), which [`Schema::fk_closure`] computes; Algorithm 2
-//! needs, for a given key column, the set of columns that reference it
-//! directly or indirectly ([`Schema::referencing_columns`]).
+//! then also `A.x → C.x`): Algorithm 2 nullifies a key column jointly with
+//! every column that references it directly or indirectly through
+//! non-nullable foreign keys, which [`Schema::strict_fk_closure`] lists.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -227,14 +227,21 @@ impl Schema {
         self.foreign_keys.truncate(n);
     }
 
-    /// Transitive closure of single-column foreign-key relationships at
-    /// column granularity (§V-B preprocessing step 3). Multi-column keys
-    /// close over aligned column pairs.
+    /// Transitive closure of the foreign keys whose referencing columns are
+    /// all **non-nullable**, at column granularity (§V-B preprocessing step
+    /// 3). Multi-column keys close over aligned column pairs. Algorithm 2
+    /// nullifies a column jointly with every column that reaches it here.
+    /// Nullable foreign keys (§V-H's relaxation of assumption A2) stay out:
+    /// their referencing column can simply take NULL instead.
     ///
     /// Returns edges `(referencing column, referenced column)`.
-    pub fn fk_closure(&self) -> BTreeSet<(ColumnRef, ColumnRef)> {
-        let mut edges: BTreeSet<(ColumnRef, ColumnRef)> = BTreeSet::new();
+    pub fn strict_fk_closure(&self) -> BTreeSet<(ColumnRef, ColumnRef)> {
+        let mut edges = BTreeSet::new();
         for fk in &self.foreign_keys {
+            let Some(from_rel) = self.relation(&fk.from) else { continue };
+            if fk.from_cols.iter().any(|c| from_rel.attr(*c).nullable) {
+                continue;
+            }
             for (f, t) in fk.from_cols.iter().zip(&fk.to_cols) {
                 edges.insert((ColumnRef::new(&fk.from, *f), ColumnRef::new(&fk.to, *t)));
             }
@@ -258,66 +265,6 @@ impl Schema {
             edges.extend(added);
         }
         edges
-    }
-
-    /// All columns that reference `target` directly **or indirectly** —
-    /// the set `S` of Algorithm 2 (minus `target` itself).
-    pub fn referencing_columns(&self, target: &ColumnRef) -> BTreeSet<ColumnRef> {
-        self.fk_closure()
-            .into_iter()
-            .filter(|(_, to)| to == target)
-            .map(|(from, _)| from)
-            .collect()
-    }
-
-    /// Whether column `a` references column `b` directly or indirectly.
-    pub fn references(&self, a: &ColumnRef, b: &ColumnRef) -> bool {
-        self.fk_closure().contains(&(a.clone(), b.clone()))
-    }
-
-    /// Like [`Schema::references`], but only follows foreign keys whose
-    /// referencing columns are **non-nullable**. Nullable foreign keys
-    /// (§V-H's relaxation of assumption A2) do not force joint
-    /// nullification in Algorithm 2: the referencing column can simply
-    /// take NULL instead.
-    pub fn references_strict(&self, a: &ColumnRef, b: &ColumnRef) -> bool {
-        let strict_edges: BTreeSet<(ColumnRef, ColumnRef)> = {
-            let mut edges = BTreeSet::new();
-            for fk in &self.foreign_keys {
-                let from_rel = match self.relation(&fk.from) {
-                    Some(r) => r,
-                    None => continue,
-                };
-                let all_non_nullable =
-                    fk.from_cols.iter().all(|c| !from_rel.attr(*c).nullable);
-                if !all_non_nullable {
-                    continue;
-                }
-                for (f, t) in fk.from_cols.iter().zip(&fk.to_cols) {
-                    edges.insert((ColumnRef::new(&fk.from, *f), ColumnRef::new(&fk.to, *t)));
-                }
-            }
-            // Transitive closure over strict edges only.
-            loop {
-                let mut added = Vec::new();
-                for (x, y) in &edges {
-                    for (u, v) in &edges {
-                        if y == u {
-                            let e = (x.clone(), v.clone());
-                            if !edges.contains(&e) {
-                                added.push(e);
-                            }
-                        }
-                    }
-                }
-                if added.is_empty() {
-                    break;
-                }
-                edges.extend(added);
-            }
-            edges
-        };
-        strict_edges.contains(&(a.clone(), b.clone()))
     }
 
     /// Relations reachable from `roots` by following foreign keys out of
@@ -413,24 +360,39 @@ mod tests {
     }
 
     #[test]
-    fn fk_closure_is_transitive() {
+    fn strict_fk_closure_is_transitive() {
         let mut s = abc_schema();
         s.add_foreign_key("a", &["x"], "b", &["x"]).unwrap();
         s.add_foreign_key("b", &["x"], "c", &["x"]).unwrap();
-        let closure = s.fk_closure();
+        let closure = s.strict_fk_closure();
         assert!(closure.contains(&(ColumnRef::new("a", 0), ColumnRef::new("c", 0))));
         assert_eq!(closure.len(), 3); // a->b, b->c, a->c
+        // a.x and b.x both reach c.x: Algorithm 2's set `S` for c.x.
+        let refs: Vec<&ColumnRef> =
+            closure.iter().filter(|(_, to)| to.relation == "c").map(|(from, _)| from).collect();
+        assert_eq!(refs, [&ColumnRef::new("a", 0), &ColumnRef::new("b", 0)]);
     }
 
     #[test]
-    fn referencing_columns_include_indirect() {
-        let mut s = abc_schema();
-        s.add_foreign_key("a", &["x"], "b", &["x"]).unwrap();
-        s.add_foreign_key("b", &["x"], "c", &["x"]).unwrap();
-        let refs = s.referencing_columns(&ColumnRef::new("c", 0));
-        assert!(refs.contains(&ColumnRef::new("a", 0)));
-        assert!(refs.contains(&ColumnRef::new("b", 0)));
-        assert_eq!(refs.len(), 2);
+    fn nullable_fk_breaks_strict_chain() {
+        // a.y -> b.x is strict; b.y -> c.x has a nullable referencing
+        // column, so a.y does not strictly reach c.x.
+        let mut s = Schema::new();
+        for name in ["a", "b", "c"] {
+            let y = Attribute::new("y", SqlType::Int);
+            let y = if name == "b" { y.nullable() } else { y };
+            s.add_relation(
+                Relation::new(name, vec![Attribute::new("x", SqlType::Int), y], &["x"]).unwrap(),
+            )
+            .unwrap();
+        }
+        s.add_foreign_key("a", &["y"], "b", &["x"]).unwrap();
+        s.add_foreign_key("b", &["y"], "c", &["x"]).unwrap();
+        let closure = s.strict_fk_closure();
+        assert_eq!(
+            closure.into_iter().collect::<Vec<_>>(),
+            vec![(ColumnRef::new("a", 1), ColumnRef::new("b", 0))]
+        );
     }
 
     #[test]

@@ -113,17 +113,7 @@ fn run() -> Result<(), String> {
         }),
         "grade-batch" => {
             let path = args.candidates_file.as_deref().ok_or("--candidates is required")?;
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-            let candidates: Vec<String> = text
-                .lines()
-                .map(str::trim)
-                .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                .map(str::to_string)
-                .collect();
-            if candidates.is_empty() {
-                return Err(format!("{path}: no candidate queries (one per line)"));
-            }
+            let candidates = xdata_client::read_candidates(path)?;
             RequestBody::GradeBatch(GradeBatchParams {
                 schema: schema()?,
                 query: query()?,

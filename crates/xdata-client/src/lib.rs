@@ -201,3 +201,21 @@ impl Client {
         self.request(&req)
     }
 }
+
+/// Read a batch-grading candidates file: one candidate query per line,
+/// blank lines and `#` comments skipped. The `xdata grade --candidates`
+/// CLI and `xdata-client grade-batch` both read their files through it.
+/// A file without a single candidate is an error.
+pub fn read_candidates(path: &str) -> Result<Vec<String>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let candidates: Vec<String> = text
+        .lines()
+        .map(str::trim)
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+        .map(str::to_string)
+        .collect();
+    if candidates.is_empty() {
+        return Err(format!("{path}: no candidate queries (one per line)"));
+    }
+    Ok(candidates)
+}

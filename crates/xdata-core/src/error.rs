@@ -1,4 +1,4 @@
-//! Generation errors.
+//! Generation errors, and the error that fails a whole pipeline run.
 
 use std::fmt;
 
@@ -29,3 +29,48 @@ impl fmt::Display for GenError {
 }
 
 impl std::error::Error for GenError {}
+
+/// An error that fails a whole pipeline run: the query failed to parse or
+/// normalize, suite generation failed, or the query failed to execute on a
+/// generated dataset. Batch grading attributes a *candidate's* parse and
+/// normalization errors to that candidate's verdict instead.
+#[derive(Debug)]
+pub enum XDataError {
+    Parse(xdata_sql::ParseError),
+    RelAlg(xdata_relalg::RelAlgError),
+    Gen(GenError),
+    Engine(xdata_engine::EngineError),
+}
+
+impl fmt::Display for XDataError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            XDataError::Parse(e) => write!(f, "{e}"),
+            XDataError::RelAlg(e) => write!(f, "{e}"),
+            XDataError::Gen(e) => write!(f, "{e}"),
+            XDataError::Engine(e) => write!(f, "{e}"),
+        }
+    }
+}
+impl std::error::Error for XDataError {}
+
+impl From<xdata_sql::ParseError> for XDataError {
+    fn from(e: xdata_sql::ParseError) -> Self {
+        XDataError::Parse(e)
+    }
+}
+impl From<xdata_relalg::RelAlgError> for XDataError {
+    fn from(e: xdata_relalg::RelAlgError) -> Self {
+        XDataError::RelAlg(e)
+    }
+}
+impl From<GenError> for XDataError {
+    fn from(e: GenError) -> Self {
+        XDataError::Gen(e)
+    }
+}
+impl From<xdata_engine::EngineError> for XDataError {
+    fn from(e: xdata_engine::EngineError) -> Self {
+        XDataError::Engine(e)
+    }
+}

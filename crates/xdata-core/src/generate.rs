@@ -42,7 +42,7 @@ use std::panic::AssertUnwindSafe;
 
 use xdata_catalog::{Domain, DomainCatalog, Schema, Value};
 use xdata_par::CancelToken;
-use xdata_relalg::{AttrRef, LikePred, NormQuery, Operand, SelectSpec, SubqueryKind};
+use xdata_relalg::{AttrRef, LikePred, NormQuery, Operand, SelectSpec, SubPred, SubqueryKind};
 use xdata_sql::CompareOp;
 use xdata_solver::{Atom, Formula, Mode, Problem, RelOp, SolveOutcome, SolveSession, Term};
 
@@ -67,7 +67,7 @@ pub fn generate(
     opts: &GenOptions,
 ) -> Result<TestSuite, GenError> {
     let cancel = CancelToken::for_deadline_ms(opts.deadline_ms);
-    generate_cancellable(query, schema, domains, opts, &cancel)
+    generate_cancellable(query, schema, domains, opts, &cancel, None)
 }
 
 /// [`generate`] under a caller-supplied [`CancelToken`] (typically the
@@ -75,14 +75,23 @@ pub fn generate(
 /// token trips mid-run the suite completes *partially*: targets never
 /// started or abandoned mid-solve come back as [`SkipReason::Timeout`]
 /// skips, attributed by label — nothing is silently dropped.
+///
+/// With `warm`, solve outcomes persist in a process-long [`WarmCache`]
+/// under the namespace's context salt and are replayed by later
+/// structurally identical requests (the `xdata serve` fast path). For runs
+/// whose deadlines never fire the output is byte-identical to a cold call
+/// with the same arguments, whatever warm state preceded it or runs beside
+/// it (see [`crate::warm`] for the argument).
 pub fn generate_cancellable(
     query: &NormQuery,
     schema: &Schema,
     domains: &DomainCatalog,
     opts: &GenOptions,
     cancel: &CancelToken,
+    warm: Option<(&WarmCache, &str)>,
 ) -> Result<TestSuite, GenError> {
-    generate_impl(query, schema, domains, opts, cancel, None, None)
+    let warm = warm.map(|(cache, namespace)| (cache, context_salt(namespace, query, opts)));
+    generate_impl(query, schema, domains, opts, cancel, warm, None)
 }
 
 /// A reference solver standing in for the production search on every
@@ -104,26 +113,6 @@ pub fn generate_with_oracle(
 ) -> Result<TestSuite, GenError> {
     let cancel = CancelToken::for_deadline_ms(opts.deadline_ms);
     generate_impl(query, schema, domains, opts, &cancel, None, Some(oracle))
-}
-
-/// [`generate_cancellable`] against a process-long [`WarmCache`]: solve
-/// outcomes persist in `warm` under `namespace`'s context salt and are
-/// replayed by later structurally identical requests (the `xdata serve`
-/// fast path). For runs whose deadlines never fire the output is
-/// byte-identical to a cold [`generate_cancellable`] call with the same
-/// arguments, whatever warm state preceded it or runs beside it (see
-/// [`crate::warm`] for the argument).
-pub fn generate_warm(
-    query: &NormQuery,
-    schema: &Schema,
-    domains: &DomainCatalog,
-    opts: &GenOptions,
-    cancel: &CancelToken,
-    warm: &WarmCache,
-    namespace: &str,
-) -> Result<TestSuite, GenError> {
-    let salt = context_salt(namespace, query, opts);
-    generate_impl(query, schema, domains, opts, cancel, Some((warm, salt)), None)
 }
 
 fn generate_impl(
@@ -273,8 +262,8 @@ fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) 
         if !witness.is_empty() {
             d.ensure_string(base, l.attr.col, &witness);
         }
-        if let Some((_, _, core)) = LikePred::simple_shape(&l.pattern) {
-            for s in [core.clone(), format!("{core}x"), format!("x{core}"), format!("x{core}x")] {
+        if let Some(core) = LikePred::simple_core(&l.pattern) {
+            for s in [core.to_string(), format!("{core}x"), format!("x{core}"), format!("x{core}x")] {
                 d.ensure_string(base, l.attr.col, &s);
             }
         }
@@ -495,15 +484,14 @@ impl<'a> Gen<'a> {
     /// compute the jointly-nullified set `S` (the element plus every
     /// non-nullable FK referencing it, §V-H) and the retained set `P`.
     fn plan_equivalence_classes(&self, plan: &mut Vec<PlanItem>) {
+        let strict = self.schema.strict_fk_closure();
         for (ci, ec) in self.query.eq_classes.iter().enumerate() {
             for &e in ec {
                 let e_col = self.column_ref(e);
                 let s: Vec<AttrRef> = ec
                     .iter()
                     .copied()
-                    .filter(|&m| {
-                        m == e || self.schema.references_strict(&self.column_ref(m), &e_col)
-                    })
+                    .filter(|&m| m == e || strict.contains(&(self.column_ref(m), e_col.clone())))
                     .collect();
                 let p: Vec<AttrRef> = ec.iter().copied().filter(|m| !s.contains(m)).collect();
                 let label = format!(
@@ -634,7 +622,7 @@ impl<'a> Gen<'a> {
     /// (`IN`/`NOT IN`/`EXISTS`/`NOT EXISTS`).
     fn plan_subqueries(&self, plan: &mut Vec<PlanItem>) {
         for (si, s) in self.query.subs.iter().enumerate() {
-            let name = s.connective_name();
+            let name = SubPred::connective_name((s.kind, s.negated));
             plan.push(PlanItem {
                 label: format!("subquery {si} (`{name}` over {}): flipped connective", s.alias),
                 work: Work::Solve(TargetSpec::SubFlip { si }),
@@ -669,17 +657,7 @@ impl<'a> Gen<'a> {
     /// mirroring the mutation generator.
     fn plan_likes(&self, plan: &mut Vec<PlanItem>) {
         for (li, l) in self.query.likes.iter().enumerate() {
-            let Some((_, _, core)) = LikePred::simple_shape(&l.pattern) else { continue };
-            for (lead, trail) in [(false, false), (true, false), (false, true), (true, true)] {
-                let to = format!(
-                    "{}{}{}",
-                    if lead { "%" } else { "" },
-                    core,
-                    if trail { "%" } else { "" }
-                );
-                if to == l.pattern {
-                    continue;
-                }
+            for to in l.family_variants() {
                 plan.push(PlanItem {
                     label: format!("like {li} (`{}`): distinguish from `{to}`", l.pattern),
                     work: Work::Solve(TargetSpec::LikeVariant { li, pattern: to }),
@@ -1168,12 +1146,9 @@ impl<'a> Lane<'_, 'a> {
         match attempt {
             Ok(outcome) => outcome,
             Err(payload) => {
-                let message = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "<non-string panic payload>".to_string());
-                Ok(ItemOutcome::Skipped(SkipReason::Fault { message }))
+                let message =
+                    xdata_par::panic_text(&*payload).unwrap_or("<non-string panic payload>");
+                Ok(ItemOutcome::Skipped(SkipReason::Fault { message: message.to_string() }))
             }
         }
     }
@@ -1866,8 +1841,8 @@ mod tests {
         let domains = DomainCatalog::defaults(&schema);
         let token = CancelToken::new();
         token.cancel();
-        let suite =
-            generate_cancellable(&q, &schema, &domains, &GenOptions::default(), &token).unwrap();
+        let opts = GenOptions::default();
+        let suite = generate_cancellable(&q, &schema, &domains, &opts, &token, None).unwrap();
         assert!(suite.datasets.is_empty());
         assert!(suite.skipped.iter().any(|s| s.reason == SkipReason::Timeout));
     }

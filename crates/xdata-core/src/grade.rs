@@ -34,58 +34,10 @@ use xdata_par::{par_map_cancel, CancelToken};
 use xdata_relalg::fingerprint::{canonical_form, structural_hash};
 use xdata_relalg::{normalize, NormQuery};
 
-use crate::error::GenError;
-use crate::generate::{generate_cancellable, generate_warm};
+use crate::error::XDataError;
+use crate::generate::generate_cancellable;
 use crate::suite::GenOptions;
 use crate::warm::WarmCache;
-
-/// Error failing a whole batch. Per-candidate parse/normalization errors do
-/// **not** land here — they become [`CandidateOutcome::Invalid`] verdicts;
-/// this type covers the reference query and suite generation only.
-#[derive(Debug)]
-pub enum GradeError {
-    /// The *reference* query failed to parse.
-    Parse(xdata_sql::ParseError),
-    /// The *reference* query failed to normalize.
-    RelAlg(xdata_relalg::RelAlgError),
-    /// Suite generation failed.
-    Gen(GenError),
-    /// The reference query itself failed to execute on a generated dataset.
-    Engine(xdata_engine::EngineError),
-}
-
-impl fmt::Display for GradeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GradeError::Parse(e) => write!(f, "reference query: {e}"),
-            GradeError::RelAlg(e) => write!(f, "reference query: {e}"),
-            GradeError::Gen(e) => write!(f, "{e}"),
-            GradeError::Engine(e) => write!(f, "reference execution: {e}"),
-        }
-    }
-}
-impl std::error::Error for GradeError {}
-
-impl From<xdata_sql::ParseError> for GradeError {
-    fn from(e: xdata_sql::ParseError) -> Self {
-        GradeError::Parse(e)
-    }
-}
-impl From<xdata_relalg::RelAlgError> for GradeError {
-    fn from(e: xdata_relalg::RelAlgError) -> Self {
-        GradeError::RelAlg(e)
-    }
-}
-impl From<GenError> for GradeError {
-    fn from(e: GenError) -> Self {
-        GradeError::Gen(e)
-    }
-}
-impl From<xdata_engine::EngineError> for GradeError {
-    fn from(e: xdata_engine::EngineError) -> Self {
-        GradeError::Engine(e)
-    }
-}
 
 /// Verdict for one candidate (shared by every member of its equivalence
 /// class).
@@ -108,8 +60,10 @@ pub enum CandidateOutcome {
     /// The submission executed with an error (e.g. a relation outside the
     /// schema that normalization admits but execution rejects).
     ExecError { message: String },
-    /// The deadline expired before every dataset produced a verdict — the
-    /// candidate is unresolved, not passed and not failed.
+    /// No verdict: the deadline expired before every dataset produced one,
+    /// or the suite is partial and has no dataset at all (a deadline or an
+    /// exhausted decision budget skipped every target). The candidate is
+    /// unresolved, not passed and not failed.
     Unevaluated,
 }
 
@@ -207,6 +161,9 @@ impl BatchGradeReport {
                 CandidateOutcome::ExecError { message } => {
                     format!("ERROR  score 0.000 ({message})")
                 }
+                CandidateOutcome::Unevaluated if self.datasets == 0 => {
+                    "UNEVALUATED (partial suite has no datasets)".to_string()
+                }
                 CandidateOutcome::Unevaluated => "UNEVALUATED (deadline expired)".to_string(),
             };
             let _ = writeln!(out, "#{:<4} {line}{class}", v.index);
@@ -226,13 +183,28 @@ pub fn grade_batch(
     domains: &DomainCatalog,
     opts: &GenOptions,
     strategy: JoinStrategy,
-) -> Result<BatchGradeReport, GradeError> {
+) -> Result<BatchGradeReport, XDataError> {
     let cancel = CancelToken::for_deadline_ms(opts.deadline_ms);
-    grade_batch_cancellable(reference_sql, candidates, schema, domains, opts, strategy, &cancel)
+    grade_batch_cancellable(
+        reference_sql,
+        candidates,
+        schema,
+        domains,
+        opts,
+        strategy,
+        &cancel,
+        None,
+    )
 }
 
 /// [`grade_batch`] under a caller-supplied [`CancelToken`] spanning
-/// generation *and* the grading grid.
+/// generation *and* the grading grid. With `warm`, suite generation runs
+/// against a process-long [`WarmCache`] under the given namespace (see
+/// [`generate_cancellable`]): a daemon grading many batches against one
+/// reference query pays for suite generation once per `(namespace,
+/// reference, options)` and replays the memoized solves on every later
+/// batch.
+#[allow(clippy::too_many_arguments)]
 pub fn grade_batch_cancellable(
     reference_sql: &str,
     candidates: &[String],
@@ -241,55 +213,10 @@ pub fn grade_batch_cancellable(
     opts: &GenOptions,
     strategy: JoinStrategy,
     cancel: &CancelToken,
-) -> Result<BatchGradeReport, GradeError> {
-    grade_batch_impl(reference_sql, candidates, schema, domains, opts, strategy, cancel, None)
-}
-
-/// [`grade_batch_cancellable`] with suite generation routed through a
-/// process-long [`WarmCache`] (see [`crate::generate::generate_warm`]): a
-/// daemon grading many batches against one reference query pays for suite
-/// generation once per `(namespace, reference, options)` and replays the
-/// memoized solves on every later batch.
-#[allow(clippy::too_many_arguments)]
-pub fn grade_batch_warm(
-    reference_sql: &str,
-    candidates: &[String],
-    schema: &Schema,
-    domains: &DomainCatalog,
-    opts: &GenOptions,
-    strategy: JoinStrategy,
-    cancel: &CancelToken,
-    warm: &WarmCache,
-    namespace: &str,
-) -> Result<BatchGradeReport, GradeError> {
-    grade_batch_impl(
-        reference_sql,
-        candidates,
-        schema,
-        domains,
-        opts,
-        strategy,
-        cancel,
-        Some((warm, namespace)),
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn grade_batch_impl(
-    reference_sql: &str,
-    candidates: &[String],
-    schema: &Schema,
-    domains: &DomainCatalog,
-    opts: &GenOptions,
-    strategy: JoinStrategy,
-    cancel: &CancelToken,
     warm: Option<(&WarmCache, &str)>,
-) -> Result<BatchGradeReport, GradeError> {
+) -> Result<BatchGradeReport, XDataError> {
     let reference = normalize(&xdata_sql::parse_query(reference_sql)?, schema)?;
-    let suite = match warm {
-        Some((w, ns)) => generate_warm(&reference, schema, domains, opts, cancel, w, ns)?,
-        None => generate_cancellable(&reference, schema, domains, opts, cancel)?,
-    };
+    let suite = generate_cancellable(&reference, schema, domains, opts, cancel, warm)?;
     let _grade_span = xdata_obs::span("grade");
 
     let expected: Vec<ResultSet> = {

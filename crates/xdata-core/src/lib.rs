@@ -44,11 +44,10 @@ pub mod minimize;
 pub mod suite;
 pub mod warm;
 
-pub use error::GenError;
-pub use generate::{generate, generate_cancellable, generate_warm, generate_with_oracle, Oracle};
+pub use error::{GenError, XDataError};
+pub use generate::{generate, generate_cancellable, generate_with_oracle, Oracle};
 pub use grade::{
-    grade_batch, grade_batch_cancellable, grade_batch_warm, BatchGradeReport, CandidateOutcome,
-    CandidateVerdict, GradeError,
+    grade_batch, grade_batch_cancellable, BatchGradeReport, CandidateOutcome, CandidateVerdict,
 };
 pub use minimize::minimize_suite;
 pub use suite::{FaultPlan, GenOptions, GeneratedDataset, SkipReason, SkippedTarget, TestSuite};

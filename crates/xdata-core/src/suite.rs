@@ -89,13 +89,6 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether any fault is configured at all (fast path for production).
-    pub fn is_empty(&self) -> bool {
-        self.panic_targets.is_empty()
-            && self.unknown_targets.is_empty()
-            && self.expire_targets.is_empty()
-    }
-
     fn matches(list: &[String], label: &str) -> bool {
         list.iter().any(|pat| label.contains(pat.as_str()))
     }

@@ -34,10 +34,22 @@ pub mod cancel;
 
 pub use cancel::CancelToken;
 
+use std::any::Any;
 use std::num::NonZeroUsize;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// The message a panic payload carries (a `panic!` with a literal or a
+/// formatted message), or `None` for any other payload. Pass the boxed
+/// payload dereferenced, `&*payload`: a `&Box` coerces to a `dyn Any` of
+/// the box itself, which holds no message.
+pub fn panic_text(payload: &(dyn Any + Send)) -> Option<&str> {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+}
 
 /// Resolve a `--jobs`-style request: `0` means "one worker per available
 /// hardware thread", anything else is taken literally (and clamped to at
@@ -148,11 +160,7 @@ where
         handles.into_iter().map(|h| h.join().expect("par_map_cancel worker panicked")).collect()
     });
     if let Some((i, payload)) = first_panic.into_inner().expect("panic slot") {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "<non-string panic payload>".to_string());
+        let msg = panic_text(&*payload).unwrap_or("<non-string panic payload>");
         panic!("par_map_cancel worker panicked on item {i}: {msg}");
     }
     // Scatter back into input order. The cursor hands each index out at
@@ -247,6 +255,17 @@ mod tests {
             }
             x
         });
+    }
+
+    #[test]
+    fn panic_text_reads_string_payloads_only() {
+        let text = |f: fn()| {
+            let payload = std::panic::catch_unwind(f).unwrap_err();
+            panic_text(&*payload).map(str::to_string)
+        };
+        assert_eq!(text(|| panic!("literal")).as_deref(), Some("literal"));
+        assert_eq!(text(|| panic!("formatted {}", 7)).as_deref(), Some("formatted 7"));
+        assert_eq!(text(|| std::panic::panic_any(7_u8)), None);
     }
 
     #[test]

@@ -21,90 +21,18 @@
 //! Duplicate-safety needs no primary-key side condition any more:
 //! membership semantics are evaluated as membership, never as a join.
 
-use std::collections::BTreeMap;
-
-use xdata_catalog::{Schema, SqlType, Value};
+use xdata_catalog::SqlType;
 use xdata_sql::{ColRef, CompareOp, Expr, FromItem, Query, SelectItem};
 
 use crate::error::RelAlgError;
-use crate::ir::{AttrRef, Occurrence, Operand, SubCond, SubPred, SubqueryKind};
-
-/// Resolution context for outer-query column references inside subquery
-/// conditions (implemented by the normalizer).
-pub(crate) struct OuterScope<'a> {
-    pub schema: &'a Schema,
-    pub by_binding: &'a BTreeMap<String, usize>,
-    pub occurrences: &'a [Occurrence],
-}
-
-impl OuterScope<'_> {
-    fn resolve_colref(&self, c: &ColRef) -> Result<(AttrRef, SqlType), RelAlgError> {
-        match &c.table {
-            Some(t) => {
-                let occ = *self
-                    .by_binding
-                    .get(t)
-                    .ok_or_else(|| RelAlgError::UnknownRelation(t.clone()))?;
-                let base = &self.occurrences[occ].base;
-                let rel = self
-                    .schema
-                    .relation(base)
-                    .ok_or_else(|| RelAlgError::UnknownRelation(base.clone()))?;
-                let col = rel
-                    .attr_pos(&c.column)
-                    .ok_or_else(|| RelAlgError::UnknownColumn(c.to_string()))?;
-                Ok((AttrRef::new(occ, col), rel.attr(col).ty))
-            }
-            None => {
-                let mut found = None;
-                for (i, occ) in self.occurrences.iter().enumerate() {
-                    let rel = self
-                        .schema
-                        .relation(&occ.base)
-                        .ok_or_else(|| RelAlgError::UnknownRelation(occ.base.clone()))?;
-                    if let Some(col) = rel.attr_pos(&c.column) {
-                        if found.is_some() {
-                            return Err(RelAlgError::AmbiguousColumn(c.column.clone()));
-                        }
-                        found = Some((AttrRef::new(i, col), rel.attr(col).ty));
-                    }
-                }
-                found.ok_or_else(|| RelAlgError::UnknownColumn(c.column.clone()))
-            }
-        }
-    }
-
-    fn resolve_expr(&self, e: &Expr) -> Result<(Operand, Option<SqlType>), RelAlgError> {
-        match e {
-            Expr::Column(c) => {
-                let (a, ty) = self.resolve_colref(c)?;
-                Ok((Operand::attr(a), Some(ty)))
-            }
-            Expr::ColumnPlus(c, k) => {
-                let (a, ty) = self.resolve_colref(c)?;
-                if ty == SqlType::Varchar {
-                    return Err(RelAlgError::TypeMismatch(format!(
-                        "arithmetic on string column `{c}`"
-                    )));
-                }
-                Ok((Operand::Attr { attr: a, offset: *k }, Some(ty)))
-            }
-            Expr::Int(i) => Ok((Operand::Const(Value::Int(*i)), None)),
-            Expr::Str(s) => Ok((Operand::Const(Value::Str(s.clone())), None)),
-            Expr::Float(_) => Err(RelAlgError::Unsupported(
-                "floating-point literals (the constraint solver operates over integers; \
-                 scale the schema to integer units)"
-                    .into(),
-            )),
-        }
-    }
-}
+use crate::ir::{Operand, SubCond, SubPred, SubqueryKind};
+use crate::normalize::{check_cmp_types, Scope};
 
 /// Lower every `[NOT] IN` and `[NOT] EXISTS` conjunct of `query` into a
 /// [`SubPred`]. Outer columns resolve through `outer`.
 pub(crate) fn lower_subqueries(
     query: &Query,
-    outer: &OuterScope<'_>,
+    outer: &Scope<'_>,
 ) -> Result<Vec<SubPred>, RelAlgError> {
     let mut out = Vec::new();
     for inp in &query.where_in {
@@ -135,14 +63,9 @@ fn lower_one(
     negated: bool,
     link_lhs: Option<&Expr>,
     sub: &Query,
-    outer: &OuterScope<'_>,
+    outer: &Scope<'_>,
 ) -> Result<SubPred, RelAlgError> {
-    let conn = match (kind, negated) {
-        (SubqueryKind::In, false) => "IN",
-        (SubqueryKind::In, true) => "NOT IN",
-        (SubqueryKind::Exists, false) => "EXISTS",
-        (SubqueryKind::Exists, true) => "NOT EXISTS",
-    };
+    let conn = SubPred::connective_name((kind, negated));
     // Shape: a single base relation, conjunctive WHERE, nothing else.
     if !sub.group_by.is_empty() || sub.has_aggregates() || !sub.having.is_empty() {
         return Err(RelAlgError::Unsupported(format!(
@@ -194,7 +117,7 @@ fn lower_one(
                 .attr_pos(&sel_col)
                 .ok_or_else(|| RelAlgError::UnknownColumn(format!("{table}.{sel_col}")))?;
             let (l, lt) = outer.resolve_expr(lhs)?;
-            check_cmp_types(lt, Some(rel.attr(col).ty), &l, CompareOp::Eq)?;
+            check_cmp_types([lt, Some(rel.attr(col).ty)], &[&l], CompareOp::Eq)?;
             Some((l, col))
         }
         (SubqueryKind::Exists, None) => None,
@@ -253,46 +176,11 @@ fn lower_one(
                 "arithmetic on a subquery column inside a {conn} subquery"
             )));
         }
-        check_cmp_types(Some(rel.attr(col).ty), rty, &rhs, op)?;
+        check_cmp_types([Some(rel.attr(col).ty), rty], &[&rhs], op)?;
         conds.push(SubCond { col, op, rhs });
     }
 
     Ok(SubPred { kind, negated, link, base: table, alias: binding, conds })
-}
-
-/// Type rules mirroring the normalizer's: no string↔number comparison, and
-/// strings compare only with `=` / `<>` (dictionary-coded integers carry
-/// no meaningful order).
-fn check_cmp_types(
-    sub_ty: Option<SqlType>,
-    other_ty: Option<SqlType>,
-    other: &Operand,
-    op: CompareOp,
-) -> Result<(), RelAlgError> {
-    let str_involved = sub_ty == Some(SqlType::Varchar)
-        || other_ty == Some(SqlType::Varchar)
-        || matches!(other, Operand::Const(Value::Str(_)));
-    if let (Some(a), Some(b)) = (sub_ty, other_ty) {
-        if !a.comparable_with(b) {
-            return Err(RelAlgError::TypeMismatch(format!("cannot compare {a} with {b}")));
-        }
-    }
-    if str_involved {
-        let num_involved = sub_ty.map(SqlType::is_numeric).unwrap_or(false)
-            || other_ty.map(SqlType::is_numeric).unwrap_or(false)
-            || matches!(other, Operand::Const(Value::Int(_)));
-        if num_involved {
-            return Err(RelAlgError::TypeMismatch("string compared with number".into()));
-        }
-        if !matches!(op, CompareOp::Eq | CompareOp::Ne) {
-            return Err(RelAlgError::Unsupported(
-                "ordered comparison on strings (only = and <> are supported for \
-                 string attributes)"
-                    .into(),
-            ));
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -424,6 +312,26 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(e, RelAlgError::TypeMismatch(_)), "{e}");
+    }
+
+    #[test]
+    fn subquery_conditions_report_the_outer_where_errors() {
+        // Outer columns in a subquery condition resolve through the same
+        // scope as the outer WHERE, so both fail alike.
+        let from = "SELECT i.name FROM instructor i, teaches t WHERE i.id = t.id";
+        let arith = "arithmetic on string column `i.name`";
+        for (bad, expected) in [
+            ("i.nope", RelAlgError::UnknownColumn("i.nope".into())),
+            ("id", RelAlgError::AmbiguousColumn("id".into())),
+            ("i.name + 1", RelAlgError::TypeMismatch(arith.into())),
+        ] {
+            let outer = norm(&format!("{from} AND {bad} = 1"));
+            let sub = norm(&format!(
+                "{from} AND EXISTS (SELECT s_id FROM advisor a WHERE a.i_id = {bad})"
+            ));
+            assert_eq!(outer.unwrap_err(), expected, "outer WHERE: {bad}");
+            assert_eq!(sub.unwrap_err(), expected, "subquery condition: {bad}");
+        }
     }
 
     #[test]

@@ -143,7 +143,8 @@ fn render_sub(s: &SubPred, remap: &impl Fn(AttrRef) -> AttrRef) -> String {
         .map(|c| format!(".{} {} {}", c.col, c.op.sql_symbol(), render_operand(&c.rhs, remap)))
         .collect();
     conds.sort_unstable();
-    format!("{} {}({} link={} where[{}])", s.connective_name(), s.base, s.base, link, conds.join(" AND "))
+    let conn = SubPred::connective_name((s.kind, s.negated));
+    format!("{conn} {}({} link={} where[{}])", s.base, s.base, link, conds.join(" AND "))
 }
 
 /// 128-bit FNV-style hash of [`canonical_form`], for compact display and

@@ -162,10 +162,10 @@ impl SubPred {
         v
     }
 
-    /// Render the connective for messages: `IN`, `NOT IN`, `EXISTS`,
-    /// `NOT EXISTS`.
-    pub fn connective_name(&self) -> &'static str {
-        match (self.kind, self.negated) {
+    /// Render a `(kind, negated)` connective for messages: `IN`, `NOT IN`,
+    /// `EXISTS`, `NOT EXISTS`.
+    pub fn connective_name(connective: (SubqueryKind, bool)) -> &'static str {
+        match connective {
             (SubqueryKind::In, false) => "IN",
             (SubqueryKind::In, true) => "NOT IN",
             (SubqueryKind::Exists, false) => "EXISTS",
@@ -185,17 +185,29 @@ pub struct LikePred {
 }
 
 impl LikePred {
-    /// Split a simple `[%]core[%]` pattern into `(leading %, trailing %,
-    /// core)`. Returns `None` when the pattern has no structural family:
-    /// the core is empty, or contains `_` or an interior `%`.
-    pub fn simple_shape(pattern: &str) -> Option<(bool, bool, String)> {
+    /// The core of a simple `[%]core[%]` pattern. Returns `None` when the
+    /// pattern has no structural family: the core is empty, or contains
+    /// `_` or an interior `%`.
+    pub fn simple_core(pattern: &str) -> Option<&str> {
         let lead = pattern.starts_with('%');
         let trail = pattern.len() > lead as usize && pattern.ends_with('%');
         let core = &pattern[lead as usize..pattern.len() - trail as usize];
         if core.is_empty() || core.contains('%') || core.contains('_') {
             return None;
         }
-        Some((lead, trail, core.to_string()))
+        Some(core)
+    }
+
+    /// The other members of this pattern's `{core, %core, core%, %core%}`
+    /// family, in that order: its LIKE mutants, and the patterns the
+    /// generator plans a distinguishing dataset for. Empty when the
+    /// pattern has no family.
+    pub fn family_variants(&self) -> Vec<String> {
+        let Some(core) = Self::simple_core(&self.pattern) else { return Vec::new() };
+        [core.to_string(), format!("%{core}"), format!("{core}%"), format!("%{core}%")]
+            .into_iter()
+            .filter(|to| *to != self.pattern)
+            .collect()
     }
 }
 

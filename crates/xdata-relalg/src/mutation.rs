@@ -28,7 +28,7 @@ use std::collections::HashMap;
 use xdata_sql::{CompareOp, JoinKind};
 
 use crate::enumerate::ShapeDag;
-use crate::ir::{AggFunc, LikePred, NormQuery, SelectSpec, SubPred, SubqueryKind};
+use crate::ir::{AggFunc, NormQuery, SelectSpec, SubPred, SubqueryKind};
 use crate::tree::JoinTree;
 
 /// A join-type mutant: a concrete tree with exactly one mutated node.
@@ -175,8 +175,8 @@ impl Mutant {
             Mutant::Sub(m) => format!(
                 "subquery connective mutant: subquery #{} {} -> {}",
                 m.sub_idx,
-                connective_name(m.from),
-                connective_name(m.to)
+                SubPred::connective_name(m.from),
+                SubPred::connective_name(m.to)
             ),
             Mutant::Like(m) => format!(
                 "LIKE pattern mutant: predicate #{} '{}' -> '{}'",
@@ -189,15 +189,6 @@ impl Mutant {
                 if m.to { "NOT " } else { "" }
             ),
         }
-    }
-}
-
-fn connective_name((kind, negated): (SubqueryKind, bool)) -> &'static str {
-    match (kind, negated) {
-        (SubqueryKind::In, false) => "IN",
-        (SubqueryKind::In, true) => "NOT IN",
-        (SubqueryKind::Exists, false) => "EXISTS",
-        (SubqueryKind::Exists, true) => "NOT EXISTS",
     }
 }
 
@@ -327,19 +318,8 @@ fn sub_mutants(q: &NormQuery) -> Vec<SubMutant> {
 fn like_mutants(q: &NormQuery) -> Vec<LikeMutant> {
     let mut out = Vec::new();
     for (idx, l) in q.likes.iter().enumerate() {
-        let Some((_, _, core)) = LikePred::simple_shape(&l.pattern) else {
-            continue;
-        };
-        for (lead, trail) in [(false, false), (true, false), (false, true), (true, true)] {
-            let to = format!(
-                "{}{}{}",
-                if lead { "%" } else { "" },
-                core,
-                if trail { "%" } else { "" }
-            );
-            if to != l.pattern {
-                out.push(LikeMutant { like_idx: idx, from: l.pattern.clone(), to });
-            }
+        for to in l.family_variants() {
+            out.push(LikeMutant { like_idx: idx, from: l.pattern.clone(), to });
         }
     }
     out

@@ -41,9 +41,124 @@ struct Normalizer<'a> {
     by_binding: BTreeMap<String, usize>,
 }
 
+/// Column resolution against a query's relation occurrences. The
+/// normalizer resolves the main query's columns through it and the
+/// subquery lowering the outer columns of a subquery condition, so both
+/// report the same errors.
+pub(crate) struct Scope<'a> {
+    pub schema: &'a Schema,
+    by_binding: &'a BTreeMap<String, usize>,
+    occurrences: &'a [Occurrence],
+}
+
+impl Scope<'_> {
+    pub fn resolve_colref(&self, c: &ColRef) -> Result<(AttrRef, SqlType), RelAlgError> {
+        match &c.table {
+            Some(t) => {
+                let occ = *self
+                    .by_binding
+                    .get(t)
+                    .ok_or_else(|| RelAlgError::UnknownRelation(t.clone()))?;
+                let base = &self.occurrences[occ].base;
+                let rel = self
+                    .schema
+                    .relation(base)
+                    .ok_or_else(|| RelAlgError::UnknownRelation(base.clone()))?;
+                let col = rel
+                    .attr_pos(&c.column)
+                    .ok_or_else(|| RelAlgError::UnknownColumn(c.to_string()))?;
+                Ok((AttrRef::new(occ, col), rel.attr(col).ty))
+            }
+            None => {
+                let mut found = None;
+                for (i, occ) in self.occurrences.iter().enumerate() {
+                    let rel = self
+                        .schema
+                        .relation(&occ.base)
+                        .ok_or_else(|| RelAlgError::UnknownRelation(occ.base.clone()))?;
+                    if let Some(col) = rel.attr_pos(&c.column) {
+                        if found.is_some() {
+                            return Err(RelAlgError::AmbiguousColumn(c.column.clone()));
+                        }
+                        found = Some((AttrRef::new(i, col), rel.attr(col).ty));
+                    }
+                }
+                found.ok_or_else(|| RelAlgError::UnknownColumn(c.column.clone()))
+            }
+        }
+    }
+
+    pub fn resolve_expr(&self, e: &Expr) -> Result<(Operand, Option<SqlType>), RelAlgError> {
+        match e {
+            Expr::Column(c) => {
+                let (a, ty) = self.resolve_colref(c)?;
+                Ok((Operand::attr(a), Some(ty)))
+            }
+            Expr::ColumnPlus(c, k) => {
+                let (a, ty) = self.resolve_colref(c)?;
+                if ty == SqlType::Varchar {
+                    return Err(RelAlgError::TypeMismatch(format!(
+                        "arithmetic on string column `{c}`"
+                    )));
+                }
+                Ok((Operand::Attr { attr: a, offset: *k }, Some(ty)))
+            }
+            Expr::Int(i) => Ok((Operand::Const(Value::Int(*i)), None)),
+            Expr::Str(s) => Ok((Operand::Const(Value::Str(s.clone())), None)),
+            Expr::Float(_) => Err(RelAlgError::Unsupported(
+                "floating-point literals (the constraint solver operates over integers; \
+                 scale the schema to integer units)"
+                    .into(),
+            )),
+        }
+    }
+}
+
+/// The type rules of a comparison: column types must be comparable, no
+/// string is compared with a number, and strings compare only with `=` /
+/// `<>` (the solver dictionary-codes strings as integers, whose order means
+/// nothing). `types` are the two sides' column types, `None` for a
+/// constant; `operands` are the sides that may be constants.
+pub(crate) fn check_cmp_types(
+    types: [Option<SqlType>; 2],
+    operands: &[&Operand],
+    op: CompareOp,
+) -> Result<(), RelAlgError> {
+    let has_const = |f: fn(&Value) -> bool| {
+        operands.iter().any(|o| matches!(o, Operand::Const(v) if f(v)))
+    };
+    if let [Some(a), Some(b)] = types {
+        if !a.comparable_with(b) {
+            return Err(RelAlgError::TypeMismatch(format!("cannot compare {a} with {b}")));
+        }
+    }
+    let str_involved =
+        types.contains(&Some(SqlType::Varchar)) || has_const(|v| matches!(v, Value::Str(_)));
+    if str_involved {
+        let num_involved = types.iter().flatten().any(|t| t.is_numeric())
+            || has_const(|v| matches!(v, Value::Int(_)));
+        if num_involved {
+            return Err(RelAlgError::TypeMismatch("string compared with number".into()));
+        }
+        if !matches!(op, CompareOp::Eq | CompareOp::Ne) {
+            return Err(RelAlgError::Unsupported(
+                "ordered comparison on strings (only = and <> are supported for \
+                 string attributes)"
+                    .into(),
+            ));
+        }
+    }
+    Ok(())
+}
+
 impl<'a> Normalizer<'a> {
     fn new(schema: &'a Schema) -> Self {
         Normalizer { schema, occurrences: Vec::new(), by_binding: BTreeMap::new() }
+    }
+
+    /// Resolution against the occurrences registered so far.
+    fn scope(&self) -> Scope<'_> {
+        Scope { schema: self.schema, by_binding: &self.by_binding, occurrences: &self.occurrences }
     }
 
     fn run(&mut self, query: &Query) -> Result<NormQuery, RelAlgError> {
@@ -83,12 +198,7 @@ impl<'a> Normalizer<'a> {
         let (eq_classes, preds) = pool_conditions(&all_conds);
 
         // Pass 4b: lower retained subquery / LIKE / NULL-check predicates.
-        let scope = crate::decorrelate::OuterScope {
-            schema: self.schema,
-            by_binding: &self.by_binding,
-            occurrences: &self.occurrences,
-        };
-        let subs = crate::decorrelate::lower_subqueries(query, &scope)?;
+        let subs = crate::decorrelate::lower_subqueries(query, &self.scope())?;
         let mut likes = Vec::new();
         for l in &query.where_like {
             let c = match &l.lhs {
@@ -99,7 +209,7 @@ impl<'a> Normalizer<'a> {
                     )))
                 }
             };
-            let (attr, ty) = self.resolve_colref(c)?;
+            let (attr, ty) = self.scope().resolve_colref(c)?;
             if ty != SqlType::Varchar {
                 return Err(RelAlgError::TypeMismatch(format!(
                     "LIKE on non-string column `{c}`"
@@ -121,7 +231,7 @@ impl<'a> Normalizer<'a> {
                     )))
                 }
             };
-            let (attr, _) = self.resolve_colref(c)?;
+            let (attr, _) = self.scope().resolve_colref(c)?;
             null_checks.push(crate::ir::NullCheck { attr, negated: n.negated });
         }
 
@@ -196,104 +306,15 @@ impl<'a> Normalizer<'a> {
         }
     }
 
-    fn resolve_colref(&self, c: &ColRef) -> Result<(AttrRef, SqlType), RelAlgError> {
-        match &c.table {
-            Some(t) => {
-                let occ = *self
-                    .by_binding
-                    .get(t)
-                    .ok_or_else(|| RelAlgError::UnknownRelation(t.clone()))?;
-                let rel = self
-                    .schema
-                    .relation(&self.occurrences[occ].base)
-                    .ok_or_else(|| RelAlgError::UnknownRelation(self.occurrences[occ].base.clone()))?;
-                let col = rel
-                    .attr_pos(&c.column)
-                    .ok_or_else(|| RelAlgError::UnknownColumn(c.to_string()))?;
-                Ok((AttrRef::new(occ, col), rel.attr(col).ty))
-            }
-            None => {
-                let mut found = None;
-                for (i, occ) in self.occurrences.iter().enumerate() {
-                    let rel = self
-                        .schema
-                        .relation(&occ.base)
-                        .ok_or_else(|| RelAlgError::UnknownRelation(occ.base.clone()))?;
-                    if let Some(col) = rel.attr_pos(&c.column) {
-                        if found.is_some() {
-                            return Err(RelAlgError::AmbiguousColumn(c.column.clone()));
-                        }
-                        found = Some((AttrRef::new(i, col), rel.attr(col).ty));
-                    }
-                }
-                found.ok_or_else(|| RelAlgError::UnknownColumn(c.column.clone()))
-            }
-        }
-    }
-
-    fn resolve_expr(&self, e: &Expr) -> Result<(Operand, Option<SqlType>), RelAlgError> {
-        match e {
-            Expr::Column(c) => {
-                let (a, ty) = self.resolve_colref(c)?;
-                Ok((Operand::attr(a), Some(ty)))
-            }
-            Expr::ColumnPlus(c, k) => {
-                let (a, ty) = self.resolve_colref(c)?;
-                if ty == SqlType::Varchar {
-                    return Err(RelAlgError::TypeMismatch(format!(
-                        "arithmetic on string column `{c}`"
-                    )));
-                }
-                Ok((Operand::Attr { attr: a, offset: *k }, Some(ty)))
-            }
-            Expr::Int(i) => Ok((Operand::Const(Value::Int(*i)), None)),
-            Expr::Str(s) => Ok((Operand::Const(Value::Str(s.clone())), None)),
-            Expr::Float(_) => Err(RelAlgError::Unsupported(
-                "floating-point literals (the constraint solver operates over integers; \
-                 scale the schema to integer units)"
-                    .into(),
-            )),
-        }
-    }
-
     fn resolve_condition(
         &self,
         lhs: &Expr,
         op: CompareOp,
         rhs: &Expr,
     ) -> Result<Pred, RelAlgError> {
-        let (l, lt) = self.resolve_expr(lhs)?;
-        let (r, rt) = self.resolve_expr(rhs)?;
-        // Type checks: attr vs attr comparability; string ordering is only
-        // meaningful as =/<> (string values are dictionary-coded integers
-        // in the solver).
-        let str_involved = lt == Some(SqlType::Varchar)
-            || rt == Some(SqlType::Varchar)
-            || matches!(l, Operand::Const(Value::Str(_)))
-            || matches!(r, Operand::Const(Value::Str(_)));
-        if let (Some(a), Some(b)) = (lt, rt) {
-            if !a.comparable_with(b) {
-                return Err(RelAlgError::TypeMismatch(format!(
-                    "cannot compare {a} with {b}"
-                )));
-            }
-        }
-        if str_involved {
-            let num_involved = lt.map(SqlType::is_numeric).unwrap_or(false)
-                || rt.map(SqlType::is_numeric).unwrap_or(false)
-                || matches!(l, Operand::Const(Value::Int(_)))
-                || matches!(r, Operand::Const(Value::Int(_)));
-            if num_involved {
-                return Err(RelAlgError::TypeMismatch("string compared with number".into()));
-            }
-            if !matches!(op, CompareOp::Eq | CompareOp::Ne) {
-                return Err(RelAlgError::Unsupported(
-                    "ordered comparison on strings (only = and <> are supported for \
-                     string attributes)"
-                        .into(),
-                ));
-            }
-        }
+        let (l, lt) = self.scope().resolve_expr(lhs)?;
+        let (r, rt) = self.scope().resolve_expr(rhs)?;
+        check_cmp_types([lt, rt], &[&l, &r], op)?;
         if matches!((&l, &r), (Operand::Const(_), Operand::Const(_))) {
             return Err(RelAlgError::Unsupported(
                 "constant-vs-constant predicate (degenerate)".into(),
@@ -311,7 +332,7 @@ impl<'a> Normalizer<'a> {
             let mut cols = Vec::new();
             for s in &query.select {
                 match s {
-                    SelectItem::Column(c) => cols.push(self.resolve_colref(c)?.0),
+                    SelectItem::Column(c) => cols.push(self.scope().resolve_colref(c)?.0),
                     SelectItem::Star => {
                         return Err(RelAlgError::Unsupported(
                             "`*` mixed with explicit select items".into(),
@@ -325,7 +346,7 @@ impl<'a> Normalizer<'a> {
         // Aggregation query.
         let mut group_by = Vec::new();
         for c in &query.group_by {
-            group_by.push(self.resolve_colref(c)?.0);
+            group_by.push(self.scope().resolve_colref(c)?.0);
         }
         let mut aggs = Vec::new();
         for s in &query.select {
@@ -334,7 +355,7 @@ impl<'a> Normalizer<'a> {
                     return Err(RelAlgError::BadAggregation("`*` with aggregates".into()))
                 }
                 SelectItem::Column(c) => {
-                    let a = self.resolve_colref(c)?.0;
+                    let a = self.scope().resolve_colref(c)?.0;
                     if !group_by.contains(&a) {
                         return Err(RelAlgError::BadAggregation(format!(
                             "non-aggregated column `{c}` not in GROUP BY"
@@ -344,7 +365,7 @@ impl<'a> Normalizer<'a> {
                 SelectItem::Aggregate { op, arg, distinct } => {
                     let arg = match arg {
                         Some(c) => {
-                            let (a, ty) = self.resolve_colref(c)?;
+                            let (a, ty) = self.scope().resolve_colref(c)?;
                             if matches!(op, xdata_sql::AggOp::Sum | xdata_sql::AggOp::Avg)
                                 && ty == SqlType::Varchar
                             {
@@ -368,7 +389,7 @@ impl<'a> Normalizer<'a> {
         for h in &query.having {
             let arg = match &h.arg {
                 Some(c) => {
-                    let (a, ty) = self.resolve_colref(c)?;
+                    let (a, ty) = self.scope().resolve_colref(c)?;
                     if matches!(h.op, xdata_sql::AggOp::Sum | xdata_sql::AggOp::Avg)
                         && ty == xdata_catalog::SqlType::Varchar
                     {

@@ -20,7 +20,7 @@ use xdata_client::protocol::{
 };
 use xdata_core::kill::KillReport;
 use xdata_core::{
-    generate_warm, grade_batch_warm, FaultPlan, GenOptions, GradeError, TestSuite,
+    generate_cancellable, grade_batch_cancellable, FaultPlan, GenOptions, TestSuite, XDataError,
 };
 use xdata_solver::Mode;
 use xdata_engine::JoinStrategy;
@@ -167,12 +167,12 @@ pub fn render_evaluate(
     out
 }
 
-fn grade_error(e: GradeError) -> WireError {
+fn grade_error(e: XDataError) -> WireError {
     match e {
-        GradeError::Parse(e) => wire(ErrorCode::ParseError, e.to_string()),
-        GradeError::RelAlg(e) => wire(ErrorCode::RelalgError, e.to_string()),
-        GradeError::Gen(e) => wire(ErrorCode::GenError, e.to_string()),
-        GradeError::Engine(e) => wire(ErrorCode::EngineError, e.to_string()),
+        XDataError::Parse(e) => wire(ErrorCode::ParseError, e.to_string()),
+        XDataError::RelAlg(e) => wire(ErrorCode::RelalgError, e.to_string()),
+        XDataError::Gen(e) => wire(ErrorCode::GenError, e.to_string()),
+        XDataError::Engine(e) => wire(ErrorCode::EngineError, e.to_string()),
     }
 }
 
@@ -207,7 +207,8 @@ fn warm_suite(
     let query = normalize(&ast, &script.schema)
         .map_err(|e| wire(ErrorCode::RelalgError, e.to_string()))?;
     let ns = namespace(tenant, schema_text);
-    let suite = generate_warm(&query, &script.schema, &domains, &opts, cancel, &shared.warm, &ns)
+    let warm = Some((&shared.warm, ns.as_str()));
+    let suite = generate_cancellable(&query, &script.schema, &domains, &opts, cancel, warm)
         .map_err(|e| wire(ErrorCode::GenError, e.to_string()))?;
     Ok((script, opts, query, suite))
 }
@@ -248,7 +249,7 @@ fn run_method(shared: &Shared, req: &Request, cancel: &CancelToken) -> Result<St
             let script = parsed_script(shared, &p.schema)?;
             let (opts, domains) = build_opts(&p.options, &script)?;
             let ns = namespace(&req.tenant, &p.schema);
-            let report = grade_batch_warm(
+            let report = grade_batch_cancellable(
                 &p.query,
                 &p.candidates,
                 &script.schema,
@@ -256,8 +257,7 @@ fn run_method(shared: &Shared, req: &Request, cancel: &CancelToken) -> Result<St
                 &opts,
                 JoinStrategy::Hash,
                 cancel,
-                &shared.warm,
-                &ns,
+                Some((&shared.warm, &ns)),
             )
             .map_err(grade_error)?;
             Ok(report.render())
@@ -276,11 +276,7 @@ fn run_catching(
     match std::panic::catch_unwind(AssertUnwindSafe(|| run_method(shared, req, cancel))) {
         Ok(r) => r,
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "panic in request handler".to_string());
+            let msg = xdata_par::panic_text(&*payload).unwrap_or("panic in request handler");
             Err(wire(ErrorCode::Internal, msg))
         }
     }

@@ -70,6 +70,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ),
             CandidateOutcome::Invalid { message } => format!("rejected: {message}"),
             CandidateOutcome::ExecError { message } => format!("execution failed: {message}"),
+            CandidateOutcome::Unevaluated if report.datasets == 0 => {
+                "partial suite has no datasets".to_string()
+            }
             CandidateOutcome::Unevaluated => "deadline expired before a verdict".to_string(),
         };
         let dup = if verdict.dedup_hit { " [shared verdict]" } else { "" };

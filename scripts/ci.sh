@@ -230,6 +230,35 @@ if ! cmp -s "$G1" "$G4"; then
 fi
 echo "ci: batch grading verdict stability OK"
 
+# Grading budget leg: grade the same pile with a decision budget of 0 and
+# no deadline, under two thread counts. Every target is a budget skip, so
+# the partial suite has no datasets. The reports must be byte-identical,
+# every candidate that parsed must carry the empty-suite label, and no
+# line may blame a deadline that was never set.
+tmpfiles GB1 GB4
+./target/release/xdata grade --schema examples/university.sql --query "$GQ" \
+    --candidates examples/submissions.sql --decision-limit 0 --jobs 1 > "$GB1"
+./target/release/xdata grade --schema examples/university.sql --query "$GQ" \
+    --candidates examples/submissions.sql --decision-limit 0 --jobs 4 > "$GB4"
+if ! cmp -s "$GB1" "$GB4"; then
+    echo "ci: budget-starved verdict report differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+EMPTY_LABEL='UNEVALUATED (partial suite has no datasets)'
+grep -qF "$EMPTY_LABEL" "$GB1" || {
+    echo "ci: no candidate is labeled '$EMPTY_LABEL' at --decision-limit 0" >&2
+    exit 1
+}
+if grep '^#' "$GB1" | grep -v 'INVALID' | grep -vqF "$EMPTY_LABEL"; then
+    echo "ci: a parsed candidate lacks '$EMPTY_LABEL' at --decision-limit 0" >&2
+    exit 1
+fi
+if grep -q 'deadline expired' "$GB1"; then
+    echo "ci: a budget-starved report without a deadline says 'deadline expired'" >&2
+    exit 1
+fi
+echo "ci: grading budget skips (empty-suite label + jobs determinism) OK"
+
 # Trace leg: capture an event timeline on the same Table I example, have
 # `xdata trace --validate` run the built-in structural checker (balanced
 # begin/end nesting, monotonic per-thread timestamps, flow ordering — no

@@ -93,7 +93,7 @@ options:
   --minimize             prune datasets that add no kills (generate only)
   --no-full-outer        exclude mutations to FULL OUTER JOIN
   --metrics-json FILE    write the metrics report JSON to FILE
-  --trace                print span-close lines to stderr
+  --trace                print one line per span to stderr at exit
   --trace-out FILE       write a Chrome trace-event JSON timeline to FILE
 
 serve options:
@@ -491,17 +491,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
             if let Some(path) = &args.candidates_file {
                 // Batch mode: one submission per line; the suite is
                 // generated once and shared across the whole file.
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("reading {path}: {e}"))?;
-                let candidates: Vec<String> = text
-                    .lines()
-                    .map(str::trim)
-                    .filter(|l| !l.is_empty() && !l.starts_with('#'))
-                    .map(str::to_string)
-                    .collect();
-                if candidates.is_empty() {
-                    return Err(format!("{path}: no candidate queries (one per line)"));
-                }
+                let candidates = xdata::client::read_candidates(path)?;
                 let report = xd.grade_batch(sql, &candidates).map_err(|e| e.to_string())?;
                 print!("{}", report.render());
                 return Ok(());

@@ -50,6 +50,9 @@
 //! * [`obs`] — the zero-dependency tracing/metrics layer over the whole
 //!   plan→solve→kill pipeline (`--metrics-json`, `--trace`).
 //!
+//! A stage failure reaches the caller as [`XDataError`], which [`core`]
+//! defines for its own entry points and which is re-exported here.
+//!
 //! # Tuning generation
 //!
 //! [`XData`] builder methods cover the common knobs; the full set lives on
@@ -83,8 +86,6 @@
 //! }
 //! ```
 
-use std::fmt;
-
 pub use xdata_catalog as catalog;
 pub use xdata_client as client;
 pub use xdata_core as core;
@@ -94,6 +95,8 @@ pub use xdata_relalg as relalg;
 pub use xdata_serve as serve;
 pub use xdata_solver as solver;
 pub use xdata_sql as sql;
+
+pub use xdata_core::XDataError;
 
 use xdata_catalog::{Dataset, DomainCatalog, Schema};
 use xdata_core::{generate_cancellable, BatchGradeReport, FaultPlan, GenOptions, TestSuite};
@@ -114,58 +117,6 @@ impl Run {
     /// Enumerate the mutation space of the query.
     pub fn mutants(&self, opts: MutationOptions) -> MutationSpace {
         mutation_space(&self.query, opts)
-    }
-}
-
-/// Top-level error.
-#[derive(Debug)]
-pub enum XDataError {
-    Parse(xdata_sql::ParseError),
-    RelAlg(xdata_relalg::RelAlgError),
-    Gen(xdata_core::GenError),
-    Engine(xdata_engine::EngineError),
-}
-
-impl fmt::Display for XDataError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            XDataError::Parse(e) => write!(f, "{e}"),
-            XDataError::RelAlg(e) => write!(f, "{e}"),
-            XDataError::Gen(e) => write!(f, "{e}"),
-            XDataError::Engine(e) => write!(f, "{e}"),
-        }
-    }
-}
-impl std::error::Error for XDataError {}
-
-impl From<xdata_sql::ParseError> for XDataError {
-    fn from(e: xdata_sql::ParseError) -> Self {
-        XDataError::Parse(e)
-    }
-}
-impl From<xdata_relalg::RelAlgError> for XDataError {
-    fn from(e: xdata_relalg::RelAlgError) -> Self {
-        XDataError::RelAlg(e)
-    }
-}
-impl From<xdata_core::GenError> for XDataError {
-    fn from(e: xdata_core::GenError) -> Self {
-        XDataError::Gen(e)
-    }
-}
-impl From<xdata_engine::EngineError> for XDataError {
-    fn from(e: xdata_engine::EngineError) -> Self {
-        XDataError::Engine(e)
-    }
-}
-impl From<xdata_core::GradeError> for XDataError {
-    fn from(e: xdata_core::GradeError) -> Self {
-        match e {
-            xdata_core::GradeError::Parse(e) => XDataError::Parse(e),
-            xdata_core::GradeError::RelAlg(e) => XDataError::RelAlg(e),
-            xdata_core::GradeError::Gen(e) => XDataError::Gen(e),
-            xdata_core::GradeError::Engine(e) => XDataError::Engine(e),
-        }
     }
 }
 
@@ -265,7 +216,7 @@ impl XData {
         let ast = xdata_sql::parse_query(sql)?;
         let query = normalize(&ast, &self.schema)?;
         let suite =
-            generate_cancellable(&query, &self.schema, &self.domains, &self.options, cancel)?;
+            generate_cancellable(&query, &self.schema, &self.domains, &self.options, cancel, None)?;
         Ok(Run { query, suite })
     }
 
@@ -342,14 +293,14 @@ impl XData {
         reference_sql: &str,
         candidates: &[String],
     ) -> Result<BatchGradeReport, XDataError> {
-        Ok(xdata_core::grade_batch(
+        xdata_core::grade_batch(
             reference_sql,
             candidates,
             &self.schema,
             &self.domains,
             &self.options,
             JoinStrategy::Hash,
-        )?)
+        )
     }
 }
 

@@ -144,9 +144,8 @@ fn trace_prints_span_lines_to_stderr() {
     let out = xdata(&["generate", "--schema", SCHEMA, "--query", QUERY, "--trace"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let err = stderr(&out);
-    // Lines are buffered per thread and carry the thread ordinal, so
-    // parallel runs flush contiguous per-thread blocks instead of
-    // interleaving mid-line.
+    // The lines are printed at exit from the run's journal, one per span,
+    // grouped by thread and tagged with the thread ordinal.
     assert!(err.contains("[xdata-trace t0] generate/solve"), "{err}");
     assert!(err.contains("[xdata-trace t0] generate "), "{err}");
     // Labels ride along on solve spans.

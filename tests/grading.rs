@@ -217,6 +217,7 @@ fn cancelled_batch_marks_unevaluated() {
             &opts,
             JoinStrategy::Hash,
             &token,
+            None,
         )
         .unwrap();
         assert!(report.partial, "jobs={jobs}");
@@ -230,5 +231,28 @@ fn cancelled_batch_marks_unevaluated() {
                 v.outcome
             );
         }
+    }
+}
+
+/// A decision budget of 0 leaves a run without a deadline with no
+/// datasets: every target that needs a decision is a budget skip. Its
+/// candidates are unresolved, and the report says the partial suite has
+/// no datasets instead of blaming a deadline.
+#[test]
+fn budget_starved_batch_reports_an_empty_partial_suite() {
+    for jobs in [1, 4] {
+        let x = xd(1).with_jobs(jobs).with_decision_limit(0);
+        let report = x.grade_batch(REFERENCE, &batch()).unwrap();
+        assert!(report.partial && report.datasets == 0, "jobs={jobs}");
+        let unevaluated =
+            report.verdicts.iter().filter(|v| v.outcome == CandidateOutcome::Unevaluated).count();
+        assert_eq!(unevaluated, 5, "jobs={jobs}: every candidate that parsed");
+        let text = report.render();
+        assert_eq!(
+            text.matches("UNEVALUATED (partial suite has no datasets)").count(),
+            unevaluated,
+            "jobs={jobs}:\n{text}"
+        );
+        assert!(!text.contains("deadline expired"), "jobs={jobs}:\n{text}");
     }
 }

@@ -8,9 +8,7 @@
 use std::time::Instant;
 
 use xdata::catalog::{university, DomainCatalog, Schema};
-use xdata::core::{
-    generate_cancellable, generate_warm, CancelToken, GenOptions, SkipReason, TestSuite, WarmCache,
-};
+use xdata::core::{generate_cancellable, CancelToken, GenOptions, SkipReason, TestSuite, WarmCache};
 use xdata::obs;
 use xdata::relalg::{normalize, NormQuery};
 use xdata::solver::Mode;
@@ -31,7 +29,8 @@ fn case(sql: &str) -> Case {
 
 impl Case {
     fn cold(&self, opts: &GenOptions) -> TestSuite {
-        generate_cancellable(&self.query, &self.schema, &self.domains, opts, &CancelToken::new())
+        let cancel = CancelToken::new();
+        generate_cancellable(&self.query, &self.schema, &self.domains, opts, &cancel, None)
             .expect("cold run")
     }
 
@@ -42,7 +41,8 @@ impl Case {
         warm: &WarmCache,
         ns: &str,
     ) -> TestSuite {
-        generate_warm(&self.query, &self.schema, &self.domains, opts, cancel, warm, ns)
+        let warm = Some((warm, ns));
+        generate_cancellable(&self.query, &self.schema, &self.domains, opts, cancel, warm)
             .expect("warm run")
     }
 }
