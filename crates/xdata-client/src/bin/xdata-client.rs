@@ -20,7 +20,7 @@
 
 use std::process::ExitCode;
 
-use xdata_client::{Client, ClientError, RequestBody, WireOptions};
+use xdata_client::{count_arg, Client, ClientError, RequestBody, WireOptions};
 use xdata_client::{EvaluateParams, GenerateParams, GradeBatchParams};
 
 struct Args {
@@ -60,14 +60,9 @@ fn parse_args() -> Result<Args, String> {
             }
             "--tenant" => args.tenant = it.next().ok_or("--tenant needs a name")?,
             "--deadline-ms" => {
-                let n = it.next().ok_or("--deadline-ms needs a millisecond count")?;
-                args.deadline_ms =
-                    Some(n.parse().map_err(|_| format!("--deadline-ms: invalid count `{n}`"))?);
+                args.deadline_ms = Some(count_arg(&mut it, &a, "a millisecond count")?)
             }
-            "--jobs" => {
-                let n = it.next().ok_or("--jobs needs a thread count")?;
-                args.jobs = n.parse().map_err(|_| format!("--jobs: invalid count `{n}`"))?;
-            }
+            "--jobs" => args.jobs = count_arg(&mut it, &a, "a thread count")?,
             "--metrics" => args.metrics = Some(it.next().ok_or("--metrics needs a file")?),
             "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a file")?),
             other if args.command.is_empty() && !other.starts_with("--") => {

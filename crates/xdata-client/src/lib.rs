@@ -202,6 +202,19 @@ impl Client {
     }
 }
 
+/// Read the next command-line argument as the count of option `flag`. The
+/// `xdata` CLI and `xdata-client` parse every numeric option through it.
+/// A missing argument is the error `<flag> needs <what>`, and one that does
+/// not parse is ``<flag>: invalid count `<n>` ``.
+pub fn count_arg<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> Result<T, String> {
+    let n = args.next().ok_or_else(|| format!("{flag} needs {what}"))?;
+    n.parse().map_err(|_| format!("{flag}: invalid count `{n}`"))
+}
+
 /// Read a batch-grading candidates file: one candidate query per line,
 /// blank lines and `#` comments skipped. The `xdata grade --candidates`
 /// CLI and `xdata-client grade-batch` both read their files through it.

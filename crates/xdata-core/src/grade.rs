@@ -39,6 +39,14 @@ use crate::generate::generate_cancellable;
 use crate::suite::GenOptions;
 use crate::warm::WarmCache;
 
+/// Marks a grade made on a partial suite: a PASS there covers only the
+/// datasets present, and the skipped targets might have failed it.
+pub const PARTIAL_SUITE_MARKER: &str = " [PARTIAL SUITE]";
+
+/// The verdict line of a candidate graded on a partial suite with no
+/// dataset.
+pub const EMPTY_SUITE_VERDICT: &str = "UNEVALUATED (partial suite has no datasets)";
+
 /// Verdict for one candidate (shared by every member of its equivalence
 /// class).
 #[derive(Debug, Clone, PartialEq)]
@@ -116,11 +124,6 @@ pub struct BatchGradeReport {
 }
 
 impl BatchGradeReport {
-    /// Candidates that passed on the full (non-partial) suite.
-    pub fn passed(&self) -> usize {
-        self.verdicts.iter().filter(|v| v.outcome == CandidateOutcome::Pass).count()
-    }
-
     /// Render the verdict report. Deterministic: contains no timings, so
     /// the same batch renders byte-identically for every `jobs` value.
     pub fn render(&self) -> String {
@@ -133,7 +136,7 @@ impl BatchGradeReport {
             self.classes,
             self.dedup_hits,
             self.datasets,
-            if self.partial { " [PARTIAL SUITE]" } else { "" },
+            if self.partial { PARTIAL_SUITE_MARKER } else { "" },
         );
         for v in &self.verdicts {
             let class = match (v.class, v.class_hash) {
@@ -162,7 +165,7 @@ impl BatchGradeReport {
                     format!("ERROR  score 0.000 ({message})")
                 }
                 CandidateOutcome::Unevaluated if self.datasets == 0 => {
-                    "UNEVALUATED (partial suite has no datasets)".to_string()
+                    EMPTY_SUITE_VERDICT.to_string()
                 }
                 CandidateOutcome::Unevaluated => "UNEVALUATED (deadline expired)".to_string(),
             };

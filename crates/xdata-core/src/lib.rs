@@ -48,10 +48,11 @@ pub use error::{GenError, XDataError};
 pub use generate::{generate, generate_cancellable, generate_with_oracle, Oracle};
 pub use grade::{
     grade_batch, grade_batch_cancellable, BatchGradeReport, CandidateOutcome, CandidateVerdict,
+    EMPTY_SUITE_VERDICT, PARTIAL_SUITE_MARKER,
 };
 pub use minimize::minimize_suite;
 pub use suite::{FaultPlan, GenOptions, GeneratedDataset, SkipReason, SkippedTarget, TestSuite};
-pub use warm::WarmCache;
+pub use warm::{content_key, WarmCache};
 pub use xdata_par::CancelToken;
 
 /// Re-export of the evaluation loop (suite × mutation space → kill matrix).

@@ -95,13 +95,26 @@ impl MemoOutcome {
     }
 }
 
-/// Structural 128-bit key of a solve call: two independently seeded 64-bit
-/// hashes over (context salt, mode, skeleton class, budget, array specs,
-/// ordered constraints). The constraint *order* is hashed deliberately —
-/// assertion order steers the search, so only byte-identical problems may
-/// share an outcome. `copies` is the lane's skeleton class, which keeps
-/// every key inside one lane. `salt` is `0` for a batch run and
-/// [`context_salt`] for a warm one (tenant namespace + session context).
+/// 128-bit content key of `value`: two independently seeded 64-bit hashes,
+/// so an accidental collision needs both halves to collide. The solve memo
+/// and the daemon's schema-script cache key their entries with it.
+pub fn content_key<T: Hash + ?Sized>(value: &T) -> (u64, u64) {
+    use std::collections::hash_map::DefaultHasher;
+    let mut h1 = DefaultHasher::new();
+    let mut h2 = DefaultHasher::new();
+    0xA5A5_5A5A_u64.hash(&mut h2);
+    value.hash(&mut h1);
+    value.hash(&mut h2);
+    (h1.finish(), h2.finish())
+}
+
+/// Structural 128-bit key of a solve call: the [`content_key`] of (context
+/// salt, mode, skeleton class, budget, array specs, ordered constraints).
+/// The constraint *order* is hashed deliberately — assertion order steers
+/// the search, so only byte-identical problems may share an outcome.
+/// `copies` is the lane's skeleton class, which keeps every key inside one
+/// lane. `salt` is `0` for a batch run and [`context_salt`] for a warm one
+/// (tenant namespace + session context).
 pub(crate) fn memo_key(
     problem: &Problem,
     opts: &GenOptions,
@@ -109,19 +122,7 @@ pub(crate) fn memo_key(
     limit: u64,
     salt: u64,
 ) -> (u64, u64) {
-    use std::collections::hash_map::DefaultHasher;
-    let mut h1 = DefaultHasher::new();
-    let mut h2 = DefaultHasher::new();
-    0xA5A5_5A5A_u64.hash(&mut h2);
-    for h in [&mut h1, &mut h2] {
-        salt.hash(h);
-        opts.mode.hash(h);
-        copies.hash(h);
-        limit.hash(h);
-        problem.specs().hash(h);
-        problem.constraints().hash(h);
-    }
-    (h1.finish(), h2.finish())
+    content_key(&(salt, opts.mode, copies, limit, problem.specs(), problem.constraints()))
 }
 
 /// Whether `opts` routes eligible solves through incremental sessions.

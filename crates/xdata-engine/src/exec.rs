@@ -17,23 +17,26 @@ use crate::agg::aggregate;
 use crate::error::EngineError;
 use crate::result::ResultSet;
 
-/// Physical join algorithm used at every `Node` of the join tree.
+/// Whether the join loop hashes or lists the smaller input of each `Node`
+/// of the join tree, and a subquery predicate its relation.
 ///
-/// Both strategies produce byte-identical [`ResultSet`]s: they join the
-/// same bag of rows, emitted in different orders, and a result is a sorted
-/// bag whose aggregates add in value order. The nested-loop path is kept
-/// only as the test oracle (as DPLL is for the solver): the CLI and
-/// `serve` always hash, and `tests/join_parity.rs` runs the whole tier-1
-/// corpus through both and asserts identical results.
+/// Both strategies run one join loop: each row of the larger input tries
+/// its candidates from the smaller and keeps the merged row when every
+/// condition holds. They differ only in the candidates, so they produce
+/// byte-identical [`ResultSet`]s. The nested-loop path is kept only as the
+/// test oracle (as DPLL is for the solver): the CLI and `serve` always
+/// hash, and `tests/join_parity.rs` runs the whole tier-1 corpus through
+/// both and asserts identical results.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JoinStrategy {
-    /// Build a hash index on the smaller input of each equality join node
-    /// and probe with the larger — the default. Nodes without a usable
-    /// equality condition (cross joins, pure inequality joins) fall back to
-    /// nested loops per node and count `engine.hash_join.fallback_nodes`.
+    /// Hash the smaller input of each equality join node on its key
+    /// columns; a row of the larger input tries the one bucket whose key
+    /// equals its own — the default. Nodes without a usable equality
+    /// condition (cross joins, pure inequality joins) list every row and
+    /// count `engine.hash_join.fallback_nodes`.
     #[default]
     Hash,
-    /// The original quadratic nested-loop join, unconditionally.
+    /// List every row of the smaller input as a candidate, unconditionally.
     NestedLoop,
 }
 
@@ -71,17 +74,7 @@ pub fn execute_query(
     db: &Dataset,
     schema: &Schema,
 ) -> Result<ResultSet, EngineError> {
-    execute_with_tree(q, &q.tree, db, schema)
-}
-
-/// Execute the query with a replacement join tree (join-type mutants).
-pub fn execute_with_tree(
-    q: &NormQuery,
-    tree: &JoinTree,
-    db: &Dataset,
-    schema: &Schema,
-) -> Result<ResultSet, EngineError> {
-    execute_with_tree_strategy(q, tree, db, schema, JoinStrategy::default())
+    execute_query_strategy(q, db, schema, JoinStrategy::default())
 }
 
 /// [`execute_query`] with an explicit [`JoinStrategy`].
@@ -94,7 +87,8 @@ pub fn execute_query_strategy(
     execute_with_tree_strategy(q, &q.tree, db, schema, strategy)
 }
 
-/// [`execute_with_tree`] with an explicit [`JoinStrategy`].
+/// Execute the query with a replacement join tree (join-type mutants) and
+/// an explicit [`JoinStrategy`].
 pub fn execute_with_tree_strategy(
     q: &NormQuery,
     tree: &JoinTree,
@@ -153,81 +147,74 @@ fn eval_tree(
         JoinTree::Node { kind, left, right, conds } => {
             let (lrows, lmask) = eval_tree(left, q, db, schema, layout, strategy)?;
             let (rrows, rmask) = eval_tree(right, q, db, schema, layout, strategy)?;
-            let out = match strategy {
-                JoinStrategy::NestedLoop => {
-                    join_nested(*kind, &lrows, &rrows, lmask, rmask, conds, layout)
-                }
-                JoinStrategy::Hash => {
-                    let keys = equi_key_conds(conds, lmask, rmask);
-                    if keys.is_empty() {
-                        xdata_obs::counter("engine.hash_join.fallback_nodes", 1);
-                        join_nested(*kind, &lrows, &rrows, lmask, rmask, conds, layout)
-                    } else {
-                        join_hash(*kind, &lrows, &rrows, lmask, rmask, conds, &keys, layout)
-                    }
-                }
-            };
+            let out = join(*kind, &lrows, &rrows, lmask, rmask, conds, layout, strategy);
             Ok((out, lmask | rmask))
         }
     }
 }
 
-/// The quadratic baseline: every (left, right) pair is merged and tested.
-fn join_nested(
-    kind: JoinKind,
-    lrows: &[Row],
-    rrows: &[Row],
-    lmask: u64,
-    rmask: u64,
-    conds: &[Pred],
-    layout: &Layout,
-) -> Vec<Row> {
-    let mut out = Vec::new();
-    let mut rmatched = vec![false; rrows.len()];
-    for l in lrows {
-        let mut lmatch = false;
-        for (ri, r) in rrows.iter().enumerate() {
-            let merged = merge(l, r, lmask, rmask, layout);
-            if conds.iter().all(|c| eval_pred(c, &merged, layout).is_true()) {
-                out.push(merged);
-                lmatch = true;
-                rmatched[ri] = true;
-            }
-        }
-        if !lmatch && matches!(kind, JoinKind::Left | JoinKind::Full) {
-            out.push(l.clone()); // right side stays NULL
-        }
-    }
-    if matches!(kind, JoinKind::Right | JoinKind::Full) {
-        for (ri, r) in rrows.iter().enumerate() {
-            if !rmatched[ri] {
-                out.push(r.clone()); // left side stays NULL
-            }
-        }
-    }
-    out
-}
-
-/// One component of a hash-join key. Numerics are keyed by their widened
-/// f64 bit pattern because [`Value::sql_cmp`] declares `Int(1)` equal to
+/// One component of an index key. Numerics are keyed by their widened f64
+/// bit pattern because [`Value::sql_cmp`] declares `Int(1)` equal to
 /// `Double(1.0)`: equal values always land in the same bucket, and the rare
 /// false bucket-mate (two huge `i64`s collapsing to one f64) is weeded out
-/// by re-evaluating the join conditions on the merged row.
+/// by re-checking the conditions on every candidate.
 #[derive(PartialEq, Eq, Hash)]
 pub(crate) enum KeyPart {
     Num(u64),
     Str(String),
 }
 
-/// Key component for `v`, or `None` for NULL — a NULL join key matches
-/// nothing under three-valued logic, so NULL-keyed build rows are not
-/// indexed and NULL-keyed probe rows skip the lookup entirely.
-pub(crate) fn key_part(v: Value) -> Option<KeyPart> {
-    match v {
-        Value::Null => None,
-        Value::Int(i) => Some(KeyPart::Num((i as f64).to_bits())),
-        Value::Double(d) => Some(KeyPart::Num(d.to_bits())),
-        Value::Str(s) => Some(KeyPart::Str(s)),
+/// The index key of `values`, or `None` when one of them is NULL — a NULL
+/// key matches nothing under three-valued logic.
+pub(crate) fn key(values: impl IntoIterator<Item = Value>) -> Option<Vec<KeyPart>> {
+    values
+        .into_iter()
+        .map(|v| match v {
+            Value::Null => None,
+            Value::Int(i) => Some(KeyPart::Num((i as f64).to_bits())),
+            Value::Double(d) => Some(KeyPart::Num(d.to_bits())),
+            Value::Str(s) => Some(KeyPart::Str(s)),
+        })
+        .collect()
+}
+
+/// The rows a probe tries: every row, or the one hash bucket whose key
+/// equals the probe's key. A bucket only narrows the rows: the caller
+/// re-checks every condition on each candidate, key equalities included.
+pub(crate) enum Candidates {
+    /// Every row, in order.
+    All(Vec<usize>),
+    /// Row indices by key. Rows with a NULL key match nothing and are left
+    /// out.
+    Hashed(HashMap<Vec<KeyPart>, Vec<usize>>),
+}
+
+impl Candidates {
+    /// Every one of `n` rows is a candidate of every probe.
+    pub(crate) fn all(n: usize) -> Candidates {
+        Candidates::All((0..n).collect())
+    }
+
+    /// Rows bucketed by their keys, the `i`-th key being row `i`'s.
+    pub(crate) fn hashed(keys: impl IntoIterator<Item = Option<Vec<KeyPart>>>) -> Candidates {
+        let mut buckets: HashMap<Vec<KeyPart>, Vec<usize>> = HashMap::new();
+        for (i, k) in keys.into_iter().enumerate() {
+            if let Some(k) = k {
+                buckets.entry(k).or_default().push(i);
+            }
+        }
+        Candidates::Hashed(buckets)
+    }
+
+    /// The candidates of one probe. `probe_key` runs only when the index is
+    /// hashed; a NULL probe key gets no candidates.
+    pub(crate) fn get(&self, probe_key: impl FnOnce() -> Option<Vec<KeyPart>>) -> &[usize] {
+        match self {
+            Candidates::All(rows) => rows,
+            Candidates::Hashed(buckets) => {
+                probe_key().and_then(|k| buckets.get(&k)).map_or(&[], Vec::as_slice)
+            }
+        }
     }
 }
 
@@ -259,53 +246,46 @@ fn equi_key_conds(conds: &[Pred], lmask: u64, rmask: u64) -> Vec<(&Operand, &Ope
         .collect()
 }
 
-/// Hash join: index the smaller side on its key columns, probe with the
-/// larger, and emit the matches in probe order, then the NULL-extended
-/// rows the join kind keeps. The rows are [`join_nested`]'s as a bag;
-/// their order differs, and nothing downstream reads it.
+/// The join loop: index the smaller input, probe with the larger, keep
+/// each merged row whose conditions all hold, then add the unmatched rows
+/// the join kind keeps, NULL-extended. `strategy` decides only whether the
+/// smaller input is hashed or listed; the rows are the same bag either way,
+/// in an order nothing downstream reads.
 #[allow(clippy::too_many_arguments)]
-fn join_hash(
+fn join(
     kind: JoinKind,
     lrows: &[Row],
     rrows: &[Row],
     lmask: u64,
     rmask: u64,
     conds: &[Pred],
-    keys: &[(&Operand, &Operand)],
     layout: &Layout,
+    strategy: JoinStrategy,
 ) -> Vec<Row> {
-    xdata_obs::counter("engine.hash_join.nodes", 1);
     let build_left = lrows.len() < rrows.len();
     let (build, probe) = if build_left { (lrows, rrows) } else { (rrows, lrows) };
-    xdata_obs::counter("engine.hash_join.build_rows", build.len() as u64);
-    xdata_obs::counter("engine.hash_join.probe_rows", probe.len() as u64);
-
-    let extract = |row: &Row, of_left: bool| -> Option<Vec<KeyPart>> {
-        keys.iter()
-            .map(|(lop, rop)| {
-                let op = if of_left { lop } else { rop };
-                key_part(operand_value(op, row, layout))
-            })
-            .collect()
+    let keys = equi_key_conds(conds, lmask, rmask);
+    let side_key = |row: &Row, of_left: bool| {
+        key(keys.iter().map(|(l, r)| operand_value(if of_left { l } else { r }, row, layout)))
     };
-    let mut index: HashMap<Vec<KeyPart>, Vec<usize>> = HashMap::new();
-    for (bi, b) in build.iter().enumerate() {
-        if let Some(key) = extract(b, build_left) {
-            index.entry(key).or_default().push(bi);
+    let index = match strategy {
+        JoinStrategy::Hash if !keys.is_empty() => {
+            xdata_obs::counter("engine.hash_join.nodes", 1);
+            xdata_obs::counter("engine.hash_join.build_rows", build.len() as u64);
+            xdata_obs::counter("engine.hash_join.probe_rows", probe.len() as u64);
+            Candidates::hashed(build.iter().map(|b| side_key(b, build_left)))
         }
-    }
-    // The hash key is a bucket filter, not the equality test: every
-    // condition — key equalities included — is re-evaluated on the merged
-    // row, which also handles residual non-equality conditions on the same
-    // node.
+        JoinStrategy::Hash => {
+            xdata_obs::counter("engine.hash_join.fallback_nodes", 1);
+            Candidates::all(build.len())
+        }
+        JoinStrategy::NestedLoop => Candidates::all(build.len()),
+    };
     let mut out = Vec::new();
     let mut lmatched = vec![false; lrows.len()];
     let mut rmatched = vec![false; rrows.len()];
     for (pi, p) in probe.iter().enumerate() {
-        let Some(bucket) = extract(p, !build_left).and_then(|key| index.get(&key)) else {
-            continue;
-        };
-        for &bi in bucket {
+        for &bi in index.get(|| side_key(p, !build_left)) {
             let (li, ri) = if build_left { (bi, pi) } else { (pi, bi) };
             let merged = merge(&lrows[li], &rrows[ri], lmask, rmask, layout);
             if conds.iter().all(|c| eval_pred(c, &merged, layout).is_true()) {

@@ -20,14 +20,13 @@
 //! `NOT` variants negate with Kleene logic; a row survives only when every
 //! predicate is definitely true.
 //!
-//! Subquery evaluation mirrors the join executor's hash/nested-loop split:
-//! under [`JoinStrategy::Hash`], equality conditions key a hash index over
-//! the subquery relation (the bucket is a filter only — every condition is
-//! re-evaluated per candidate, so both strategies return identical truth
-//! values); predicates with no equality condition fall back to a per-row
-//! scan and count `engine.subquery.fallback_preds`.
-
-use std::collections::HashMap;
+//! A subquery predicate takes its candidate tuples from the join loop's
+//! [`Candidates`] index: under [`JoinStrategy::Hash`], its equality
+//! conditions hash the subquery relation and an outer row tries one bucket;
+//! predicates with no equality condition, and every predicate under
+//! [`JoinStrategy::NestedLoop`], list every tuple (the hash fallback counts
+//! `engine.subquery.fallback_preds`). Every condition is re-checked on each
+//! candidate, so both strategies return identical truth values.
 
 use xdata_catalog::{Dataset, Schema, Truth, Value};
 use xdata_relalg::{NormQuery, SubPred, SubqueryKind};
@@ -35,7 +34,7 @@ use xdata_solver::LikePattern;
 use xdata_sql::CompareOp;
 
 use crate::error::EngineError;
-use crate::exec::{cmp_truth, key_part, operand_value, JoinStrategy, KeyPart, Layout};
+use crate::exec::{cmp_truth, key, operand_value, Candidates, JoinStrategy, Layout};
 
 type Row = Vec<Value>;
 
@@ -91,19 +90,14 @@ pub(crate) fn filter_extended(
 }
 
 /// One subquery predicate readied for repeated per-row evaluation: the
-/// subquery relation's tuples, plus (hash strategy) an index keyed by the
-/// columns of its equality conditions.
+/// subquery relation's tuples and their candidate index.
 struct PreparedSub<'a> {
     sub: &'a SubPred,
     tuples: &'a [Row],
-    /// Indices into `sub.conds` of the equality conditions used as hash-key
-    /// components. Empty when `index` is `None`.
+    /// Indices into `sub.conds` of the equality conditions that key a
+    /// hashed `index`.
     key_conds: Vec<usize>,
-    /// Tuple indices keyed by the equality-condition columns; `None` means
-    /// scan every tuple (nested-loop strategy, or no equality condition).
-    index: Option<HashMap<Vec<KeyPart>, Vec<usize>>>,
-    /// Identity order for the scan path, so both paths iterate `&[usize]`.
-    all: Vec<usize>,
+    index: Candidates,
 }
 
 impl<'a> PreparedSub<'a> {
@@ -133,58 +127,19 @@ impl<'a> PreparedSub<'a> {
             .filter(|(_, c)| c.op == CompareOp::Eq)
             .map(|(i, _)| i)
             .collect();
-        let index = if strategy == JoinStrategy::Hash && !key_conds.is_empty() {
-            xdata_obs::counter("engine.subquery.hash_preds", 1);
-            let mut ix: HashMap<Vec<KeyPart>, Vec<usize>> = HashMap::new();
-            for (ti, t) in tuples.iter().enumerate() {
-                // A NULL in a key column makes that equality condition
-                // Unknown for every outer row — the tuple can never
-                // qualify, so it is not indexed at all.
-                let key: Option<Vec<KeyPart>> = key_conds
-                    .iter()
-                    .map(|&ci| key_part(t[sub.conds[ci].col].clone()))
-                    .collect();
-                if let Some(key) = key {
-                    ix.entry(key).or_default().push(ti);
-                }
+        let index = match strategy {
+            JoinStrategy::Hash if !key_conds.is_empty() => {
+                xdata_obs::counter("engine.subquery.hash_preds", 1);
+                let cols = |t: &Row| key(key_conds.iter().map(|&ci| t[sub.conds[ci].col].clone()));
+                Candidates::hashed(tuples.iter().map(cols))
             }
-            Some(ix)
-        } else {
-            if strategy == JoinStrategy::Hash {
-                // Hash strategy but nothing to key on (only non-equality
-                // conditions, or none): per-row scan, same as nested-loop.
+            JoinStrategy::Hash => {
                 xdata_obs::counter("engine.subquery.fallback_preds", 1);
+                Candidates::all(tuples.len())
             }
-            None
+            JoinStrategy::NestedLoop => Candidates::all(tuples.len()),
         };
-        let all = if index.is_none() { (0..tuples.len()).collect() } else { Vec::new() };
-        let (key_conds, index) = match index {
-            Some(ix) => (key_conds, Some(ix)),
-            None => (Vec::new(), None),
-        };
-        Ok(PreparedSub { sub, tuples, key_conds, index, all })
-    }
-
-    /// Candidate tuple indices for this outer row: the matching hash bucket,
-    /// or every tuple on the scan path. The bucket is a filter only —
-    /// [`PreparedSub::conds_true`] re-evaluates all conditions.
-    fn candidates(&self, row: &Row, layout: &Layout) -> &[usize] {
-        match &self.index {
-            None => &self.all,
-            Some(ix) => {
-                let key: Option<Vec<KeyPart>> = self
-                    .key_conds
-                    .iter()
-                    .map(|&ci| key_part(operand_value(&self.sub.conds[ci].rhs, row, layout)))
-                    .collect();
-                // A NULL outer operand makes the equality Unknown for every
-                // tuple — no tuple qualifies, exactly like an empty bucket.
-                match key.and_then(|k| ix.get(&k)) {
-                    Some(v) => v.as_slice(),
-                    None => &[],
-                }
-            }
-        }
+        Ok(PreparedSub { sub, tuples, key_conds, index })
     }
 
     /// Whether subquery tuple `ti` satisfies every condition for this row.
@@ -199,7 +154,8 @@ impl<'a> PreparedSub<'a> {
     /// The predicate's truth value for one outer row.
     fn eval(&self, row: &Row, layout: &Layout) -> Truth {
         xdata_obs::counter("engine.subquery.probe_rows", 1);
-        let idxs = self.candidates(row, layout);
+        let outer = |&ci: &usize| operand_value(&self.sub.conds[ci].rhs, row, layout);
+        let idxs = self.index.get(|| key(self.key_conds.iter().map(outer)));
         let core = match (self.sub.kind, &self.sub.link) {
             (SubqueryKind::In, Some((link, col))) => {
                 let x = operand_value(link, row, layout);

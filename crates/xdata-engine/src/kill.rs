@@ -6,8 +6,6 @@
 //! proves equivalent on the suite's data ([`certify_on_suite`]) are not
 //! executed: no dataset can kill them.
 
-use std::collections::HashMap;
-
 use xdata_catalog::{Dataset, ForeignKey, Schema, Value};
 use xdata_par::CancelToken;
 use xdata_relalg::certify::{certify_join_mutants, Rule};
@@ -21,8 +19,8 @@ use xdata_sql::CompareOp;
 
 use crate::error::EngineError;
 use crate::exec::{
-    cmp_truth, execute_query, execute_query_strategy, execute_with_tree_strategy, key_part,
-    JoinStrategy, KeyPart,
+    cmp_truth, execute_query, execute_query_strategy, execute_with_tree_strategy, key, Candidates,
+    JoinStrategy,
 };
 use crate::result::ResultSet;
 
@@ -174,24 +172,19 @@ fn fk_holds(fk: &ForeignKey, db: &Dataset) -> bool {
     if from.is_empty() {
         return true;
     }
-    let key = |t: &[Value], cols: &[usize]| -> Option<Vec<KeyPart>> {
-        cols.iter().map(|&c| key_part(t.get(c)?.clone())).collect()
+    let to = db.relation(&fk.to).unwrap_or(&[]);
+    // A column past the end of a tuple keys as NULL: the tuple matches
+    // nothing.
+    let key_of = |t: &[Value], cols: &[usize]| {
+        key(cols.iter().map(|&c| t.get(c).cloned().unwrap_or(Value::Null)))
     };
-    let mut index: HashMap<Vec<KeyPart>, Vec<&[Value]>> = HashMap::new();
-    for u in db.relation(&fk.to).unwrap_or(&[]) {
-        if let Some(k) = key(u, &fk.to_cols) {
-            index.entry(k).or_default().push(u);
-        }
-    }
+    let index = Candidates::hashed(to.iter().map(|u| key_of(u, &fk.to_cols)));
     from.iter().all(|t| {
-        let Some(bucket) = key(t, &fk.from_cols).and_then(|k| index.get(&k)) else {
-            return false;
-        };
-        bucket.iter().any(|u| {
+        index.get(|| key_of(t, &fk.from_cols)).iter().any(|&ui| {
             fk.from_cols
                 .iter()
                 .zip(&fk.to_cols)
-                .all(|(&f, &c)| cmp_truth(&t[f], CompareOp::Eq, &u[c]).is_true())
+                .all(|(&f, &c)| cmp_truth(&t[f], CompareOp::Eq, &to[ui][c]).is_true())
         })
     })
 }

@@ -27,9 +27,6 @@ pub mod kill;
 pub mod result;
 
 pub use error::EngineError;
-pub use exec::{
-    execute_query, execute_query_strategy, execute_with_tree, execute_with_tree_strategy,
-    JoinStrategy,
-};
+pub use exec::{execute_query, execute_query_strategy, execute_with_tree_strategy, JoinStrategy};
 pub use kill::{execute_mutant, kills, KillReport, PreparedMutant};
 pub use result::ResultSet;

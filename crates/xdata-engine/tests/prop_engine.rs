@@ -13,7 +13,7 @@
 //!    once.
 
 use xdata_catalog::{university, Dataset, SplitMix64, Truth, Value};
-use xdata_engine::{execute_query, execute_with_tree, ResultSet};
+use xdata_engine::{execute_query, execute_with_tree_strategy, JoinStrategy, ResultSet};
 use xdata_relalg::enumerate::enumerate_trees;
 use xdata_relalg::{normalize, NormQuery, Operand, SelectSpec};
 use xdata_sql::parse_query;
@@ -179,7 +179,8 @@ fn all_enumerated_trees_agree() {
         let q = normalize(&parse_query(sql).unwrap(), &schema).unwrap();
         let baseline = execute_query(&q, &db, &schema).unwrap();
         for tree in enumerate_trees(&q, 1000) {
-            let r = execute_with_tree(&q, &tree, &db, &schema).unwrap();
+            let r = execute_with_tree_strategy(&q, &tree, &db, &schema, JoinStrategy::Hash)
+                .unwrap();
             assert_eq!(
                 r,
                 baseline,

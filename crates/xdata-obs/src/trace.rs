@@ -793,7 +793,11 @@ pub fn parse_json(text: &str) -> Result<Json, String> {
 /// reconstructed; unknown phases are rejected so a mangled file fails
 /// loudly rather than analyzing as silence.
 pub fn parse_chrome_trace(text: &str) -> Result<TraceLog, String> {
-    let root = parse_json(text)?;
+    trace_log(&parse_json(text)?)
+}
+
+/// The [`TraceLog`] of a parsed Chrome trace-event document.
+fn trace_log(root: &Json) -> Result<TraceLog, String> {
     let mut meta = BTreeMap::new();
     if let Some(Json::Obj(fields)) = root.get("metadata") {
         for (k, v) in fields {
@@ -874,7 +878,7 @@ pub struct TraceSummary {
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let root = parse_json(text)?;
     let has_metadata = matches!(root.get("metadata"), Some(Json::Obj(_)));
-    let log = parse_chrome_trace(text)?;
+    let log = trace_log(&root)?;
 
     let mut last_ts: BTreeMap<u32, u64> = BTreeMap::new();
     let mut stacks: BTreeMap<u32, Vec<String>> = BTreeMap::new();

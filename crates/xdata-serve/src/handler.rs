@@ -20,7 +20,8 @@ use xdata_client::protocol::{
 };
 use xdata_core::kill::KillReport;
 use xdata_core::{
-    generate_cancellable, grade_batch_cancellable, FaultPlan, GenOptions, TestSuite, XDataError,
+    content_key, generate_cancellable, grade_batch_cancellable, FaultPlan, GenOptions, TestSuite,
+    XDataError,
 };
 use xdata_solver::Mode;
 use xdata_engine::JoinStrategy;
@@ -36,26 +37,12 @@ pub(crate) struct ParsedScript {
     pub data: Dataset,
 }
 
-/// Two-seed 128-bit content key for the schema-script cache — same shape
-/// as the solve-memo key, so accidental collisions are no more likely
-/// here than there.
-fn script_key(text: &str) -> (u64, u64) {
-    use std::collections::hash_map::DefaultHasher;
-    use std::hash::{Hash, Hasher};
-    let mut h1 = DefaultHasher::new();
-    let mut h2 = DefaultHasher::new();
-    0xC0DE_CAFE_u64.hash(&mut h2);
-    text.hash(&mut h1);
-    text.hash(&mut h2);
-    (h1.finish(), h2.finish())
-}
-
 fn wire(code: ErrorCode, message: impl Into<String>) -> WireError {
     WireError { code, message: message.into() }
 }
 
 fn parsed_script(shared: &Shared, text: &str) -> Result<Arc<ParsedScript>, WireError> {
-    let key = script_key(text);
+    let key = content_key(text);
     if let Some(p) = lock(&shared.schemas).get(&key) {
         return Ok(Arc::clone(p));
     }
@@ -72,7 +59,7 @@ fn parsed_script(shared: &Shared, text: &str) -> Result<Arc<ParsedScript>, WireE
 /// the *query* structurally — the same query text under two different
 /// schemas must never share memoized solves.
 fn namespace(tenant: &str, schema_text: &str) -> String {
-    let (a, b) = script_key(schema_text);
+    let (a, b) = content_key(schema_text);
     format!("{tenant}\u{1f}{a:016x}{b:016x}")
 }
 

@@ -100,8 +100,8 @@ pub(crate) struct ServeStats {
 pub(crate) struct Shared {
     pub config: ServerConfig,
     pub warm: WarmCache,
-    /// Parsed schema scripts keyed by a two-seed hash of the script text
-    /// (see `handler::script_key`).
+    /// Parsed schema scripts keyed by the
+    /// [`content_key`](xdata_core::content_key) of the script text.
     pub schemas: Mutex<std::collections::HashMap<(u64, u64), Arc<handler::ParsedScript>>>,
     pub stats: ServeStats,
     pub shutdown: AtomicBool,

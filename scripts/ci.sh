@@ -259,6 +259,39 @@ if grep -q 'deadline expired' "$GB1"; then
 fi
 echo "ci: grading budget skips (empty-suite label + jobs determinism) OK"
 
+# Single-candidate budget leg: grade a LEFT OUTER JOIN against the inner
+# join (the complete suite fails it) with decision budgets of 0 and 5, each
+# under two thread counts. Single-candidate grading follows batch grading:
+# at 0 the partial suite has no datasets, so the candidate gets the
+# empty-suite label and no PASS; at 5 it agrees on the datasets left, and
+# its PASS line carries the partial-suite marker.
+GC='SELECT i.name, t.course_id FROM instructor i LEFT OUTER JOIN teaches t ON i.id = t.id'
+tmpfiles S1 S4
+for LIMIT in 0 5; do
+    ./target/release/xdata grade --schema examples/university.sql --query "$GQ" \
+        --candidate "$GC" --decision-limit "$LIMIT" --jobs 1 > "$S1"
+    ./target/release/xdata grade --schema examples/university.sql --query "$GQ" \
+        --candidate "$GC" --decision-limit "$LIMIT" --jobs 4 > "$S4"
+    if ! cmp -s "$S1" "$S4"; then
+        echo "ci: single-candidate grade differs between --jobs 1 and 4 at limit $LIMIT" >&2
+        exit 1
+    fi
+    if [ "$LIMIT" = 0 ]; then
+        grep -qF "$EMPTY_LABEL" "$S1" && ! grep -q 'PASS' "$S1" || {
+            echo "ci: an empty partial suite must leave the candidate '$EMPTY_LABEL'" >&2
+            cat "$S1" >&2
+            exit 1
+        }
+    else
+        grep -q '^PASS.* \[PARTIAL SUITE\]$' "$S1" || {
+            echo "ci: a PASS on a partial suite must end in [PARTIAL SUITE]" >&2
+            cat "$S1" >&2
+            exit 1
+        }
+    fi
+done
+echo "ci: single-candidate grading on partial suites (labels + jobs determinism) OK"
+
 # Trace leg: capture an event timeline on the same Table I example, have
 # `xdata trace --validate` run the built-in structural checker (balanced
 # begin/end nesting, monotonic per-thread timestamps, flow ordering — no

@@ -57,7 +57,8 @@
 use std::process::ExitCode;
 
 use xdata::catalog::DomainCatalog;
-use xdata::core::minimize_suite;
+use xdata::client::count_arg;
+use xdata::core::{minimize_suite, EMPTY_SUITE_VERDICT, PARTIAL_SUITE_MARKER};
 use xdata::relalg::mutation::MutationOptions;
 use xdata::solver::Mode;
 use xdata::XData;
@@ -185,25 +186,15 @@ fn parse_args() -> Result<Args, String> {
                     other => return Err(format!("unknown mode {other:?}")),
                 }
             }
-            "--jobs" => {
-                let n = it.next().ok_or("--jobs needs a thread count")?;
-                args.jobs = n.parse().map_err(|_| format!("--jobs: invalid count `{n}`"))?;
-            }
+            "--jobs" => args.jobs = count_arg(&mut it, &a, "a thread count")?,
             "--timeout-ms" => {
-                let n = it.next().ok_or("--timeout-ms needs a millisecond count")?;
-                args.timeout_ms =
-                    Some(n.parse().map_err(|_| format!("--timeout-ms: invalid count `{n}`"))?);
+                args.timeout_ms = Some(count_arg(&mut it, &a, "a millisecond count")?)
             }
             "--target-timeout-ms" => {
-                let n = it.next().ok_or("--target-timeout-ms needs a millisecond count")?;
-                args.target_timeout_ms = Some(
-                    n.parse().map_err(|_| format!("--target-timeout-ms: invalid count `{n}`"))?,
-                );
+                args.target_timeout_ms = Some(count_arg(&mut it, &a, "a millisecond count")?)
             }
             "--decision-limit" => {
-                let n = it.next().ok_or("--decision-limit needs a decision count")?;
-                args.decision_limit =
-                    Some(n.parse().map_err(|_| format!("--decision-limit: invalid count `{n}`"))?);
+                args.decision_limit = Some(count_arg(&mut it, &a, "a decision count")?)
             }
             "--candidate" => args.candidate = Some(it.next().ok_or("--candidate needs SQL")?),
             "--candidates" => {
@@ -217,27 +208,14 @@ fn parse_args() -> Result<Args, String> {
             }
             "--trace" => args.trace = true,
             "--trace-out" => args.trace_out = Some(it.next().ok_or("--trace-out needs a file")?),
-            "--top" => {
-                let n = it.next().ok_or("--top needs a count")?;
-                args.top = n.parse().map_err(|_| format!("--top: invalid count `{n}`"))?;
-            }
+            "--top" => args.top = count_arg(&mut it, &a, "a count")?,
             "--validate" => args.validate = true,
             "--folded" => args.folded = Some(it.next().ok_or("--folded needs a file")?),
             "--listen" => args.listen = it.next().ok_or("--listen needs HOST:PORT")?,
-            "--serve-workers" => {
-                let n = it.next().ok_or("--serve-workers needs a thread count")?;
-                args.serve_workers =
-                    n.parse().map_err(|_| format!("--serve-workers: invalid count `{n}`"))?;
-            }
-            "--max-line-bytes" => {
-                let n = it.next().ok_or("--max-line-bytes needs a byte count")?;
-                args.max_line_bytes =
-                    n.parse().map_err(|_| format!("--max-line-bytes: invalid count `{n}`"))?;
-            }
+            "--serve-workers" => args.serve_workers = count_arg(&mut it, &a, "a thread count")?,
+            "--max-line-bytes" => args.max_line_bytes = count_arg(&mut it, &a, "a byte count")?,
             "--max-deadline-ms" => {
-                let n = it.next().ok_or("--max-deadline-ms needs a millisecond count")?;
-                args.max_deadline_ms =
-                    Some(n.parse().map_err(|_| format!("--max-deadline-ms: invalid count `{n}`"))?);
+                args.max_deadline_ms = Some(count_arg(&mut it, &a, "a millisecond count")?)
             }
             other if args.command == "trace" && !other.starts_with("--") => {
                 if args.trace_file.is_some() {
@@ -499,8 +477,11 @@ fn dispatch(args: &Args) -> Result<(), String> {
             let candidate =
                 args.candidate.as_deref().ok_or("--candidate or --candidates is required")?;
             match xd.grade(sql, candidate).map_err(|e| e.to_string())? {
-                xdata::Grade::AgreesOnSuite { datasets } => {
-                    println!("PASS: candidate agrees with the reference on all {datasets} datasets");
+                xdata::Grade::AgreesOnSuite { datasets, partial } => {
+                    let marker = if partial { PARTIAL_SUITE_MARKER } else { "" };
+                    println!(
+                        "PASS: candidate agrees with the reference on all {datasets} datasets{marker}"
+                    );
                 }
                 xdata::Grade::Different { dataset_index, dataset, expected, got } => {
                     println!("FAIL: differs on dataset {dataset_index}:");
@@ -508,6 +489,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
                     println!("expected result:\n{expected}");
                     println!("candidate result:\n{got}");
                 }
+                xdata::Grade::Unevaluated => println!("{EMPTY_SUITE_VERDICT}"),
             }
             Ok(())
         }

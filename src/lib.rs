@@ -254,11 +254,17 @@ impl XData {
     /// Grade a candidate query against a reference query — the workflow of
     /// the XData grading tool this paper led to: generate the test suite
     /// from the *reference* query, run both queries on every dataset, and
-    /// report the first dataset where they differ.
+    /// report the first dataset where they differ. A partial suite with no
+    /// dataset leaves the candidate [`Grade::Unevaluated`], as batch
+    /// grading does.
     pub fn grade(&self, reference_sql: &str, candidate_sql: &str) -> Result<Grade, XDataError> {
         let run = self.generate_for(reference_sql)?;
         let candidate_ast = xdata_sql::parse_query(candidate_sql)?;
         let candidate = normalize(&candidate_ast, &self.schema)?;
+        let partial = run.suite.is_partial();
+        if partial && run.suite.datasets.is_empty() {
+            return Ok(Grade::Unevaluated);
+        }
         for (i, d) in run.suite.datasets.iter().enumerate() {
             let expected = xdata_engine::execute_query(&run.query, &d.dataset, &self.schema)?;
             let got = xdata_engine::execute_query(&candidate, &d.dataset, &self.schema)?;
@@ -271,7 +277,7 @@ impl XData {
                 });
             }
         }
-        Ok(Grade::AgreesOnSuite { datasets: run.suite.datasets.len() })
+        Ok(Grade::AgreesOnSuite { datasets: run.suite.datasets.len(), partial })
     }
 
     /// Grade a whole batch of candidate queries against one reference —
@@ -309,8 +315,10 @@ impl XData {
 pub enum Grade {
     /// The candidate agreed with the reference on every generated dataset.
     /// Within the paper's mutation space this means the candidate is either
-    /// correct or differs in a way no single mutation models.
-    AgreesOnSuite { datasets: usize },
+    /// correct or differs in a way no single mutation models. On a
+    /// `partial` suite (a deadline or an exhausted decision budget skipped
+    /// targets) the agreement covers only the datasets present.
+    AgreesOnSuite { datasets: usize, partial: bool },
     /// A witness dataset on which the two queries disagree — show it to the
     /// student.
     Different {
@@ -319,10 +327,14 @@ pub enum Grade {
         expected: xdata_engine::ResultSet,
         got: xdata_engine::ResultSet,
     },
+    /// No verdict: the suite is partial and has no dataset, so nothing was
+    /// compared.
+    Unevaluated,
 }
 
 impl Grade {
+    /// Whether the candidate agreed with the reference on a complete suite.
     pub fn passed(&self) -> bool {
-        matches!(self, Grade::AgreesOnSuite { .. })
+        matches!(self, Grade::AgreesOnSuite { partial: false, .. })
     }
 }

@@ -256,3 +256,23 @@ fn budget_starved_batch_reports_an_empty_partial_suite() {
         assert!(!text.contains("deadline expired"), "jobs={jobs}:\n{text}");
     }
 }
+
+/// Single-candidate grading follows batch grading on a partial suite: with
+/// no dataset the candidate has no verdict, and agreement on the datasets
+/// a decision budget left is not a pass. The wrong join type below fails
+/// on the complete suite.
+#[test]
+fn partial_suite_never_passes_a_single_candidate() {
+    let wrong = "SELECT i.name, t.course_id FROM instructor i LEFT OUTER JOIN teaches t \
+                 ON i.id = t.id";
+    assert!(!xd(1).grade(REFERENCE, wrong).unwrap().passed());
+    let g = xd(1).with_decision_limit(0).grade(REFERENCE, wrong).unwrap();
+    assert!(matches!(g, Grade::Unevaluated), "decision limit 0: {g:?}");
+    assert!(!g.passed());
+    let g = xd(1).with_decision_limit(5).grade(REFERENCE, wrong).unwrap();
+    assert!(
+        matches!(g, Grade::AgreesOnSuite { datasets, partial: true } if datasets > 0),
+        "decision limit 5: {g:?}"
+    );
+    assert!(!g.passed());
+}
