@@ -18,6 +18,7 @@
 //! The response's `output` goes to stdout byte-for-byte; a server error
 //! frame prints its code and message to stderr and exits nonzero.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use xdata_client::{count_arg, Client, ClientError, RequestBody, WireOptions};
@@ -80,7 +81,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-fn run() -> Result<(), String> {
+/// Send the request and return the output to print.
+fn run() -> Result<String, String> {
     let args = parse_args()?;
     let mut client = Client::connect(&args.addr)
         .map_err(|e| format!("connecting to {}: {e}", args.addr))?
@@ -143,12 +145,20 @@ fn run() -> Result<(), String> {
     if let (Some(path), Some(trace)) = (&args.trace_out, &payload.trace_json) {
         std::fs::write(path, trace).map_err(|e| format!("writing {path}: {e}"))?;
     }
-    print!("{}", payload.output);
-    Ok(())
+    Ok(payload.output)
 }
 
 fn main() -> ExitCode {
-    match run() {
+    let written = run().and_then(|output| {
+        let mut out = io::stdout().lock();
+        match out.write_all(output.as_bytes()).and_then(|()| out.flush()) {
+            // The reader closed stdout early (`xdata-client ... | head`): it
+            // wants no more output, and there is nothing to report.
+            Err(e) if e.kind() != io::ErrorKind::BrokenPipe => Err(e.to_string()),
+            _ => Ok(()),
+        }
+    });
+    match written {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("xdata-client: {e}");

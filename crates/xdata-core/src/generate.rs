@@ -28,14 +28,18 @@
 //! repair-ladder rung.
 //!
 //! On top of the skeleton cache sits a cross-target **solve memo**: solve
-//! calls are keyed by a structural hash of the complete problem (array
-//! specs, solve mode, skeleton class, decision budget, and the ordered
-//! constraint list) and their outcome — verdict and model values — is
-//! reused for any later target of the lane that builds the byte-identical
-//! problem. The common case is a comparison target whose forced operator
-//! *is* the predicate's original operator: its constraint set reproduces
-//! the original-query target's exactly. A warm run also
-//! looks keys up in a process-long [`WarmCache`] (see [`crate::warm`]).
+//! calls are keyed by a structural hash of the problem (solve mode,
+//! skeleton class, decision budget and content) and their outcome —
+//! verdict and model values — is reused for any later target of the lane
+//! that builds the byte-identical problem. A target's content is its
+//! skeleton's fingerprint, hashed once when the lane builds the skeleton,
+//! plus the ordered constraints the target appends to it, so a solve pays
+//! to hash its delta, not the skeleton; the input-database attempt, built
+//! without a skeleton, hashes its array specs and every constraint. The
+//! common case is a comparison target whose forced operator *is* the
+//! predicate's original operator: its constraint set reproduces the
+//! original-query target's exactly. A warm run also looks keys up in a
+//! process-long [`WarmCache`] (see [`crate::warm`]).
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::panic::AssertUnwindSafe;
@@ -50,7 +54,7 @@ use crate::builder::ConstraintBuilder;
 use crate::error::GenError;
 use crate::materialize::materialize;
 use crate::suite::{GenOptions, GeneratedDataset, SkipReason, SkippedTarget, TestSuite};
-use crate::warm::{context_salt, memo_key, sessions_enabled, MemoOutcome, WarmCache};
+use crate::warm::{context_salt, memo_key, sessions_enabled, skeleton_key, MemoOutcome, WarmCache};
 
 /// Generate the complete test suite for `query` (Algorithm 1):
 /// a dataset for the original query, then datasets killing equivalence-class
@@ -430,8 +434,9 @@ struct Lane<'g, 'a> {
     copies: u32,
     /// Base constraint skeletons keyed by repair cap: arrays + database
     /// constraints built (and unfolded, in unfold mode) once, then cloned
-    /// per target.
-    skeletons: BTreeMap<u32, ConstraintBuilder<'a>>,
+    /// per target. Each sits beside its [`skeleton_key`], taken once, which
+    /// stands in for the skeleton in the memo keys of its targets.
+    skeletons: BTreeMap<u32, (ConstraintBuilder<'a>, (u64, u64))>,
     /// Incremental solving sessions keyed by repair cap, each built from
     /// its skeleton on the lane's first memo miss at that cap. The
     /// skeleton is lowered into a CDCL engine once and each target solves
@@ -1193,7 +1198,7 @@ impl<'a> Lane<'_, 'a> {
     /// `genDBConstraints`, quantifiers pre-expanded in unfold mode. Built
     /// once per lane, cloned per use.
     fn skeleton(&mut self, cap: u32) -> Result<ConstraintBuilder<'a>, GenError> {
-        if let Some(b) = self.skeletons.get(&cap) {
+        if let Some((b, _)) = self.skeletons.get(&cap) {
             xdata_obs::counter("core.skeleton_cache.hit", 1);
             return Ok(b.clone());
         }
@@ -1213,7 +1218,7 @@ impl<'a> Lane<'_, 'a> {
             // §VI-B "without unfolding" configuration being measured.
             b.problem.inline_quantifiers();
         }
-        self.skeletons.insert(cap, b.clone());
+        self.skeletons.insert(cap, (b.clone(), skeleton_key(&b.problem)));
         Ok(b)
     }
 
@@ -1258,17 +1263,24 @@ impl<'a> Lane<'_, 'a> {
     /// otherwise the lane solves and remembers the outcome. A
     /// [`SolveOutcome::Cancelled`] result is **never stored**: it is a
     /// withdrawn time budget, not a verdict, and caching it would poison
-    /// structurally identical targets that still have time.
+    /// structurally identical targets that still have time. `on_skeleton`
+    /// says whether `problem` extends the lane's skeleton at `cap`; only
+    /// then is it keyed by the skeleton's fingerprint and its own delta.
     fn solve_memoized(
         &mut self,
         problem: &Problem,
+        on_skeleton: bool,
         cap: u32,
         limit: u64,
         cancel: &CancelToken,
     ) -> Result<SolveOutcome, GenError> {
         let gen = self.gen;
         let salt = gen.warm.map_or(0, |(_, salt)| salt);
-        let key = memo_key(problem, gen.opts, self.copies, limit, salt);
+        let skeleton = on_skeleton.then(|| {
+            let (b, fingerprint) = &self.skeletons[&cap];
+            (&b.problem, *fingerprint)
+        });
+        let key = memo_key(problem, skeleton, gen.opts, self.copies, limit, salt);
         let hit = match self.memo.get(&key) {
             Some(v) => Some(v.replay(problem)),
             None => gen.warm.and_then(|(w, _)| w.replay(key, problem)),
@@ -1339,7 +1351,7 @@ impl<'a> Lane<'_, 'a> {
             } else {
                 gen.opts.decision_limit
             };
-            match self.solve_memoized(&b.problem, cap, limit, cancel)? {
+            match self.solve_memoized(&b.problem, !use_input, cap, limit, cancel)? {
                 SolveOutcome::Sat(model) => {
                     let dataset = materialize(&b, &model, label);
                     let label = label.to_string();

@@ -31,7 +31,7 @@ use xdata_catalog::{DomainCatalog, Schema};
 use xdata_engine::exec::{execute_query_strategy, JoinStrategy};
 use xdata_engine::ResultSet;
 use xdata_par::{par_map_cancel, CancelToken};
-use xdata_relalg::fingerprint::{canonical_form, structural_hash};
+use xdata_relalg::fingerprint::{canonical_form, form_hash};
 use xdata_relalg::{normalize, NormQuery};
 
 use crate::error::XDataError;
@@ -251,8 +251,8 @@ pub fn grade_batch_cancellable(
             Entry::Vacant(v) => {
                 misses += 1;
                 let id = class_queries.len();
+                class_hashes.push(form_hash(v.key()));
                 v.insert(id);
-                class_hashes.push(structural_hash(&q));
                 class_queries.push(q);
                 (id, false)
             }

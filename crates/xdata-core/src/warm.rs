@@ -7,10 +7,12 @@
 //! [`SolveSession`](xdata_solver::SolveSession)s and a lane-local memo
 //! map. A batch run drops all of that when it returns. A warm run does
 //! too, except for one thing: [`WarmCache`], a map from a 128-bit
-//! structural problem hash (context salt, mode, skeleton class, budget,
-//! array specs, ordered constraints) to the verdict and model values.
-//! Entries are owned data, so they outlive the query/schema/domain borrows
-//! of the request that produced them.
+//! structural problem key (context salt, mode, skeleton class, budget,
+//! then the skeleton's fingerprint and the constraints the target adds to
+//! it, or the array specs and every constraint of a problem built without
+//! a skeleton) to the verdict and model values. Entries are owned data, so
+//! they outlive the query/schema/domain borrows of the request that
+//! produced them.
 //!
 //! A warm lane looks a key up in its own map first, then in the cache.
 //! When it finishes without a `Timeout` skip it copies the entries it
@@ -108,8 +110,24 @@ pub fn content_key<T: Hash + ?Sized>(value: &T) -> (u64, u64) {
     (h1.finish(), h2.finish())
 }
 
+/// The fingerprint of a lane skeleton: the [`content_key`] of its array
+/// specs and ordered constraints. A lane takes it once, when it builds the
+/// skeleton, and [`memo_key`] stands it in for the skeleton's part of every
+/// target built on it.
+pub(crate) fn skeleton_key(skeleton: &Problem) -> (u64, u64) {
+    content_key(&(skeleton.specs(), skeleton.constraints()))
+}
+
 /// Structural 128-bit key of a solve call: the [`content_key`] of (context
-/// salt, mode, skeleton class, budget, array specs, ordered constraints).
+/// salt, mode, skeleton class, budget, problem). A problem built on a lane
+/// skeleton — `skeleton` is that skeleton's problem and [`skeleton_key`] —
+/// is hashed as the fingerprint plus the constraints past the skeleton's
+/// prefix, so a solve hashes only what its target adds. A problem built
+/// without one (the input-database attempt) is hashed as its array specs
+/// and every constraint. Equal problems get equal keys either way: a
+/// target declares no array and only appends constraints, so two targets
+/// on equal skeletons are equal exactly when their deltas are.
+///
 /// The constraint *order* is hashed deliberately — assertion order steers
 /// the search, so only byte-identical problems may share an outcome.
 /// `copies` is the lane's skeleton class, which keeps every key inside one
@@ -117,12 +135,24 @@ pub fn content_key<T: Hash + ?Sized>(value: &T) -> (u64, u64) {
 /// (tenant namespace + session context).
 pub(crate) fn memo_key(
     problem: &Problem,
+    skeleton: Option<(&Problem, (u64, u64))>,
     opts: &GenOptions,
     copies: u32,
     limit: u64,
     salt: u64,
 ) -> (u64, u64) {
-    content_key(&(salt, opts.mode, copies, limit, problem.specs(), problem.constraints()))
+    let head = (salt, opts.mode, copies, limit);
+    match skeleton {
+        Some((base, fingerprint)) => {
+            let prefix = base.constraints().len();
+            debug_assert!(
+                problem.specs() == base.specs() && problem.constraints().len() >= prefix,
+                "a target problem must extend its skeleton"
+            );
+            content_key(&(head, fingerprint, &problem.constraints()[prefix..]))
+        }
+        None => content_key(&(head, problem.specs(), problem.constraints())),
+    }
 }
 
 /// Whether `opts` routes eligible solves through incremental sessions.
@@ -235,6 +265,71 @@ mod tests {
             context_salt("tenant-a", &q2, &fresh),
             "fresh solves are pure per problem: cross-query sharing is allowed"
         );
+    }
+
+    /// Two arrays and three skeleton constraints; `first` is the bound of
+    /// the first one.
+    fn skeleton_problem(first: i64) -> Problem {
+        use xdata_solver::{Formula, RelOp, Term};
+        let mut p = Problem::new();
+        let r = p.add_array("r", 2, 2);
+        let s = p.add_array("s", 1, 1);
+        p.assert(Formula::atom(Term::field(r, 0, 0), RelOp::Ge, Term::Const(first)));
+        p.assert(Formula::atom(Term::field(r, 1, 1), RelOp::Le, Term::Const(9)));
+        p.assert(Formula::atom(Term::field(s, 0, 0), RelOp::Ne, Term::field(r, 0, 1)));
+        p
+    }
+
+    /// `base` with the delta constraints `r[0].f0 = k` for each `k`.
+    fn extend(base: &Problem, deltas: &[i64]) -> Problem {
+        use xdata_solver::{ArrayId, Formula, RelOp, Term};
+        let mut p = base.clone();
+        for &k in deltas {
+            p.assert(Formula::atom(Term::field(ArrayId(0), 0, 0), RelOp::Eq, Term::Const(k)));
+        }
+        p
+    }
+
+    /// A target on a skeleton is keyed by the skeleton's fingerprint and
+    /// its own delta; a problem without one by its specs and every
+    /// constraint. Either way the key follows the problem's content.
+    #[test]
+    fn memo_key_hashes_skeleton_fingerprint_and_delta() {
+        let opts = GenOptions::default();
+        let base = skeleton_problem(0);
+        let on = |skeleton: &Problem, p: &Problem| {
+            memo_key(p, Some((skeleton, skeleton_key(skeleton))), &opts, 1, 100, 0)
+        };
+        let target = extend(&base, &[3, 4]);
+        assert_eq!(
+            on(&base, &target),
+            on(&base, &extend(&base, &[3, 4])),
+            "equal deltas on one skeleton share a key"
+        );
+        assert_eq!(
+            on(&base, &target),
+            on(&base.clone(), &target),
+            "the fingerprint follows content, not identity"
+        );
+        assert_ne!(on(&base, &target), on(&base, &extend(&base, &[4, 3])), "delta order counts");
+        let other = skeleton_problem(1);
+        assert_ne!(
+            on(&base, &target),
+            on(&other, &extend(&other, &[3, 4])),
+            "a changed skeleton constraint changes the key"
+        );
+
+        // Without a skeleton the key covers specs and every constraint.
+        let plain = |p: &Problem| memo_key(p, None, &opts, 1, 100, 0);
+        assert_eq!(plain(&target), plain(&extend(&base, &[3, 4])));
+        assert_ne!(plain(&target), plain(&extend(&other, &[3, 4])), "every constraint is keyed");
+        let mut wider = Problem::new();
+        wider.add_array("r", 3, 2);
+        wider.add_array("s", 1, 1);
+        for c in target.constraints() {
+            wider.assert(c.clone());
+        }
+        assert_ne!(plain(&target), plain(&wider), "the array specs are keyed");
     }
 
     /// A daemon keeps one entry per solved target of every tenant, so an

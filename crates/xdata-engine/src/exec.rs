@@ -18,7 +18,8 @@ use crate::error::EngineError;
 use crate::result::ResultSet;
 
 /// Whether the join loop hashes or lists the smaller input of each `Node`
-/// of the join tree, and a subquery predicate its relation.
+/// of the join tree, and a subquery predicate its relation. An input of
+/// at most one row is listed either way: a bucket would narrow nothing.
 ///
 /// Both strategies run one join loop: each row of the larger input tries
 /// its candidates from the smaller and keeps the merged row when every
@@ -181,6 +182,9 @@ pub(crate) fn key(values: impl IntoIterator<Item = Value>) -> Option<Vec<KeyPart
 /// The rows a probe tries: every row, or the one hash bucket whose key
 /// equals the probe's key. A bucket only narrows the rows: the caller
 /// re-checks every condition on each candidate, key equalities included.
+/// So an index of at most one row lists it: a bucket would have nothing to
+/// narrow, and a NULL key fails the re-check just as it misses every
+/// bucket.
 pub(crate) enum Candidates {
     /// Every row, in order.
     All(Vec<usize>),
@@ -195,10 +199,14 @@ impl Candidates {
         Candidates::All((0..n).collect())
     }
 
-    /// Rows bucketed by their keys, the `i`-th key being row `i`'s.
-    pub(crate) fn hashed(keys: impl IntoIterator<Item = Option<Vec<KeyPart>>>) -> Candidates {
+    /// Rows bucketed by their keys, the `i`-th key being row `i`'s; zero
+    /// or one row is listed, and its key never computed.
+    pub(crate) fn hashed(keys: impl ExactSizeIterator<Item = Option<Vec<KeyPart>>>) -> Candidates {
+        if keys.len() <= 1 {
+            return Candidates::all(keys.len());
+        }
         let mut buckets: HashMap<Vec<KeyPart>, Vec<usize>> = HashMap::new();
-        for (i, k) in keys.into_iter().enumerate() {
+        for (i, k) in keys.enumerate() {
             if let Some(k) = k {
                 buckets.entry(k).or_default().push(i);
             }
@@ -469,6 +477,42 @@ mod tests {
             &d,
         );
         assert_eq!(r.rows(), &[vec![Value::Str("A".into()), Value::Null]]);
+    }
+
+    /// A one-row join input is listed rather than hashed. A NULL key on it
+    /// fails the re-check of the key equality, just as it would miss every
+    /// bucket, so the inner and the padded outer join match the nested
+    /// loop whichever side holds the NULL.
+    #[test]
+    fn one_row_null_key_join_matches_nested_loop() {
+        let schema = university::schema();
+        let instructor =
+            |id: Value, name: &str| vec![id, Value::Str(name.into()), Value::Int(1), Value::Int(1)];
+        let teaches = |id: Value| vec![id, Value::Int(100), Value::Int(1), Value::Int(2009)];
+        let mut null_teaches = Dataset::new();
+        null_teaches.push("instructor", instructor(Value::Int(10), "Wu"));
+        null_teaches.push("instructor", instructor(Value::Int(11), "Mozart"));
+        null_teaches.push("teaches", teaches(Value::Null));
+        let mut null_instructor = Dataset::new();
+        null_instructor.push("instructor", instructor(Value::Null, "A"));
+        null_instructor.push("teaches", teaches(Value::Int(10)));
+        null_instructor.push("teaches", teaches(Value::Null));
+        let inner = "SELECT i.name, t.course_id FROM instructor i, teaches t WHERE i.id = t.id";
+        let left = "SELECT i.name, t.course_id FROM instructor i LEFT OUTER JOIN teaches t \
+                    ON i.id = t.id";
+        for (sql, db, rows) in [
+            (inner, &null_teaches, 0),
+            (left, &null_teaches, 2),
+            (inner, &null_instructor, 0),
+            (left, &null_instructor, 1),
+        ] {
+            let q = normalize(&parse_query(sql).unwrap(), &schema).unwrap();
+            let hash = execute_query_strategy(&q, db, &schema, JoinStrategy::Hash).unwrap();
+            let nested = execute_query_strategy(&q, db, &schema, JoinStrategy::NestedLoop).unwrap();
+            assert_eq!(hash, nested, "{sql}");
+            assert_eq!(hash.len(), rows, "{sql}");
+            assert!(hash.rows().iter().all(|r| r[1] == Value::Null), "{sql}");
+        }
     }
 
     #[test]

@@ -22,11 +22,12 @@
 //!
 //! A subquery predicate takes its candidate tuples from the join loop's
 //! [`Candidates`] index: under [`JoinStrategy::Hash`], its equality
-//! conditions hash the subquery relation and an outer row tries one bucket;
-//! predicates with no equality condition, and every predicate under
-//! [`JoinStrategy::NestedLoop`], list every tuple (the hash fallback counts
-//! `engine.subquery.fallback_preds`). Every condition is re-checked on each
-//! candidate, so both strategies return identical truth values.
+//! conditions hash the subquery relation (one of at most one tuple is
+//! listed) and an outer row tries one bucket; predicates with no equality
+//! condition, and every predicate under [`JoinStrategy::NestedLoop`], list
+//! every tuple (the hash fallback counts `engine.subquery.fallback_preds`).
+//! Every condition is re-checked on each candidate, so both strategies
+//! return identical truth values.
 
 use xdata_catalog::{Dataset, Schema, Truth, Value};
 use xdata_relalg::{NormQuery, SubPred, SubqueryKind};
@@ -310,6 +311,35 @@ mod tests {
             &d,
         );
         assert_eq!(names(&r), ["A"]);
+    }
+
+    /// A one-tuple subquery relation is listed rather than hashed. Its NULL
+    /// key fails the re-check of the key condition, just as it would miss
+    /// every bucket, so IN and NOT EXISTS answer as the nested loop does.
+    #[test]
+    fn one_tuple_null_key_subquery_matches_nested_loop() {
+        let mut d = Dataset::new();
+        d.push(
+            "instructor",
+            vec![Value::Int(10), Value::Str("Wu".into()), Value::Int(1), Value::Int(60000)],
+        );
+        d.push(
+            "instructor",
+            vec![Value::Int(11), Value::Str("Mozart".into()), Value::Int(2), Value::Int(40000)],
+        );
+        d.push("teaches", vec![Value::Int(10), Value::Null, Value::Int(1), Value::Int(2009)]);
+        let r = run(
+            "SELECT i.name FROM instructor i \
+             WHERE i.id IN (SELECT t.id FROM teaches t WHERE t.course_id = i.dept_id)",
+            &d,
+        );
+        assert!(r.is_empty());
+        let r = run(
+            "SELECT i.name FROM instructor i \
+             WHERE NOT EXISTS (SELECT t.id FROM teaches t WHERE t.course_id = i.dept_id)",
+            &d,
+        );
+        assert_eq!(names(&r), ["Mozart", "Wu"]); // rows() is sorted
     }
 
     /// Subquery conditions with non-equality operators have no hash key and

@@ -165,26 +165,28 @@ pub fn certify_on_suite(
 }
 
 /// Whether every tuple of `fk.from` in `db` matches a tuple of `fk.to` the
-/// way the hash join matches them: same key bucket, and every column pair
-/// equal under the executor's comparison (a NULL matches nothing).
+/// way the hash join matches them: every column pair equal under the
+/// executor's comparison (a NULL, or a column past a tuple's end, matches
+/// nothing).
 fn fk_holds(fk: &ForeignKey, db: &Dataset) -> bool {
     let from = db.relation(&fk.from).unwrap_or(&[]);
     if from.is_empty() {
         return true;
     }
     let to = db.relation(&fk.to).unwrap_or(&[]);
-    // A column past the end of a tuple keys as NULL: the tuple matches
-    // nothing.
+    // A column past the end of a tuple keys as NULL, and fails the
+    // re-check: the tuple matches nothing.
     let key_of = |t: &[Value], cols: &[usize]| {
         key(cols.iter().map(|&c| t.get(c).cloned().unwrap_or(Value::Null)))
     };
     let index = Candidates::hashed(to.iter().map(|u| key_of(u, &fk.to_cols)));
     from.iter().all(|t| {
         index.get(|| key_of(t, &fk.from_cols)).iter().any(|&ui| {
-            fk.from_cols
-                .iter()
-                .zip(&fk.to_cols)
-                .all(|(&f, &c)| cmp_truth(&t[f], CompareOp::Eq, &to[ui][c]).is_true())
+            fk.from_cols.iter().zip(&fk.to_cols).all(|(&f, &c)| {
+                t.get(f)
+                    .zip(to[ui].get(c))
+                    .is_some_and(|(a, b)| cmp_truth(a, CompareOp::Eq, b).is_true())
+            })
         })
     })
 }
@@ -534,6 +536,33 @@ mod tests {
         assert!(certify_on_suite(&q, &space, &[&d, &orphan], &schema)[fk_mi].is_none());
         let report = kill_report(&q, &space, &[&d, &orphan], &schema).unwrap();
         assert_eq!(report.killed_by[fk_mi], Some(1));
+    }
+
+    /// Certificates are checked on any dataset, legal or not. A tuple too
+    /// short for its key column matches nothing. With one referenced
+    /// tuple, which the index lists rather than hashes, the re-check reads
+    /// past neither tuple's end, and the foreign-key certificate is void.
+    #[test]
+    fn short_tuple_voids_fk_certificate() {
+        let schema = university::schema_with_fk_count(1);
+        let q = normalize(
+            &parse_query("SELECT * FROM instructor i, teaches t WHERE i.id = t.id").unwrap(),
+            &schema,
+        )
+        .unwrap();
+        let space = mutation_space(&q, MutationOptions::default());
+        let fk_certs = |instructor: Vec<Value>, teaches: Vec<Value>| {
+            let mut d = Dataset::new();
+            d.push("instructor", instructor);
+            d.push("teaches", teaches);
+            let certs = certify_on_suite(&q, &space, &[&d], &schema);
+            certs.iter().flatten().filter(|c| c.rule() == Rule::ForeignKey).count()
+        };
+        let instructor = vec![Value::Int(1), Value::Str("A".into()), Value::Int(1), Value::Int(1)];
+        let teaches = vec![Value::Int(1), Value::Int(100), Value::Int(1), Value::Int(2009)];
+        assert_eq!(fk_certs(instructor.clone(), teaches.clone()), 1);
+        assert_eq!(fk_certs(vec![], teaches), 0, "the referenced tuple has no key column");
+        assert_eq!(fk_certs(instructor, vec![]), 0, "the referencing tuple has no key column");
     }
 
     #[test]

@@ -122,23 +122,21 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
             '\'' => {
                 i += 1;
                 let mut s = String::new();
+                // Copy the text up to each quote whole, so a multi-byte
+                // character stays one character; `''` is a quote.
                 loop {
-                    if i >= bytes.len() {
+                    let Some(len) = src[i..].find('\'') else {
                         return Err(ParseError::new(
                             "unterminated string literal",
-                            Span::new(start, i),
+                            Span::new(start, bytes.len()),
                         ));
-                    }
-                    if bytes[i] == b'\'' {
-                        if i + 1 < bytes.len() && bytes[i + 1] == b'\'' {
-                            s.push('\'');
-                            i += 2;
-                            continue;
-                        }
-                        i += 1;
+                    };
+                    s.push_str(&src[i..i + len]);
+                    i += len + 1;
+                    if bytes.get(i) != Some(&b'\'') {
                         break;
                     }
-                    s.push(bytes[i] as char);
+                    s.push('\'');
                     i += 1;
                 }
                 out.push(Token { tok: Tok::Str(s), span: Span::new(start, i) });
@@ -184,10 +182,11 @@ pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
                 });
                 i = end;
             }
-            other => {
+            _ => {
+                let other = src[start..].chars().next().expect("a character starts here");
                 return Err(ParseError::new(
                     format!("unexpected character `{other}`"),
-                    Span::new(start, start + 1),
+                    Span::new(start, start + other.len_utf8()),
                 ));
             }
         }
@@ -242,6 +241,24 @@ mod tests {
     #[test]
     fn unterminated_string_errors() {
         assert!(lex("'oops").is_err());
+        assert!(lex("'it''").is_err());
+    }
+
+    #[test]
+    fn string_keeps_multibyte_characters() {
+        assert_eq!(toks("'José'"), vec![Tok::Str("José".into()), Tok::Eof]);
+        assert_eq!(toks("'日本''語'"), vec![Tok::Str("日本'語".into()), Tok::Eof]);
+        let tokens = lex("'é' x").unwrap();
+        assert_eq!(tokens[0].span, Span::new(0, 4));
+        assert_eq!(tokens[1].span, Span::new(5, 6));
+    }
+
+    #[test]
+    fn unexpected_character_is_named_decoded() {
+        let err = lex("a é").unwrap_err();
+        assert_eq!(err.message, "unexpected character `é`");
+        assert_eq!(err.span, Span::new(2, 4));
+        assert_eq!(lex("a #").unwrap_err().message, "unexpected character `#`");
     }
 
     #[test]

@@ -174,6 +174,51 @@ grep -q '"solver.unknown_exits": *[1-9]' "$BM1" || {
 }
 echo "ci: budget skips (reason text + unknown exits + jobs determinism) OK"
 
+# Solve-memo leg: generate the running example on the two solve paths
+# that run no incremental session, `--mode lazy` and `--use-input-db`,
+# under two thread counts. The suites and the timing-stripped metrics must
+# be byte-identical, and the memo must hit and miss as often as it always
+# has (1/6 lazy, 11/10 on the input database): a key that misses an equal
+# problem, or matches an unequal one, changes the counts. The input
+# database's non-ASCII name must reach the suite intact.
+tmpfiles IDB L1 L4 LM1 LM4
+{
+    cat examples/university.sql
+    echo "INSERT INTO instructor VALUES (1, 'Wu', 10, 90000);"
+    echo "INSERT INTO instructor VALUES (2, 'José', 20, 40000);"
+    echo "INSERT INTO teaches VALUES (1, 101, 1, 2009);"
+} > "$IDB"
+# memo_leg NAME SCHEMA HITS MISSES FLAG...
+memo_leg() {
+    leg=$1 schema=$2 hit=$3 miss=$4
+    shift 4
+    ./target/release/xdata generate --schema "$schema" --query "$Q" "$@" \
+        --jobs 1 --metrics-json "$LM1" > "$L1"
+    ./target/release/xdata generate --schema "$schema" --query "$Q" "$@" \
+        --jobs 4 --metrics-json "$LM4" > "$L4"
+    if ! cmp -s "$L1" "$L4"; then
+        echo "ci: $leg suite differs between --jobs 1 and --jobs 4" >&2
+        exit 1
+    fi
+    if [ "$(strip_timings "$LM1")" != "$(strip_timings "$LM4")" ]; then
+        echo "ci: $leg timing-stripped metrics differ between --jobs 1 and --jobs 4" >&2
+        exit 1
+    fi
+    grep -q "\"core.solve_memo.hit\": *$hit," "$LM1" \
+        && grep -q "\"core.solve_memo.miss\": *$miss," "$LM1" || {
+        echo "ci: $leg solve memo did not hit $hit and miss $miss times" >&2
+        grep 'core.solve_memo' "$LM1" >&2
+        exit 1
+    }
+}
+memo_leg lazy examples/university.sql 1 6 --mode lazy
+memo_leg input-db "$IDB" 11 10 --use-input-db
+grep -q "'José'" "$L1" || {
+    echo "ci: the input-database suite lost the UTF-8 literal 'José'" >&2
+    exit 1
+}
+echo "ci: solve memo off sessions (lazy + input db: memo counts + jobs determinism) OK"
+
 # Extended-class smoke leg (§V-H): generate + evaluate on the nullable
 # subquery example. The suite must plan a NULL-membership witness (the
 # `NOT IN` trap dataset), kill every subquery-connective mutant, count

@@ -54,6 +54,7 @@
 //!   --folded FILE     also export folded stacks for flamegraph tooling
 //! ```
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 use xdata::catalog::DomainCatalog;
@@ -238,21 +239,47 @@ fn active_features() -> Vec<&'static str> {
     f
 }
 
-fn run() -> Result<(), String> {
+/// Why a command stopped early: an error to report, or a write to stdout
+/// that failed.
+enum Failure {
+    Error(String),
+    Stdout(io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Error(e)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(e: &str) -> Failure {
+        Failure::Error(e.to_string())
+    }
+}
+
+impl From<io::Error> for Failure {
+    fn from(e: io::Error) -> Failure {
+        Failure::Stdout(e)
+    }
+}
+
+/// Run the command, writing its output to `out`.
+fn run(out: &mut impl Write) -> Result<(), Failure> {
     if std::env::args().skip(1).any(|a| a == "--help" || a == "-h")
         || std::env::args().nth(1).as_deref() == Some("help")
     {
-        print!("{USAGE}");
+        write!(out, "{USAGE}")?;
         return Ok(());
     }
     let args = parse_args()?;
     if args.command == "serve" {
-        return serve_cmd(&args);
+        return serve_cmd(&args, out);
     }
     if args.command == "trace" {
         // Offline analysis of an existing trace file: no schema, no query,
         // no pipeline run.
-        return trace_cmd(&args);
+        return trace_cmd(&args, out);
     }
     if args.metrics_json.is_some() {
         // Install the recorder with the full canonical key set, so
@@ -263,7 +290,7 @@ fn run() -> Result<(), String> {
     if args.trace || args.trace_out.is_some() {
         xdata_obs::install_trace();
     }
-    let result = dispatch(&args);
+    let result = dispatch(&args, out);
     if let Some(mut log) = xdata_obs::take_trace() {
         if args.trace {
             eprint!("{}", span_lines(&log));
@@ -298,7 +325,7 @@ fn span_lines(log: &xdata_obs::TraceLog) -> String {
 
 /// The `xdata serve` subcommand: run the persistent daemon until a wire
 /// `shutdown` request (or a process signal) stops it.
-fn serve_cmd(args: &Args) -> Result<(), String> {
+fn serve_cmd(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let config = xdata::serve::ServerConfig {
         listen: args.listen.clone(),
         workers: args.serve_workers,
@@ -310,10 +337,9 @@ fn serve_cmd(args: &Args) -> Result<(), String> {
     let addr = server.local_addr().map_err(|e| e.to_string())?;
     // Print the *resolved* address (relevant when --listen asked for port
     // 0) and flush eagerly so scripts can parse where to connect.
-    println!("listening on {addr}");
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    server.serve().map_err(|e| format!("serving on {addr}: {e}"))
+    writeln!(out, "listening on {addr}")?;
+    out.flush()?;
+    server.serve().map_err(|e| Failure::Error(format!("serving on {addr}: {e}")))
 }
 
 /// Format nanoseconds as fixed-width milliseconds for aligned columns.
@@ -323,7 +349,7 @@ fn ms(ns: u64) -> String {
 
 /// The `xdata trace` subcommand: load a Chrome-trace JSON file written by
 /// `--trace-out` and break it down offline.
-fn trace_cmd(args: &Args) -> Result<(), String> {
+fn trace_cmd(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     let path = args
         .trace_file
         .as_deref()
@@ -331,27 +357,29 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
     if args.validate {
         let s = xdata_obs::validate_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-        println!(
+        writeln!(
+            out,
             "validated: {} events on {} threads, {} spans, {} flow events, metadata {}",
             s.events,
             s.threads,
             s.spans,
             s.flows,
             if s.has_metadata { "present" } else { "absent" }
-        );
+        )?;
     }
     let log = xdata_obs::parse_chrome_trace(&text).map_err(|e| format!("{path}: {e}"))?;
-    if let Some(out) = &args.folded {
-        std::fs::write(out, log.to_folded()).map_err(|e| format!("writing {out}: {e}"))?;
-        println!("folded stacks written to {out}");
+    if let Some(folded) = &args.folded {
+        std::fs::write(folded, log.to_folded()).map_err(|e| format!("writing {folded}: {e}"))?;
+        writeln!(out, "folded stacks written to {folded}")?;
     }
-    println!("trace: {path} ({} events)", log.events.len());
+    writeln!(out, "trace: {path} ({} events)", log.events.len())?;
     if let (Some(sha), Some(rustc)) = (log.meta.get("git_sha"), log.meta.get("rustc")) {
         let features = log.meta.get("features").filter(|f| !f.is_empty());
-        println!(
+        writeln!(
+            out,
             "build: git {sha}, {rustc}{}",
             features.map(|f| format!(", features [{f}]")).unwrap_or_default()
-        );
+        )?;
     }
     let a = log.analyze(args.top);
 
@@ -363,48 +391,52 @@ fn trace_cmd(args: &Args) -> Result<(), String> {
         return Err(format!(
             "critical path total {total}ns does not tile the root span ({}ns) — corrupt trace?",
             a.root_dur_ns
-        ));
+        )
+        .into());
     }
-    println!(
+    writeln!(
+        out,
         "\ncritical path ({} segments, total {} = root span duration):",
         a.critical_path.len(),
         ms(total).trim_start()
-    );
+    )?;
     for seg in &a.critical_path {
         let label = if seg.label.is_empty() { String::new() } else { format!(" — {}", seg.label) };
-        println!("  {}  {}{label}", ms(seg.dur_ns), seg.path);
+        writeln!(out, "  {}  {}{label}", ms(seg.dur_ns), seg.path)?;
     }
 
-    let breakdown = |title: &str, rows: &[(String, u64, u64)]| {
-        println!("\n{title}:");
+    let breakdown = |out: &mut dyn Write, title: &str, rows: &[(String, u64, u64)]| {
+        writeln!(out, "\n{title}:")?;
         if rows.is_empty() {
-            println!("  (none)");
+            writeln!(out, "  (none)")?;
         }
         for (key, ns, n) in rows {
-            println!("  {}  x{n:<4} {key}", ms(*ns));
+            writeln!(out, "  {}  x{n:<4} {key}", ms(*ns))?;
         }
+        io::Result::Ok(())
     };
-    breakdown("per-target solve time", &a.per_target);
-    breakdown("per-mutant-class evaluation time", &a.per_class);
+    breakdown(out, "per-target solve time", &a.per_target)?;
+    breakdown(out, "per-mutant-class evaluation time", &a.per_class)?;
 
-    println!("\ntop {} slowest solves:", args.top);
+    writeln!(out, "\ntop {} slowest solves:", args.top)?;
     if a.slowest.is_empty() {
-        println!("  (none)");
+        writeln!(out, "  (none)")?;
     }
     for s in &a.slowest {
-        println!("  {}  t{} {}", ms(s.end_ns - s.start_ns), s.tid, s.label);
+        writeln!(out, "  {}  t{} {}", ms(s.end_ns - s.start_ns), s.tid, s.label)?;
     }
     Ok(())
 }
 
-fn dispatch(args: &Args) -> Result<(), String> {
+fn dispatch(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
     // Reject a bad command before demanding --schema/--query, so the user
     // sees the command list rather than a missing-flag error.
     if !matches!(args.command.as_str(), "generate" | "evaluate" | "mutants" | "grade") {
         return Err(format!(
             "unknown command `{}` (generate|evaluate|mutants|grade|serve|trace)",
             args.command
-        ));
+        )
+        .into());
     }
     let schema_path = args.schema_path.as_deref().ok_or("--schema is required")?;
     let script = std::fs::read_to_string(schema_path)
@@ -445,7 +477,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
             } else {
                 run.suite.clone()
             };
-            print!("{suite}");
+            write!(out, "{suite}")?;
             Ok(())
         }
         "evaluate" => {
@@ -453,15 +485,16 @@ fn dispatch(args: &Args) -> Result<(), String> {
                 xd.evaluate(sql, mopts).map_err(|e| e.to_string())?;
             // The listing lives in xdata-serve so the wire protocol's
             // `evaluate` output and this terminal output cannot drift.
-            print!("{}", xdata::serve::render_evaluate(&run.query, &run.suite, &space, &report));
+            let listing = xdata::serve::render_evaluate(&run.query, &run.suite, &space, &report);
+            write!(out, "{listing}")?;
             Ok(())
         }
         "mutants" => {
             let run = xd.generate_for(sql).map_err(|e| e.to_string())?;
             let space = run.mutants(mopts);
-            println!("{} mutants ({} raw):", space.len(), space.raw_len());
+            writeln!(out, "{} mutants ({} raw):", space.len(), space.raw_len())?;
             for m in space.iter() {
-                println!("  {}", m.describe(&run.query));
+                writeln!(out, "  {}", m.describe(&run.query))?;
             }
             Ok(())
         }
@@ -471,7 +504,7 @@ fn dispatch(args: &Args) -> Result<(), String> {
                 // generated once and shared across the whole file.
                 let candidates = xdata::client::read_candidates(path)?;
                 let report = xd.grade_batch(sql, &candidates).map_err(|e| e.to_string())?;
-                print!("{}", report.render());
+                write!(out, "{}", report.render())?;
                 return Ok(());
             }
             let candidate =
@@ -479,32 +512,41 @@ fn dispatch(args: &Args) -> Result<(), String> {
             match xd.grade(sql, candidate).map_err(|e| e.to_string())? {
                 xdata::Grade::AgreesOnSuite { datasets, partial } => {
                     let marker = if partial { PARTIAL_SUITE_MARKER } else { "" };
-                    println!(
+                    writeln!(
+                        out,
                         "PASS: candidate agrees with the reference on all {datasets} datasets{marker}"
-                    );
+                    )?;
                 }
                 xdata::Grade::Different { dataset_index, dataset, expected, got } => {
-                    println!("FAIL: differs on dataset {dataset_index}:");
-                    print!("{dataset}");
-                    println!("expected result:\n{expected}");
-                    println!("candidate result:\n{got}");
+                    writeln!(out, "FAIL: differs on dataset {dataset_index}:")?;
+                    write!(out, "{dataset}")?;
+                    writeln!(out, "expected result:\n{expected}")?;
+                    writeln!(out, "candidate result:\n{got}")?;
                 }
-                xdata::Grade::Unevaluated => println!("{EMPTY_SUITE_VERDICT}"),
+                xdata::Grade::Unevaluated => writeln!(out, "{EMPTY_SUITE_VERDICT}")?,
             }
             Ok(())
         }
         // Bad names are rejected at the top of dispatch; this arm only
         // backstops a command added there but not matched here.
-        other => Err(format!("unknown command `{other}` (generate|evaluate|mutants|grade|trace)")),
+        other => {
+            Err(format!("unknown command `{other}` (generate|evaluate|mutants|grade|trace)").into())
+        }
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("xdata: {e}");
-            ExitCode::FAILURE
+    let mut out = io::stdout().lock();
+    let message = match run(&mut out).and_then(|()| out.flush().map_err(Failure::Stdout)) {
+        Ok(()) => return ExitCode::SUCCESS,
+        // The reader closed stdout early (`xdata ... | head`): it wants no
+        // more output, and there is nothing to report.
+        Err(Failure::Stdout(e)) if e.kind() == io::ErrorKind::BrokenPipe => {
+            return ExitCode::SUCCESS
         }
-    }
+        Err(Failure::Stdout(e)) => e.to_string(),
+        Err(Failure::Error(e)) => e,
+    };
+    eprintln!("xdata: {message}");
+    ExitCode::FAILURE
 }

@@ -4,7 +4,7 @@
 //! Each test spawns the compiled binary (`CARGO_BIN_EXE_xdata`).
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SCHEMA: &str = "examples/university.sql";
 const QUERY: &str = "SELECT * FROM instructor i, teaches t WHERE i.id = t.id AND i.salary > 50000";
@@ -282,4 +282,28 @@ fn evaluate_metrics_include_kill_phase() {
     // non-zero.
     assert!(json.contains("\"kill\": {\"count\": 1}"), "{json}");
     assert!(!json.contains("\"kill.mutants\": 0,"), "{json}");
+}
+
+/// A reader that stops early (`xdata ... | head`) closes stdout under the
+/// writer. The listing here is larger than a 64 KiB pipe buffer, so the
+/// binary writes to the closed pipe however the two processes are
+/// scheduled; it must stop quietly and succeed.
+#[test]
+fn closed_stdout_exits_quietly() {
+    let query = "SELECT * FROM instructor a, teaches b, instructor c, teaches d, \
+                 instructor e, teaches f WHERE a.id = b.id AND b.id = c.id AND c.id = d.id \
+                 AND d.id = e.id AND e.id = f.id";
+    let listing = xdata(&["mutants", "--schema", SCHEMA, "--query", query]);
+    assert!(listing.stdout.len() > 64 * 1024, "{} bytes", listing.stdout.len());
+    let mut child = Command::new(env!("CARGO_BIN_EXE_xdata"))
+        .args(["mutants", "--schema", SCHEMA, "--query", query])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn xdata binary");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for xdata");
+    assert!(!stderr(&out).contains("panicked"), "{}", stderr(&out));
+    assert_eq!(stderr(&out), "");
+    assert!(out.status.success(), "{:?}", out.status);
 }
