@@ -300,6 +300,20 @@ impl<'a> ConstraintBuilder<'a> {
         Ok(Formula::Atom(Atom::new(l, Self::relop(op), r)))
     }
 
+    /// `cvcMap(occ.col, i) op cvcMap(occ.col, j)` for every column of
+    /// occurrence `occ`, in column order: the atoms that make two tuple-set
+    /// copies of its tuple agree or differ.
+    pub(crate) fn copy_atoms(&self, occ: usize, op: RelOp, i: u32, j: u32) -> Vec<Formula> {
+        let base = &self.query.occurrences[occ].base;
+        let arity = self.schema.relation(base).expect("occurrence base").arity();
+        (0..arity)
+            .map(|col| {
+                let a = AttrRef::new(occ, col);
+                Formula::Atom(Atom::new(self.cvc_map(a, i), op, self.cvc_map(a, j)))
+            })
+            .collect()
+    }
+
     /// `generateEqConds`: chain equalities over an equivalence class.
     pub fn eq_conds(&self, members: &[AttrRef], copy: u32) -> Formula {
         Formula::and(members.windows(2).map(|w| {

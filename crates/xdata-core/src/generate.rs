@@ -13,21 +13,26 @@
 //! The solve phase groups the targets into **lanes**, one per skeleton
 //! class (the number of tuple-set copies the target's constraint problem
 //! needs). A lane solves its targets one after another in plan order and
-//! owns everything they share: its skeleton cache, its incremental
-//! [`SolveSession`]s and its solve memo. Lanes share nothing, so they run
-//! through [`xdata_par::par_map_cancel`] on `GenOptions::jobs` threads
-//! with no lock between them, and their outcomes are put back in plan
-//! order: the resulting [`TestSuite`] is **byte-identical to the
-//! sequential output for every thread count**.
+//! owns everything they share: one rung per repair cap and its solve
+//! memo. Lanes share nothing, so they run through
+//! [`xdata_par::par_map_cancel`] on `GenOptions::jobs` threads with no
+//! lock between them, and their outcomes are put back in plan order: the
+//! resulting [`TestSuite`] is **byte-identical to the sequential output
+//! for every thread count**.
 //!
-//! Targets share one *constraint skeleton* per `(copies, repair_cap)`
-//! shape: the schema PK/FK closure, tuple arrays, symmetry breaking and
-//! domain constraints of [`ConstraintBuilder`] are built — and, in unfold
-//! mode, quantifier-expanded — once per lane, cached, and cloned per
-//! target instead of being rebuilt for every target at every
-//! repair-ladder rung.
+//! Every target is the original query's conditions with one conjunct
+//! perturbed (Algorithms 2–4, §V-C to §V-F): it asserts its perturbation,
+//! then the other conditions through one writer, `Gen::assert_conds`, in
+//! one fixed order, leaving out (or, for a comparison, re-operating in
+//! place) the conjunct it perturbs. Group targets assert them per copy.
 //!
-//! On top of the skeleton cache sits a cross-target **solve memo**: solve
+//! A lane's rung at one repair cap holds the *constraint skeleton* — the
+//! schema PK/FK closure, tuple arrays, symmetry breaking and domain
+//! constraints of [`ConstraintBuilder`], built and, in unfold mode,
+//! quantifier-expanded once, then cloned per target — with its
+//! fingerprint and the incremental [`SolveSession`] built from it.
+//!
+//! On top of the skeletons sits a cross-target **solve memo**: solve
 //! calls are keyed by a structural hash of the problem (solve mode,
 //! skeleton class, decision budget and content) and their outcome —
 //! verdict and model values — is reused for any later target of the lane
@@ -47,7 +52,7 @@ use std::panic::AssertUnwindSafe;
 use xdata_catalog::{Domain, DomainCatalog, Schema, Value};
 use xdata_par::CancelToken;
 use xdata_relalg::{AttrRef, LikePred, NormQuery, Operand, SelectSpec, SubPred, SubqueryKind};
-use xdata_sql::CompareOp;
+use xdata_sql::{AggOp, CompareOp};
 use xdata_solver::{Atom, Formula, Mode, Problem, RelOp, SolveOutcome, SolveSession, Term};
 
 use crate::builder::ConstraintBuilder;
@@ -201,8 +206,9 @@ fn generate_impl(
 
 /// Extend dictionaries with the query's string literals so they encode,
 /// and widen integer-range domains to cover the query's numeric constants
-/// (a selection like `salary > 50000` needs values on both sides of the
-/// constant, whatever the default range is).
+/// (a selection like `salary > 50000` or a conjunct like
+/// `HAVING MIN(salary) > 5000` needs values on both sides of the constant,
+/// whatever the default range is).
 fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) -> DomainCatalog {
     let mut d = domains.clone();
     // String attributes linked by equi-joins or compared directly must
@@ -302,6 +308,15 @@ fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) 
             }
         }
     }
+    // HAVING conjuncts over MIN/MAX/SUM/AVG compare their argument's
+    // values with the constant; a COUNT constant is a group size.
+    if let SelectSpec::Aggregation { having, .. } = &query.select {
+        for h in having.iter().filter(|h| h.func.op != AggOp::Count) {
+            if let Some(a) = h.arg {
+                widen_around(&mut d, &query.occurrences[a.occ].base, a.col, h.value);
+            }
+        }
+    }
     d
 }
 
@@ -335,8 +350,6 @@ enum Work {
 enum TargetSpec {
     /// §V-B: non-empty result for the original query.
     Original,
-    /// §V-B with a HAVING clause: a whole qualifying group of size `k`.
-    OriginalHaving { k: u32 },
     /// Algorithm 2: nullify `s` against the rest (`p`) of eq-class `ci`.
     EqClass { ci: usize, s: Vec<AttrRef>, p: Vec<AttrRef> },
     /// Algorithm 3: no tuple of occurrence `r` satisfies predicate `pi`.
@@ -346,8 +359,10 @@ enum TargetSpec {
     /// Algorithm 4 for aggregate over `a`; the optional-constraint
     /// relaxation ladder runs inside the solve.
     Aggregate { a: AttrRef, copies: u32 },
-    /// HAVING conjunct `hi` forced to `op` with group size `k`.
-    HavingCmp { hi: usize, op: CompareOp, k: u32 },
+    /// A whole qualifying group of `k` tuple-set copies: §V-B's
+    /// original-query dataset for a HAVING clause, or, with `over` set to
+    /// `(hi, op)`, HAVING conjunct `hi` forced to `op`.
+    Having { k: u32, over: Option<(usize, CompareOp)> },
     /// Footnote 2: a duplicate result row (SELECT vs SELECT DISTINCT).
     Duplicate { star: bool, projected: Vec<AttrRef> },
     /// Subquery predicate `si` with its connective's negation flipped.
@@ -379,24 +394,34 @@ impl TargetSpec {
             | TargetSpec::SubNullWitness { .. }
             | TargetSpec::LikeVariant { .. }
             | TargetSpec::NullCheckFlip { .. } => 1,
-            TargetSpec::OriginalHaving { k } | TargetSpec::HavingCmp { k, .. } => *k,
+            TargetSpec::Having { k, .. } => *k,
             TargetSpec::Aggregate { copies, .. } => *copies,
             TargetSpec::Duplicate { .. } => 2,
         }
     }
 }
 
-/// Which extended predicate a target is perturbing (and must therefore not
-/// re-assert in original polarity).
+/// The one conjunct of the query's conditions a target perturbs:
+/// [`Gen::assert_conds`] leaves it out, or, for [`Except::Op`], asserts it
+/// in its own place with the forced operator.
 #[derive(Clone, Copy, PartialEq, Eq)]
-enum ExtSkip {
-    None,
+enum Except {
+    Nothing,
+    /// Equivalence class `ci`.
+    Class(usize),
+    /// Predicate `pi`.
+    Pred(usize),
+    /// Predicate `pi` with its operator replaced.
+    Op(usize, CompareOp),
+    /// Subquery predicate `si`.
     Sub(usize),
-    /// Like [`ExtSkip::Sub`], but additionally leaves the subquery's
+    /// Like [`Except::Sub`], but additionally leaves the subquery's
     /// spare NULL slot unsuppressed — only the NULL-membership witness
     /// target uses this, making it the one dataset with a NULL member.
     SubNull(usize),
+    /// LIKE predicate `li`.
     Like(usize),
+    /// NULL check `ni`.
     Null(usize),
 }
 
@@ -432,19 +457,25 @@ struct Lane<'g, 'a> {
     gen: &'g Gen<'a>,
     /// The class: tuple-set copies of every target in the lane.
     copies: u32,
-    /// Base constraint skeletons keyed by repair cap: arrays + database
-    /// constraints built (and unfolded, in unfold mode) once, then cloned
-    /// per target. Each sits beside its [`skeleton_key`], taken once, which
-    /// stands in for the skeleton in the memo keys of its targets.
-    skeletons: BTreeMap<u32, (ConstraintBuilder<'a>, (u64, u64))>,
-    /// Incremental solving sessions keyed by repair cap, each built from
-    /// its skeleton on the lane's first memo miss at that cap. The
-    /// skeleton is lowered into a CDCL engine once and each target solves
-    /// under assumptions, keeping learned clauses for the targets after it
-    /// (see [`SolveSession`]). Dropped with the lane.
-    sessions: BTreeMap<u32, SolveSession>,
+    /// The lane's rungs of the repair ladder, keyed by repair cap.
+    rungs: BTreeMap<u32, Rung<'a>>,
     /// The solves this lane computed, keyed by [`memo_key`].
     memo: HashMap<(u64, u64), MemoOutcome>,
+}
+
+/// What a lane's targets share at one repair cap.
+struct Rung<'a> {
+    /// Arrays + database constraints, built (and unfolded, in unfold mode)
+    /// once, then cloned per target.
+    skeleton: ConstraintBuilder<'a>,
+    /// The skeleton's [`skeleton_key`], taken once, which stands in for
+    /// the skeleton in the memo keys of its targets.
+    fingerprint: (u64, u64),
+    /// The incremental session, built from the skeleton on the rung's
+    /// first memo miss. The skeleton is lowered into a CDCL engine once and
+    /// each target solves under assumptions, keeping learned clauses for
+    /// the targets after it (see [`SolveSession`]). Dropped with the lane.
+    session: Option<SolveSession>,
 }
 
 impl<'a> Gen<'a> {
@@ -477,9 +508,9 @@ impl<'a> Gen<'a> {
         let work = if having.is_empty() {
             Work::Solve(TargetSpec::Original)
         } else {
-            match crate::having::group_size_for(having) {
+            match crate::having::group_size(having, None) {
                 None => Work::Skip(SkipReason::Equivalent),
-                Some(k) => Work::Solve(TargetSpec::OriginalHaving { k }),
+                Some(k) => Work::Solve(TargetSpec::Having { k, over: None }),
             }
         };
         plan.push(PlanItem { label, work });
@@ -558,7 +589,7 @@ impl<'a> Gen<'a> {
         let copies = if having.is_empty() {
             3
         } else {
-            match crate::having::group_size_for(having) {
+            match crate::having::group_size(having, None) {
                 Some(k) => k.clamp(3, crate::having::MAX_GROUP_SIZE),
                 None => return, // HAVING unconstructible: no datasets
             }
@@ -581,9 +612,10 @@ impl<'a> Gen<'a> {
         for (hi, h) in having.iter().enumerate() {
             for op in [CompareOp::Eq, CompareOp::Lt, CompareOp::Gt] {
                 let label = format!("having {hi} (`{h}`): dataset with `{}`", op.sql_symbol());
-                let work = match crate::having::group_size_with_override(having, hi, op) {
+                let over = Some((hi, op));
+                let work = match crate::having::group_size(having, over) {
                     None => Work::Skip(SkipReason::Equivalent),
-                    Some(k) => Work::Solve(TargetSpec::HavingCmp { hi, op, k }),
+                    Some(k) => Work::Solve(TargetSpec::Having { k, over }),
                 };
                 plan.push(PlanItem { label, work });
             }
@@ -700,13 +732,7 @@ impl<'a> Gen<'a> {
         targets: &[LaneTarget],
         cancel: &CancelToken,
     ) -> Vec<Result<ItemOutcome, GenError>> {
-        let mut lane = Lane {
-            gen: self,
-            copies,
-            skeletons: BTreeMap::new(),
-            sessions: BTreeMap::new(),
-            memo: HashMap::new(),
-        };
+        let mut lane = Lane { gen: self, copies, rungs: BTreeMap::new(), memo: HashMap::new() };
         let outcomes: Vec<_> = targets
             .iter()
             .map(|&(idx, label, spec)| lane.run_item(idx, label, spec, cancel))
@@ -722,23 +748,21 @@ impl<'a> Gen<'a> {
         outcomes
     }
 
-    /// Assert the constraints of a (non-aggregate) target spec.
+    /// Assert the constraints of a (non-aggregate) target spec: the
+    /// target's own perturbation first, then the query's other conditions.
     fn assert_spec(
         &self,
         b: &mut ConstraintBuilder<'_>,
         spec: &TargetSpec,
     ) -> Result<(), GenError> {
         match spec {
-            TargetSpec::Original => self.assert_query_conds(b, 0),
-            TargetSpec::OriginalHaving { k } => {
+            TargetSpec::Original => self.assert_conds(b, 0, Except::Nothing),
+            TargetSpec::Having { k, over } => {
                 let SelectSpec::Aggregation { group_by, having, .. } = &self.query.select else {
                     unreachable!("having implies aggregation");
                 };
-                for c in 0..*k {
-                    self.assert_query_conds(b, c)?;
-                }
-                self.assert_same_group(b, group_by, *k);
-                crate::having::assert_having(b, group_by, having, *k, None)
+                self.assert_group(b, group_by, *k)?;
+                crate::having::assert_having(b, group_by, having, *k, *over)
             }
             TargetSpec::EqClass { ci, s, p } => {
                 // Members of P match each other.
@@ -750,84 +774,26 @@ impl<'a> Gen<'a> {
                     let f = b.not_exists_value(m, witness);
                     b.problem.assert(f);
                 }
-                // All other equivalence classes hold.
-                for (cj, other) in self.query.eq_classes.iter().enumerate() {
-                    if cj != *ci {
-                        let f = b.eq_conds(other, 0);
-                        b.problem.assert(f);
-                    }
-                }
-                // All retained predicates hold.
-                for pr in &self.query.preds {
-                    let f = b.pred_formula(pr, 0)?;
-                    b.problem.assert(f);
-                }
-                self.assert_extended_conds(b, 0, ExtSkip::None)
+                self.assert_conds(b, 0, Except::Class(*ci))
             }
             TargetSpec::OtherPredicate { pi, r } => {
-                let p = &self.query.preds[*pi];
-                let f = b.gen_not_exists(p, *r, 0)?;
+                let f = b.gen_not_exists(&self.query.preds[*pi], *r, 0)?;
                 b.problem.assert(f);
-                for ec in &self.query.eq_classes {
-                    let f = b.eq_conds(ec, 0);
-                    b.problem.assert(f);
-                }
-                for (pj, other) in self.query.preds.iter().enumerate() {
-                    if pj != *pi {
-                        let f = b.pred_formula(other, 0)?;
-                        b.problem.assert(f);
-                    }
-                }
-                self.assert_extended_conds(b, 0, ExtSkip::None)
+                self.assert_conds(b, 0, Except::Pred(*pi))
             }
-            TargetSpec::Comparison { pi, op } => {
-                // Assert in the exact order of `assert_query_conds` (all
-                // eq-classes, then predicates in query order, with only
-                // predicate `pi`'s operator swapped): when `op` happens to
-                // be the predicate's original operator the constraint
-                // sequence is byte-identical to the `Original` target's,
-                // and the solve memo reuses that model instead of solving
-                // again.
-                for ec in &self.query.eq_classes {
-                    let f = b.eq_conds(ec, 0);
-                    b.problem.assert(f);
-                }
-                for (pj, other) in self.query.preds.iter().enumerate() {
-                    let f = if pj == *pi {
-                        b.pred_formula_with_op(other, *op, 0)?
-                    } else {
-                        b.pred_formula(other, 0)?
-                    };
-                    b.problem.assert(f);
-                }
-                self.assert_extended_conds(b, 0, ExtSkip::None)
-            }
-            TargetSpec::HavingCmp { hi, op, k } => {
-                let SelectSpec::Aggregation { group_by, having, .. } = &self.query.select else {
-                    unreachable!("having implies aggregation");
-                };
-                for c in 0..*k {
-                    self.assert_query_conds(b, c)?;
-                }
-                self.assert_same_group(b, group_by, *k);
-                crate::having::assert_having(b, group_by, having, *k, Some((*hi, *op)))
-            }
+            // Predicate `pi` keeps its place with only its operator swapped:
+            // when `op` is the predicate's original operator the constraint
+            // sequence is byte-identical to the `Original` target's, and
+            // the solve memo reuses that model instead of solving again.
+            TargetSpec::Comparison { pi, op } => self.assert_conds(b, 0, Except::Op(*pi, *op)),
             TargetSpec::Duplicate { star, projected } => {
-                for c in 0..2 {
-                    self.assert_query_conds(b, c)?;
-                }
+                self.assert_group(b, &[], 2)?;
+                let occs = 0..self.query.occurrences.len();
                 if *star {
                     // Identical tuples in both copies: keyless relations
                     // will materialize genuine duplicates.
-                    for (occ, o) in self.query.occurrences.iter().enumerate() {
-                        let arity =
-                            self.schema.relation(&o.base).expect("occurrence base").arity();
-                        for col in 0..arity {
-                            let f = Formula::Atom(Atom::new(
-                                b.cvc_map(AttrRef::new(occ, col), 0),
-                                RelOp::Eq,
-                                b.cvc_map(AttrRef::new(occ, col), 1),
-                            ));
+                    for occ in occs {
+                        for f in b.copy_atoms(occ, RelOp::Eq, 0, 1) {
                             b.problem.assert(f);
                         }
                     }
@@ -841,27 +807,15 @@ impl<'a> Gen<'a> {
                         ));
                         b.problem.assert(f);
                     }
-                    let mut alternatives = Vec::new();
-                    for (occ, o) in self.query.occurrences.iter().enumerate() {
-                        let arity =
-                            self.schema.relation(&o.base).expect("occurrence base").arity();
-                        for col in 0..arity {
-                            alternatives.push(Formula::Atom(Atom::new(
-                                b.cvc_map(AttrRef::new(occ, col), 0),
-                                RelOp::Ne,
-                                b.cvc_map(AttrRef::new(occ, col), 1),
-                            )));
-                        }
-                    }
-                    b.problem.assert(Formula::or(alternatives));
+                    let f = Formula::or(occs.flat_map(|occ| b.copy_atoms(occ, RelOp::Ne, 0, 1)));
+                    b.problem.assert(f);
                 }
                 Ok(())
             }
             TargetSpec::SubFlip { si } => {
                 let s = &self.query.subs[*si];
                 b.assert_subpred(*si, s.kind, !s.negated, 0)?;
-                self.assert_base_conds(b, 0)?;
-                self.assert_extended_conds(b, 0, ExtSkip::Sub(*si))
+                self.assert_conds(b, 0, Except::Sub(*si))
             }
             TargetSpec::SubDistinguish { si } => {
                 // EXISTS definitely true, IN definitely false: the ground
@@ -870,8 +824,7 @@ impl<'a> Gen<'a> {
                 // value.
                 b.assert_subpred(*si, SubqueryKind::Exists, false, 0)?;
                 b.assert_subpred(*si, SubqueryKind::In, true, 0)?;
-                self.assert_base_conds(b, 0)?;
-                self.assert_extended_conds(b, 0, ExtSkip::Sub(*si))
+                self.assert_conds(b, 0, Except::Sub(*si))
             }
             TargetSpec::SubNullWitness { si } => {
                 // A condition-true subquery row carries NULL in the
@@ -889,8 +842,7 @@ impl<'a> Gen<'a> {
                     b.assert_subpred(*si, SubqueryKind::In, false, 0)?;
                 }
                 b.assert_sub_null_row(*si, 0)?;
-                self.assert_base_conds(b, 0)?;
-                self.assert_extended_conds(b, 0, ExtSkip::SubNull(*si))
+                self.assert_conds(b, 0, Except::SubNull(*si))
             }
             TargetSpec::LikeVariant { li, pattern } => {
                 let l = &self.query.likes[*li];
@@ -902,22 +854,77 @@ impl<'a> Gen<'a> {
                 // empty membership classifies the mutant as equivalent.
                 let sym: Vec<i64> = orig.symmetric_difference(&var).copied().collect();
                 b.assert_membership(l.attr, &sym, false, 0);
-                self.assert_base_conds(b, 0)?;
-                self.assert_extended_conds(b, 0, ExtSkip::Like(*li))
+                self.assert_conds(b, 0, Except::Like(*li))
             }
             TargetSpec::NullCheckFlip { ni } => {
                 let n = &self.query.null_checks[*ni];
                 b.assert_null_check(n.attr, !n.negated, 0);
-                self.assert_base_conds(b, 0)?;
-                self.assert_extended_conds(b, 0, ExtSkip::Null(*ni))
+                self.assert_conds(b, 0, Except::Null(*ni))
             }
             TargetSpec::Aggregate { .. } => unreachable!("handled by solve_aggregate"),
         }
     }
 
-    /// Chain the group-by attributes across the `k` tuple-set copies so
+    /// Assert the original query's conditions over copy `copy` in one
+    /// fixed order — equivalence classes, predicates, subqueries, LIKE,
+    /// NULL checks — except the one conjunct a target perturbs. Targets
+    /// that leave out the same conjunct append the same sequence, so the
+    /// solve memo sees equal problems as equal.
+    fn assert_conds(
+        &self,
+        b: &mut ConstraintBuilder<'_>,
+        copy: u32,
+        except: Except,
+    ) -> Result<(), GenError> {
+        for (ci, ec) in self.query.eq_classes.iter().enumerate() {
+            if except != Except::Class(ci) {
+                let f = b.eq_conds(ec, copy);
+                b.problem.assert(f);
+            }
+        }
+        for (pi, p) in self.query.preds.iter().enumerate() {
+            let op = match except {
+                Except::Pred(i) if i == pi => continue,
+                Except::Op(i, op) if i == pi => op,
+                _ => p.op,
+            };
+            let f = b.pred_formula_with_op(p, op, copy)?;
+            b.problem.assert(f);
+        }
+        for (si, s) in self.query.subs.iter().enumerate() {
+            if except != Except::SubNull(si) {
+                b.suppress_null_spare(si);
+            }
+            if except != Except::Sub(si) && except != Except::SubNull(si) {
+                b.assert_subpred(si, s.kind, s.negated, copy)?;
+            }
+        }
+        for (li, l) in self.query.likes.iter().enumerate() {
+            if except != Except::Like(li) {
+                let codes = b.like_codes(l.attr, &l.pattern);
+                b.assert_membership(l.attr, &codes, l.negated, copy);
+            }
+        }
+        for (ni, n) in self.query.null_checks.iter().enumerate() {
+            if except != Except::Null(ni) {
+                b.assert_null_check(n.attr, n.negated, copy);
+            }
+        }
+        Ok(())
+    }
+
+    /// A group of `k` tuple-set copies: the query's conditions over every
+    /// copy, then the group-by attributes chained across the copies so
     /// every copy lands in the same group.
-    fn assert_same_group(&self, b: &mut ConstraintBuilder<'_>, group_by: &[AttrRef], k: u32) {
+    fn assert_group(
+        &self,
+        b: &mut ConstraintBuilder<'_>,
+        group_by: &[AttrRef],
+        k: u32,
+    ) -> Result<(), GenError> {
+        for c in 0..k {
+            self.assert_conds(b, c, Except::Nothing)?;
+        }
         for g in group_by {
             for c in 0..k.saturating_sub(1) {
                 let f = Formula::Atom(Atom::new(
@@ -927,60 +934,6 @@ impl<'a> Gen<'a> {
                 ));
                 b.problem.assert(f);
             }
-        }
-    }
-
-    /// Assert the original query's conditions over copy `c`.
-    fn assert_query_conds(&self, b: &mut ConstraintBuilder<'_>, copy: u32) -> Result<(), GenError> {
-        self.assert_base_conds(b, copy)?;
-        self.assert_extended_conds(b, copy, ExtSkip::None)
-    }
-
-    /// The base conjuncts only: equivalence classes, then predicates.
-    fn assert_base_conds(&self, b: &mut ConstraintBuilder<'_>, copy: u32) -> Result<(), GenError> {
-        for ec in &self.query.eq_classes {
-            let f = b.eq_conds(ec, copy);
-            b.problem.assert(f);
-        }
-        for p in &self.query.preds {
-            let f = b.pred_formula(p, copy)?;
-            b.problem.assert(f);
-        }
-        Ok(())
-    }
-
-    /// Assert the extended predicates (subqueries, LIKE, NULL checks) in
-    /// original polarity over copy `c`, optionally skipping the one a
-    /// target is deliberately perturbing. Always appended *after* the base
-    /// conditions in fixed field order, so targets sharing a constraint
-    /// prefix stay byte-identical for the solve memo.
-    fn assert_extended_conds(
-        &self,
-        b: &mut ConstraintBuilder<'_>,
-        copy: u32,
-        skip: ExtSkip,
-    ) -> Result<(), GenError> {
-        for (si, s) in self.query.subs.iter().enumerate() {
-            if skip != ExtSkip::SubNull(si) {
-                b.suppress_null_spare(si);
-            }
-            if skip == ExtSkip::Sub(si) || skip == ExtSkip::SubNull(si) {
-                continue;
-            }
-            b.assert_subpred(si, s.kind, s.negated, copy)?;
-        }
-        for (li, l) in self.query.likes.iter().enumerate() {
-            if skip == ExtSkip::Like(li) {
-                continue;
-            }
-            let codes = b.like_codes(l.attr, &l.pattern);
-            b.assert_membership(l.attr, &codes, l.negated, copy);
-        }
-        for (ni, n) in self.query.null_checks.iter().enumerate() {
-            if skip == ExtSkip::Null(ni) {
-                continue;
-            }
-            b.assert_null_check(n.attr, n.negated, copy);
         }
         Ok(())
     }
@@ -998,10 +951,7 @@ impl<'a> Gen<'a> {
         // S0: each tuple set satisfies the query's join and selection
         // conditions, and the sets share the group-by values; the HAVING
         // clause (if any) must hold for the constructed group too.
-        for c in 0..copies {
-            self.assert_query_conds(b, c)?;
-        }
-        self.assert_same_group(b, group_by, copies);
+        self.assert_group(b, group_by, copies)?;
         if !having.is_empty() {
             crate::having::assert_having(b, group_by, having, copies, None)?;
         }
@@ -1013,19 +963,9 @@ impl<'a> Gen<'a> {
             let a1 = b.cvc_map(a, 1);
             b.problem.assert(Formula::Atom(Atom::new(a0, RelOp::Eq, a1)));
             b.problem.assert(Formula::Atom(Atom::new(a0, RelOp::Ne, Term::Const(0))));
-            let arity = self
-                .schema
-                .relation(&self.query.occurrences[a.occ].base)
-                .expect("occurrence base")
-                .arity();
-            let diff = Formula::or((0..arity).filter(|c| *c != a.col).map(|c| {
-                Formula::Atom(Atom::new(
-                    b.cvc_map(AttrRef::new(a.occ, c), 0),
-                    RelOp::Ne,
-                    b.cvc_map(AttrRef::new(a.occ, c), 1),
-                ))
-            }));
-            b.problem.assert(diff);
+            let mut diff = b.copy_atoms(a.occ, RelOp::Ne, 0, 1);
+            diff.remove(a.col);
+            b.problem.assert(Formula::or(diff));
         }
         if s2 {
             // S2: the third set's aggregated value differs.
@@ -1033,27 +973,8 @@ impl<'a> Gen<'a> {
             b.problem.assert(f);
         }
         if s3 {
-            // S3: the group-by values of the three sets appear in no other
-            // tuple of the corresponding relations, so the group contains
-            // exactly these tuples.
-            for g in group_by {
-                let witness = b.cvc_map(*g, 0);
-                let base = &self.query.occurrences[g.occ].base;
-                let arr = b.array(base);
-                let (_, total) = b.slots_of(base);
-                let own: Vec<u32> = (0..copies).map(|c| b.slot(g.occ, c)).collect();
-                for slot in 0..total {
-                    if own.contains(&slot) {
-                        continue;
-                    }
-                    let f = Formula::Atom(Atom::new(
-                        Term::field(arr, slot, g.col as u32),
-                        RelOp::Ne,
-                        witness,
-                    ));
-                    b.problem.assert(f);
-                }
-            }
+            // S3: the three sets are the whole group.
+            crate::having::isolate_group(b, group_by, copies);
         }
         if pos_strong {
             // A ≥ 4 separates every pair of the eight operators: COUNT of a
@@ -1194,13 +1115,14 @@ impl<'a> Lane<'_, 'a> {
         }
     }
 
-    /// The cached base skeleton for repair cap `cap`: tuple arrays plus
+    /// A copy of the base skeleton for repair cap `cap`: tuple arrays plus
     /// `genDBConstraints`, quantifiers pre-expanded in unfold mode. Built
-    /// once per lane, cloned per use.
+    /// into the lane's rung on first use; every call counts one
+    /// skeleton-cache hit or miss.
     fn skeleton(&mut self, cap: u32) -> Result<ConstraintBuilder<'a>, GenError> {
-        if let Some((b, _)) = self.skeletons.get(&cap) {
+        if let Some(rung) = self.rungs.get(&cap) {
             xdata_obs::counter("core.skeleton_cache.hit", 1);
-            return Ok(b.clone());
+            return Ok(rung.skeleton.clone());
         }
         xdata_obs::counter("core.skeleton_cache.miss", 1);
         let gen = self.gen;
@@ -1218,18 +1140,9 @@ impl<'a> Lane<'_, 'a> {
             // §VI-B "without unfolding" configuration being measured.
             b.problem.inline_quantifiers();
         }
-        self.skeletons.insert(cap, (b.clone(), skeleton_key(&b.problem)));
+        let fingerprint = skeleton_key(&b.problem);
+        self.rungs.insert(cap, Rung { skeleton: b.clone(), fingerprint, session: None });
         Ok(b)
-    }
-
-    /// The lane's incremental session for repair cap `cap`, built from the
-    /// cached skeleton on first use.
-    fn session(&mut self, cap: u32) -> Result<&mut SolveSession, GenError> {
-        if !self.sessions.contains_key(&cap) {
-            let skeleton = self.skeleton(cap)?;
-            self.sessions.insert(cap, SolveSession::new(&skeleton.problem));
-        }
-        Ok(self.sessions.get_mut(&cap).expect("session built above"))
     }
 
     /// Build constraints via `f`, add database (and input-database)
@@ -1277,8 +1190,8 @@ impl<'a> Lane<'_, 'a> {
         let gen = self.gen;
         let salt = gen.warm.map_or(0, |(_, salt)| salt);
         let skeleton = on_skeleton.then(|| {
-            let (b, fingerprint) = &self.skeletons[&cap];
-            (&b.problem, *fingerprint)
+            let rung = &self.rungs[&cap];
+            (&rung.skeleton.problem, rung.fingerprint)
         });
         let key = memo_key(problem, skeleton, gen.opts, self.copies, limit, salt);
         let hit = match self.memo.get(&key) {
@@ -1294,9 +1207,14 @@ impl<'a> Lane<'_, 'a> {
             Some(oracle) => oracle(problem, limit, cancel),
             // The incremental road: only this target's delta constraints
             // are lowered; the engine arrives warm with everything learned
-            // from the lane's earlier targets.
+            // from the lane's earlier targets. Sessions run only without an
+            // input database, so the target was built on the rung.
             None if sessions_enabled(gen.opts) => {
-                self.session(cap)?.solve_delta(problem, limit, cancel)
+                let Rung { skeleton, session, .. } =
+                    self.rungs.get_mut(&cap).expect("target built on the rung");
+                session
+                    .get_or_insert_with(|| SolveSession::new(&skeleton.problem))
+                    .solve_delta(problem, limit, cancel)
             }
             None => problem.solve_cancel(gen.opts.mode, limit, cancel),
         };
@@ -1714,6 +1632,31 @@ mod tests {
             gt.dataset.relation("instructor"),
         );
         assert_eq!(report.counter("core.solve_memo.hit"), 1);
+    }
+
+    #[test]
+    fn building_a_session_looks_up_no_skeleton() {
+        // The running example (examples/university.sql): its 7 solve
+        // targets look a skeleton up once per rung they try, 2 misses and
+        // 5 hits. Unfold mode also builds a session on each of its 2
+        // rungs, from the rung's own skeleton, so it counts what lazy mode
+        // (no sessions) counts.
+        let ddl = "CREATE TABLE instructor (id INT PRIMARY KEY, name VARCHAR, dept_id INT,
+                       salary INT);
+                   CREATE TABLE teaches (id INT, course_id INT, sec_id INT, year INT,
+                       FOREIGN KEY (id) REFERENCES instructor (id));";
+        let schema = xdata_sql::parse_schema(ddl).unwrap();
+        let q = normalize(&parse_query(CHAOS_SQL).unwrap(), &schema).unwrap();
+        let domains = DomainCatalog::defaults(&schema);
+        for mode in [Mode::Unfold, Mode::Lazy] {
+            xdata_obs::install();
+            let opts = GenOptions { mode, ..GenOptions::default() };
+            let suite = generate(&q, &schema, &domains, &opts).unwrap();
+            let report = xdata_obs::take_report().expect("recorder installed");
+            assert_eq!(suite.datasets.len(), 7, "{mode:?}: {suite}");
+            assert_eq!(report.counter("core.skeleton_cache.miss"), 2, "{mode:?}");
+            assert_eq!(report.counter("core.skeleton_cache.hit"), 5, "{mode:?}");
+        }
     }
 
     #[test]

@@ -6,11 +6,18 @@
 //! whose aggregates take the needed values:
 //!
 //! * `COUNT` conjuncts fix the group size `k` (number of tuple-set copies);
-//!   copies are made pairwise distinct and the group is isolated S3-style.
+//!   copies are made pairwise distinct and the group is isolated by
+//!   Algorithm 4's S3 (`isolate_group`, shared with aggregate datasets).
 //! * `MIN`/`MAX` conjuncts pin one copy's value at the boundary and bound
 //!   the rest.
 //! * `SUM`/`AVG` conjuncts pin all copies to a common value `v` chosen so
 //!   `k·v` (resp. `v`) satisfies the comparison.
+//!
+//! One target shape serves the clause: the original-query group, and the
+//! `=`/`<`/`>` dataset of each conjunct, which forces that conjunct's
+//! comparison; `group_size` and [`assert_having`] read it through one
+//! lookup. The generator widens each MIN/MAX/SUM/AVG argument's integer
+//! domain around the conjunct's constant, so the pinned boundary exists.
 //!
 //! For join queries cross-copy matches can add extra group rows, so — like
 //! the paper's own Algorithm 4 for joins under aggregation — this is
@@ -39,27 +46,23 @@ fn size_candidates(having: &[HavingPred]) -> Vec<u32> {
     }
 }
 
-/// Choose the tuple-set copy count `k` so every conjunct is constructible;
-/// `None` when no `k ≤ MAX_GROUP_SIZE` works (e.g. `COUNT(*) > 10`).
-pub fn group_size_for(having: &[HavingPred]) -> Option<u32> {
-    size_candidates(having)
-        .into_iter()
-        .find(|k| having.iter().all(|h| feasible_with(h, h.cmp, *k)))
+/// Choose the tuple-set copy count `k` so every conjunct is constructible,
+/// with conjunct `hi`'s comparison replaced by `op` when `over` is
+/// `Some((hi, op))` (the `=`/`<`/`>` kill datasets); `None` when no
+/// `k ≤ MAX_GROUP_SIZE` works (e.g. `COUNT(*) > 10`).
+pub(crate) fn group_size(having: &[HavingPred], over: Option<(usize, CompareOp)>) -> Option<u32> {
+    size_candidates(having).into_iter().find(|&k| {
+        having.iter().enumerate().all(|(i, h)| feasible_with(h, cmp_of(h, i, over), k))
+    })
 }
 
-/// Like [`group_size_for`] but with one conjunct's comparison overridden
-/// (the `=`/`<`/`>` kill datasets).
-pub fn group_size_with_override(
-    having: &[HavingPred],
-    idx: usize,
-    cmp: CompareOp,
-) -> Option<u32> {
-    size_candidates(having).into_iter().find(|k| {
-        having.iter().enumerate().all(|(i, h)| {
-            let c = if i == idx { cmp } else { h.cmp };
-            feasible_with(h, c, *k)
-        })
-    })
+/// Conjunct `i`'s comparison: `h`'s own, or the forced one when `over`
+/// names `i`.
+fn cmp_of(h: &HavingPred, i: usize, over: Option<(usize, CompareOp)>) -> CompareOp {
+    match over {
+        Some((hi, op)) if hi == i => op,
+        _ => h.cmp,
+    }
 }
 
 /// Whether conjunct `h` (with comparison `cmp`) is constructible with group
@@ -79,50 +82,44 @@ fn feasible_with(h: &HavingPred, cmp: CompareOp, k: u32) -> bool {
 }
 
 /// Assert constraints making all `having` conjuncts hold for the group
-/// formed by the `k` copies, with conjunct `override_idx` (if any) using
-/// `override_cmp` instead of its own comparison.
+/// formed by the `k` copies, with conjunct `hi` compared by `op` instead
+/// of its own comparison when `over` is `Some((hi, op))`.
 pub fn assert_having(
     b: &mut ConstraintBuilder<'_>,
     group_by: &[AttrRef],
     having: &[HavingPred],
     k: u32,
-    override_: Option<(usize, CompareOp)>,
+    over: Option<(usize, CompareOp)>,
 ) -> Result<(), GenError> {
     // Pairwise-distinct copies so the group really has k members: for every
     // occurrence, each pair of copies differs in some attribute.
-    if k > 1 {
-        for occ in 0..b.query.occurrences.len() {
-            let arity = b
-                .schema
-                .relation(&b.query.occurrences[occ].base)
-                .expect("occurrence base")
-                .arity();
-            for i in 0..k {
-                for j in (i + 1)..k {
-                    let diff = Formula::or((0..arity).map(|col| {
-                        Formula::Atom(Atom::new(
-                            b.cvc_map(AttrRef::new(occ, col), i),
-                            RelOp::Ne,
-                            b.cvc_map(AttrRef::new(occ, col), j),
-                        ))
-                    }));
-                    b.problem.assert(diff);
-                }
+    for occ in 0..b.query.occurrences.len() {
+        for i in 0..k {
+            for j in (i + 1)..k {
+                let diff = Formula::or(b.copy_atoms(occ, RelOp::Ne, i, j));
+                b.problem.assert(diff);
             }
         }
     }
-    // S3-style isolation: no tuple outside the copies shares the group-by
-    // values, so the group contains exactly the k copies.
+    isolate_group(b, group_by, k);
+    for (i, h) in having.iter().enumerate() {
+        assert_conjunct(b, h, cmp_of(h, i, over), k)?;
+    }
+    Ok(())
+}
+
+/// S3 isolation (Algorithm 4): no tuple outside copies `0..k` shares the
+/// group-by values of copy 0, so the group contains exactly the `k`
+/// copies.
+pub(crate) fn isolate_group(b: &mut ConstraintBuilder<'_>, group_by: &[AttrRef], k: u32) {
+    let query = b.query;
     for g in group_by {
         let witness = b.cvc_map(*g, 0);
-        let base = b.query.occurrences[g.occ].base.clone();
-        let arr = b.array(&base);
-        let (_, total) = b.slots_of(&base);
+        let base = &query.occurrences[g.occ].base;
+        let arr = b.array(base);
+        let (_, total) = b.slots_of(base);
         let own: Vec<u32> = (0..k).map(|c| b.slot(g.occ, c)).collect();
-        for slot in 0..total {
-            if own.contains(&slot) {
-                continue;
-            }
+        for slot in (0..total).filter(|slot| !own.contains(slot)) {
             b.problem.assert(Formula::Atom(Atom::new(
                 Term::field(arr, slot, g.col as u32),
                 RelOp::Ne,
@@ -130,14 +127,6 @@ pub fn assert_having(
             )));
         }
     }
-    for (i, h) in having.iter().enumerate() {
-        let cmp = match override_ {
-            Some((idx, c)) if idx == i => c,
-            _ => h.cmp,
-        };
-        assert_conjunct(b, h, cmp, k)?;
-    }
-    Ok(())
 }
 
 fn assert_conjunct(
@@ -253,15 +242,15 @@ mod tests {
 
     #[test]
     fn group_size_from_count() {
-        assert_eq!(group_size_for(&[count_star(CompareOp::Eq, 3)]), Some(3));
-        assert_eq!(group_size_for(&[count_star(CompareOp::Gt, 2)]), Some(3));
-        assert_eq!(group_size_for(&[count_star(CompareOp::Ge, 2)]), Some(2));
-        assert_eq!(group_size_for(&[count_star(CompareOp::Lt, 3)]), Some(1));
-        assert_eq!(group_size_for(&[count_star(CompareOp::Ne, 1)]), Some(2));
+        assert_eq!(group_size(&[count_star(CompareOp::Eq, 3)], None), Some(3));
+        assert_eq!(group_size(&[count_star(CompareOp::Gt, 2)], None), Some(3));
+        assert_eq!(group_size(&[count_star(CompareOp::Ge, 2)], None), Some(2));
+        assert_eq!(group_size(&[count_star(CompareOp::Lt, 3)], None), Some(1));
+        assert_eq!(group_size(&[count_star(CompareOp::Ne, 1)], None), Some(2));
         // Too large for construction.
-        assert_eq!(group_size_for(&[count_star(CompareOp::Gt, 10)]), None);
+        assert_eq!(group_size(&[count_star(CompareOp::Gt, 10)], None), None);
         // Impossible: COUNT < 1 with a non-empty group.
-        assert_eq!(group_size_for(&[count_star(CompareOp::Lt, 1)]), None);
+        assert_eq!(group_size(&[count_star(CompareOp::Lt, 1)], None), None);
     }
 
     #[test]
@@ -273,10 +262,10 @@ mod tests {
             value: 6,
         };
         // k=2 preferred (value aggregates want multi-tuple groups; 6 % 2 = 0).
-        assert_eq!(group_size_for(std::slice::from_ref(&sum_eq_6)), Some(2));
+        assert_eq!(group_size(std::slice::from_ref(&sum_eq_6), None), Some(2));
         // Combined with COUNT(*) = 4: k=4, 6 % 4 != 0 → infeasible.
         assert_eq!(
-            group_size_for(&[sum_eq_6, count_star(CompareOp::Eq, 4)]),
+            group_size(&[sum_eq_6, count_star(CompareOp::Eq, 4)], None),
             None
         );
     }
@@ -284,8 +273,8 @@ mod tests {
     #[test]
     fn override_changes_feasibility() {
         let h = [count_star(CompareOp::Gt, 4)];
-        assert_eq!(group_size_for(&h), Some(5));
+        assert_eq!(group_size(&h, None), Some(5));
         // Overriding to `<` makes size 1 enough.
-        assert_eq!(group_size_with_override(&h, 0, CompareOp::Lt), Some(1));
+        assert_eq!(group_size(&h, Some((0, CompareOp::Lt))), Some(1));
     }
 }

@@ -47,8 +47,13 @@ impl ParseError {
         }
         let line_end = source[line_start..].find('\n').map(|i| line_start + i).unwrap_or(source.len());
         let line = &source[line_start..line_end];
-        let col = self.span.start.saturating_sub(line_start);
-        let width = (self.span.end.min(line_end)).saturating_sub(self.span.start).max(1);
+        // Columns count characters, not bytes, so a multi-byte character
+        // earlier on the line does not push the caret right.
+        let chars = |a: usize, b: usize| {
+            source.get(a..b).map_or(b.saturating_sub(a), |s| s.chars().count())
+        };
+        let col = chars(line_start, self.span.start);
+        let width = chars(self.span.start, self.span.end.min(line_end)).max(1);
         format!(
             "parse error at line {line_no}, column {}: {}\n  {line}\n  {}{}",
             col + 1,
@@ -76,6 +81,24 @@ mod tests {
         let a = Span::new(2, 5);
         let b = Span::new(4, 9);
         assert_eq!(a.merge(b), Span::new(2, 9));
+    }
+
+    #[test]
+    fn render_counts_columns_in_characters() {
+        // The same error after `'José'` and after `'Jose'`: one character
+        // each, so the same column and the caret under the same `#`.
+        for name in ["José", "Jose"] {
+            let script = format!(
+                "CREATE TABLE instructor (id INT PRIMARY KEY, name VARCHAR);\n\
+                 INSERT INTO instructor VALUES (2, '{name}', 20, 40000) # ;"
+            );
+            let err = crate::parse_script(&script).unwrap_err();
+            let out = err.render(&script);
+            assert!(out.starts_with("parse error at line 2, column 54:"), "{name}: {out}");
+            let lines: Vec<&str> = out.lines().collect();
+            let caret = lines[2].find('^').expect("caret line");
+            assert_eq!(lines[1].chars().nth(caret), Some('#'), "{name}: {out}");
+        }
     }
 
     #[test]

@@ -255,6 +255,41 @@ echo "$EVAL_OUT" | grep -q 'subquery connective mutant' || {
 }
 echo "ci: extended-class smoke (NULL witness + kill-complete + jobs determinism) OK"
 
+# HAVING leg: generate a HAVING query whose MIN constant lies outside
+# salary's default domain, under two thread counts. The suites and the
+# timing-stripped metrics must be byte-identical, and the domain must
+# widen to the constant so the original-query dataset exists. A candidate
+# that writes `>=` for `>` must then FAIL: the `=` dataset separates them.
+HG='SELECT dept_id, MIN(salary) FROM instructor GROUP BY dept_id HAVING'
+HQ="$HG MIN(salary) > 5000 AND COUNT(*) >= 2"
+HC="$HG MIN(salary) >= 5000 AND COUNT(*) >= 2"
+tmpfiles HV1 HV4 HVM1 HVM4 HVG
+./target/release/xdata generate --schema examples/university.sql \
+    --query "$HQ" --jobs 1 --metrics-json "$HVM1" > "$HV1"
+./target/release/xdata generate --schema examples/university.sql \
+    --query "$HQ" --jobs 4 --metrics-json "$HVM4" > "$HV4"
+if ! cmp -s "$HV1" "$HV4"; then
+    echo "ci: HAVING suite differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+if [ "$(strip_timings "$HVM1")" != "$(strip_timings "$HVM4")" ]; then
+    echo "ci: HAVING timing-stripped metrics differ between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+grep -q '^--- dataset [0-9]*: original query (non-empty result)$' "$HV1" || {
+    echo "ci: the HAVING suite has no original-query dataset" >&2
+    cat "$HV1" >&2
+    exit 1
+}
+./target/release/xdata grade --schema examples/university.sql --query "$HQ" \
+    --candidate "$HC" > "$HVG"
+grep -q '^FAIL' "$HVG" || {
+    echo "ci: the HAVING candidate with >= for > did not FAIL" >&2
+    cat "$HVG" >&2
+    exit 1
+}
+echo "ci: HAVING outside the default domain (original dataset + grade FAIL + jobs determinism) OK"
+
 # Grading leg: batch-grade the sample submission pile against the
 # reference on the shipped schema under two thread counts — the rendered
 # verdict report carries no timings and must be byte-identical. (Hash vs

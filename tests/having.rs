@@ -69,6 +69,9 @@ fn having_original_dataset_is_nonempty() {
         "SELECT dept_id, MIN(salary) FROM instructor GROUP BY dept_id HAVING MIN(salary) = 7",
         "SELECT dept_id, COUNT(*) FROM instructor GROUP BY dept_id \
          HAVING COUNT(*) = 2 AND AVG(salary) > 10",
+        // A constant outside the column's default domain widens it.
+        "SELECT dept_id, MIN(salary) FROM instructor GROUP BY dept_id \
+         HAVING MIN(salary) > 5000 AND COUNT(*) >= 2",
     ] {
         let run = xdata.generate_for(sql).unwrap();
         let orig = run
@@ -107,20 +110,21 @@ fn having_comparison_mutants_killed() {
 fn having_min_comparison_mutants_killed() {
     let schema = university::schema_with_fk_count(0);
     let xdata = XData::new(schema.clone());
-    let (run, space, report) = xdata
-        .evaluate(
-            "SELECT dept_id, COUNT(*) FROM instructor GROUP BY dept_id \
-             HAVING MIN(salary) >= 15",
-            MutationOptions::default(),
-        )
-        .unwrap();
-    let mutants: Vec<Mutant> = space.iter().collect();
-    let surviving: Vec<String> = report
-        .surviving()
-        .map(|i| mutants[i].describe(&run.query))
-        .filter(|d| d.contains("having comparison"))
-        .collect();
-    assert!(surviving.is_empty(), "surviving: {surviving:?}\n{}", run.suite);
+    for sql in [
+        "SELECT dept_id, COUNT(*) FROM instructor GROUP BY dept_id HAVING MIN(salary) >= 15",
+        // 5000 lies outside salary's default domain.
+        "SELECT dept_id, MIN(salary) FROM instructor GROUP BY dept_id \
+         HAVING MIN(salary) > 5000 AND COUNT(*) >= 2",
+    ] {
+        let (run, space, report) = xdata.evaluate(sql, MutationOptions::default()).unwrap();
+        let mutants: Vec<Mutant> = space.iter().collect();
+        let surviving: Vec<String> = report
+            .surviving()
+            .map(|i| mutants[i].describe(&run.query))
+            .filter(|d| d.contains("having comparison"))
+            .collect();
+        assert!(surviving.is_empty(), "{sql}: surviving {surviving:?}\n{}", run.suite);
+    }
 }
 
 #[test]
