@@ -208,7 +208,8 @@ fn generate_impl(
 /// and widen integer-range domains to cover the query's numeric constants
 /// (a selection like `salary > 50000` or a conjunct like
 /// `HAVING MIN(salary) > 5000` needs values on both sides of the constant,
-/// whatever the default range is).
+/// whatever the default range is) and to make the two sides of an offset
+/// comparison like `salary = year + 5000` meet.
 fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) -> DomainCatalog {
     let mut d = domains.clone();
     // String attributes linked by equi-joins or compared directly must
@@ -315,6 +316,33 @@ fn prepare_domains(query: &NormQuery, schema: &Schema, domains: &DomainCatalog) 
             if let Some(a) = h.arg {
                 widen_around(&mut d, &query.occurrences[a.occ].base, a.col, h.value);
             }
+        }
+    }
+    // An offset comparison `x + a op y + b` over two integer ranges needs
+    // the shifted ranges to overlap, or `=` and one of `<`/`>` have no
+    // dataset. When they are disjoint, the lower one widens to reach the
+    // upper one's low end; overlapping ranges stay as they are.
+    for p in &query.preds {
+        let (Operand::Attr { attr: x, offset: a }, Operand::Attr { attr: y, offset: b }) =
+            (&p.lhs, &p.rhs)
+        else {
+            continue;
+        };
+        let (bx, by) = (&query.occurrences[x.occ].base, &query.occurrences[y.occ].base);
+        let shifted = |base: &str, col: usize, offset: i64| match d.get(base, col) {
+            Some(&Domain::IntRange { lo, hi }) => {
+                Some((lo.saturating_add(offset), hi.saturating_add(offset)))
+            }
+            _ => None,
+        };
+        let (Some((lx, hx)), Some((ly, hy))) = (shifted(bx, x.col, *a), shifted(by, y.col, *b))
+        else {
+            continue;
+        };
+        if hx < ly {
+            widen_around(&mut d, bx, x.col, ly.saturating_sub(*a));
+        } else if hy < lx {
+            widen_around(&mut d, by, y.col, lx.saturating_sub(*b));
         }
     }
     d
@@ -1459,6 +1487,21 @@ mod tests {
             .filter(|l| l.contains("nullify"))
             .collect();
         assert_eq!(nulls.len(), 2, "{nulls:?}");
+    }
+
+    #[test]
+    fn disjoint_offset_ranges_widen_to_meet() {
+        // salary and year share the default range [0, 1000], which
+        // `year + 5000` leaves: no row could satisfy `=` or `>` without
+        // widening.
+        let (q, schema, suite) =
+            gen("SELECT * FROM instructor i, teaches t WHERE i.salary = t.year + 5000", 0);
+        for label in ["original query (non-empty result)", "dataset with `=`", "dataset with `>`"] {
+            assert!(suite.datasets.iter().any(|d| d.label.ends_with(label)), "{label}:\n{suite}");
+        }
+        let original = &suite.datasets[0];
+        let r = xdata_engine::execute_query(&q, &original.dataset, &schema).unwrap();
+        assert!(!r.is_empty(), "{}", original.dataset);
     }
 
     #[test]

@@ -9,8 +9,10 @@
 //!
 //! 1. parse/normalize the reference and generate its suite **once**;
 //! 2. execute the reference once per dataset (the expected results);
-//! 3. parse/normalize every candidate, attributing parse and normalization
-//!    errors per candidate instead of failing the batch;
+//! 3. parse/normalize each distinct candidate text once, attributing parse
+//!    and normalization errors per candidate instead of failing the batch;
+//!    an exact repeat of an earlier text copies that occurrence's class
+//!    (a dedup hit) or its INVALID message;
 //! 4. collapse candidates with equal
 //!    [`canonical_form`]s into
 //!    equivalence classes (`core.grade.dedup_hit`/`miss`) — each class
@@ -231,15 +233,34 @@ pub fn grade_batch_cancellable(
             .collect::<Result<_, _>>()?
     };
 
-    // Parse/normalize + dedup. Sequential: canonical_form is string work,
-    // negligible next to execution, and the first-seen class order must be
-    // input order for determinism.
+    // Parse/normalize + dedup, in input order so the first-seen class order
+    // is deterministic. Prep costs more than executing the grid, and a
+    // batch repeats many texts byte for byte: a repeat copies its first
+    // occurrence's result, which parsing the same text would reproduce.
+    // Different texts still merge only on equal canonical forms.
+    let mut first_of_text: HashMap<&str, usize> = HashMap::new();
     let mut class_of_form: HashMap<String, usize> = HashMap::new();
     let mut class_queries: Vec<NormQuery> = Vec::new();
     let mut class_hashes: Vec<u128> = Vec::new();
     let mut prep: Vec<Result<(usize, bool), String>> = Vec::with_capacity(candidates.len());
     let (mut hits, mut misses) = (0u64, 0u64);
     for sql in candidates {
+        match first_of_text.entry(sql) {
+            Entry::Occupied(first) => {
+                let repeat = match &prep[*first.get()] {
+                    Ok((ci, _)) => {
+                        hits += 1;
+                        Ok((*ci, true))
+                    }
+                    Err(message) => Err(message.clone()),
+                };
+                prep.push(repeat);
+                continue;
+            }
+            Entry::Vacant(v) => {
+                v.insert(prep.len());
+            }
+        }
         let parsed = xdata_sql::parse_query(sql)
             .map_err(|e| e.to_string())
             .and_then(|ast| normalize(&ast, schema).map_err(|e| e.to_string()));
@@ -335,4 +356,60 @@ pub fn grade_batch_cancellable(
         dedup_hits,
         verdicts,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use xdata_catalog::university;
+
+    #[test]
+    fn exact_repeats_copy_their_first_occurrence() {
+        let valid = "SELECT i.name, t.course_id FROM instructor i, teaches t WHERE i.id = t.id";
+        let outer =
+            "SELECT i.name, t.course_id FROM instructor i LEFT OUTER JOIN teaches t ON i.id = t.id";
+        let unknown = "SELECT * FROM missing_relation";
+        let broken = "SELECT FROM WHERE";
+        let spaced = "SELECT  FROM WHERE";
+        let batch = [valid, outer, unknown, broken, valid, outer, unknown, broken, spaced];
+        let candidates: Vec<String> = batch.iter().map(|s| s.to_string()).collect();
+        let schema = university::schema();
+        let report = grade_batch(
+            valid,
+            &candidates,
+            &schema,
+            &DomainCatalog::defaults(&schema),
+            &GenOptions::default(),
+            JoinStrategy::Hash,
+        )
+        .unwrap();
+
+        // Every INVALID message is what parse and normalize say about that
+        // exact text, and only those texts are INVALID.
+        for (v, sql) in report.verdicts.iter().zip(batch) {
+            let prep = xdata_sql::parse_query(sql)
+                .map_err(|e| e.to_string())
+                .and_then(|ast| normalize(&ast, &schema).map_err(|e| e.to_string()));
+            match (&v.outcome, prep) {
+                (CandidateOutcome::Invalid { message }, Err(want)) => assert_eq!(message, &want),
+                (CandidateOutcome::Invalid { .. }, Ok(_)) | (_, Err(_)) => {
+                    panic!("#{} {sql:?}: {:?}", v.index, v.outcome)
+                }
+                (_, Ok(_)) => {}
+            }
+        }
+        // An exact repeat shares its first occurrence's class and verdict,
+        // and counts as a dedup hit when that occurrence has a class.
+        for (first, repeat) in [(0, 4), (1, 5), (2, 6), (3, 7)] {
+            let (f, r) = (&report.verdicts[first], &report.verdicts[repeat]);
+            assert_eq!((f.class, f.class_hash), (r.class, r.class_hash), "#{repeat}");
+            assert_eq!(f.outcome, r.outcome, "#{repeat}");
+            assert!(!f.dedup_hit);
+            assert_eq!(r.dedup_hit, f.class.is_some(), "#{repeat}");
+        }
+        assert_eq!((report.classes, report.dedup_hits), (2, 2));
+        // A whitespace variant is a new text: its parse error keeps its own
+        // byte offsets.
+        assert_ne!(report.verdicts[3].outcome, report.verdicts[8].outcome);
+    }
 }

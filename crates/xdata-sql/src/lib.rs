@@ -9,8 +9,8 @@
 //! * a conjunctive `WHERE` clause of simple comparisons
 //!   (`expr relop expr`, assumption A5),
 //! * optional aggregation (`MAX, MIN, SUM, AVG, COUNT` and their
-//!   `DISTINCT` variants) with `GROUP BY` and no `HAVING`
-//!   (unconstrained aggregation, §V-F),
+//!   `DISTINCT` variants) with `GROUP BY` and a conjunctive `HAVING` of
+//!   aggregate-versus-integer comparisons (§V-F),
 //!
 //! plus `CREATE TABLE` DDL with `PRIMARY KEY` / `FOREIGN KEY ... REFERENCES`
 //! so whole schemas can be declared in SQL (the paper's assumption A1).

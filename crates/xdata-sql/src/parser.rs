@@ -4,7 +4,8 @@
 //!
 //! ```text
 //! statement   := query | create_table
-//! query       := SELECT select_list FROM from_list [WHERE conj] [GROUP BY cols]
+//! query       := SELECT ['DISTINCT'] select_list FROM from_list [WHERE conj]
+//!                [GROUP BY col (',' col)*] [HAVING having (AND having)*]
 //! select_list := '*' | item (',' item)*
 //! item        := agg '(' ['DISTINCT'] (col | '*') ')' | col
 //! from_list   := from_item (',' from_item)*
@@ -17,6 +18,8 @@
 //!              | ['NOT'] EXISTS '(' query ')'           (WHERE only)
 //!              | expr ['NOT'] LIKE STRING               (WHERE only)
 //!              | expr IS ['NOT'] NULL                   (WHERE only)
+//! having      := agg '(' ['DISTINCT'] col ')' relop ['-'] INT
+//!              | COUNT '(' '*' ')' relop ['-'] INT
 //! expr        := operand (('+'|'-') INT)*
 //! operand     := col | INT | FLOAT | STRING | '-' INT
 //! col         := ident ['.' ident]

@@ -115,6 +115,26 @@ if [ "$(strip_timings "$M1")" != "$(strip_timings "$M4")" ]; then
 fi
 echo "ci: metrics schema + determinism OK"
 
+# Mutants leg: list the running example's mutation space under two thread
+# counts. The listings must be byte-identical, and listing must solve
+# nothing: the mutation space needs the normalized query, not a suite.
+tmpfiles MU1 MU4 MUM1 MUM4
+./target/release/xdata mutants --schema examples/university.sql \
+    --query "$Q" --jobs 1 --metrics-json "$MUM1" > "$MU1"
+./target/release/xdata mutants --schema examples/university.sql \
+    --query "$Q" --jobs 4 --metrics-json "$MUM4" > "$MU4"
+if ! cmp -s "$MU1" "$MU4"; then
+    echo "ci: mutants listing differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+for key in core.targets.solved solver.ground_solves; do
+    grep -q "\"$key\": 0," "$MUM1" && grep -q "\"$key\": 0," "$MUM4" || {
+        echo "ci: listing the mutants recorded a nonzero $key" >&2
+        exit 1
+    }
+done
+echo "ci: mutants listing (no solves + jobs determinism) OK"
+
 # Certified-survivor leg: evaluate a self-join on the running example, as
 # written and as an AVG over it, under two thread counts. The listings and
 # the timing-stripped metrics must be byte-identical, and both certificate
@@ -290,6 +310,29 @@ grep -q '^FAIL' "$HVG" || {
 }
 echo "ci: HAVING outside the default domain (original dataset + grade FAIL + jobs determinism) OK"
 
+# Offset leg: generate a comparison whose offset lifts one side wholly out
+# of the other's default domain, under two thread counts. The suites must
+# be byte-identical, and the domains must widen until the two sides meet,
+# so the original-query dataset and the `=` and `>` datasets exist.
+OQ='SELECT * FROM instructor i, teaches t WHERE i.salary = t.year + 5000'
+tmpfiles OF1 OF4
+./target/release/xdata generate --schema examples/university.sql \
+    --query "$OQ" --jobs 1 > "$OF1"
+./target/release/xdata generate --schema examples/university.sql \
+    --query "$OQ" --jobs 4 > "$OF4"
+if ! cmp -s "$OF1" "$OF4"; then
+    echo "ci: offset suite differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+for label in 'original query (non-empty result)' 'dataset with `=`' 'dataset with `>`'; do
+    grep -q "^--- dataset [0-9]*: .*$label\$" "$OF1" || {
+        echo "ci: the offset suite has no dataset labeled '$label'" >&2
+        cat "$OF1" >&2
+        exit 1
+    }
+done
+echo "ci: offset comparison outside the default domain (datasets + jobs determinism) OK"
+
 # Grading leg: batch-grade the sample submission pile against the
 # reference on the shipped schema under two thread counts — the rendered
 # verdict report carries no timings and must be byte-identical. (Hash vs
@@ -309,6 +352,29 @@ if ! cmp -s "$G1" "$G4"; then
     exit 1
 fi
 echo "ci: batch grading verdict stability OK"
+
+# Repeated-submission leg: batch-grade the sample pile twice over in one
+# file under two thread counts. The reports must be byte-identical, and
+# every verdict of the second copy must equal its first copy's apart from
+# the candidate number and the ` dup` mark.
+tmpfiles DBL D1 D4 DV
+cat examples/submissions.sql examples/submissions.sql > "$DBL"
+./target/release/xdata grade --schema examples/university.sql \
+    --query "$GQ" --candidates "$DBL" --jobs 1 > "$D1"
+./target/release/xdata grade --schema examples/university.sql \
+    --query "$GQ" --candidates "$DBL" --jobs 4 > "$D4"
+if ! cmp -s "$D1" "$D4"; then
+    echo "ci: repeated-submission report differs between --jobs 1 and --jobs 4" >&2
+    exit 1
+fi
+grep '^#' "$D1" | sed 's/^#[0-9]* *//; s/ dup\]$/]/' > "$DV"
+n=$(($(wc -l < "$DV") / 2))
+if [ "$n" -eq 0 ] || [ "$(head -n "$n" "$DV")" != "$(tail -n "$n" "$DV")" ]; then
+    echo "ci: a repeated submission's verdict differs from its first copy's" >&2
+    cat "$D1" >&2
+    exit 1
+fi
+echo "ci: repeated submissions (verdicts equal their first copy + jobs determinism) OK"
 
 # Grading budget leg: grade the same pile with a decision budget of 0 and
 # no deadline, under two thread counts. Every target is a budget skip, so

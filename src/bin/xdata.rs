@@ -60,7 +60,7 @@ use std::process::ExitCode;
 use xdata::catalog::DomainCatalog;
 use xdata::client::count_arg;
 use xdata::core::{minimize_suite, EMPTY_SUITE_VERDICT, PARTIAL_SUITE_MARKER};
-use xdata::relalg::mutation::MutationOptions;
+use xdata::relalg::mutation::{mutation_space, MutationOptions};
 use xdata::solver::Mode;
 use xdata::XData;
 
@@ -490,11 +490,12 @@ fn dispatch(args: &Args, out: &mut impl Write) -> Result<(), Failure> {
             Ok(())
         }
         "mutants" => {
-            let run = xd.generate_for(sql).map_err(|e| e.to_string())?;
-            let space = run.mutants(mopts);
+            // The mutation space needs only the normalized query, not a suite.
+            let query = xd.normalize(sql).map_err(|e| e.to_string())?;
+            let space = mutation_space(&query, mopts);
             writeln!(out, "{} mutants ({} raw):", space.len(), space.raw_len())?;
             for m in space.iter() {
-                writeln!(out, "  {}", m.describe(&run.query))?;
+                writeln!(out, "  {}", m.describe(&query))?;
             }
             Ok(())
         }

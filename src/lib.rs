@@ -206,6 +206,12 @@ impl XData {
         &self.options
     }
 
+    /// Parse `sql` and normalize it against the schema, without generating
+    /// a suite.
+    pub fn normalize(&self, sql: &str) -> Result<NormQuery, XDataError> {
+        Ok(normalize(&xdata_sql::parse_query(sql)?, &self.schema)?)
+    }
+
     /// Parse, normalize and generate the test suite for `sql`.
     pub fn generate_for(&self, sql: &str) -> Result<Run, XDataError> {
         let cancel = CancelToken::for_deadline_ms(self.options.deadline_ms);
@@ -213,8 +219,7 @@ impl XData {
     }
 
     fn generate_cancellable(&self, sql: &str, cancel: &CancelToken) -> Result<Run, XDataError> {
-        let ast = xdata_sql::parse_query(sql)?;
-        let query = normalize(&ast, &self.schema)?;
+        let query = self.normalize(sql)?;
         let suite =
             generate_cancellable(&query, &self.schema, &self.domains, &self.options, cancel, None)?;
         Ok(Run { query, suite })
@@ -259,8 +264,7 @@ impl XData {
     /// grading does.
     pub fn grade(&self, reference_sql: &str, candidate_sql: &str) -> Result<Grade, XDataError> {
         let run = self.generate_for(reference_sql)?;
-        let candidate_ast = xdata_sql::parse_query(candidate_sql)?;
-        let candidate = normalize(&candidate_ast, &self.schema)?;
+        let candidate = self.normalize(candidate_sql)?;
         let partial = run.suite.is_partial();
         if partial && run.suite.datasets.is_empty() {
             return Ok(Grade::Unevaluated);

@@ -284,6 +284,28 @@ fn evaluate_metrics_include_kill_phase() {
     assert!(!json.contains("\"kill.mutants\": 0,"), "{json}");
 }
 
+#[test]
+fn mutants_listing_solves_nothing() {
+    let path = tmp_path("metrics-mutants.json");
+    let out = xdata(&[
+        "mutants",
+        "--schema",
+        SCHEMA,
+        "--query",
+        QUERY,
+        "--metrics-json",
+        path.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let json = std::fs::read_to_string(&path).expect("metrics file written");
+    std::fs::remove_file(&path).ok();
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("9 mutants (9 raw):\n"));
+    // The listing needs the normalized query only: no target is solved.
+    for key in ["core.targets.solved", "solver.ground_solves"] {
+        assert!(json.contains(&format!("\"{key}\": 0,")), "{key}: {json}");
+    }
+}
+
 /// A reader that stops early (`xdata ... | head`) closes stdout under the
 /// writer. The listing here is larger than a 64 KiB pipe buffer, so the
 /// binary writes to the closed pipe however the two processes are
